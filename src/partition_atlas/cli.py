@@ -130,7 +130,13 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
     for n in range(1, cfg.n_max + 1):
         path = n_dir(cfg.output_dir, n) / "profile.json"
         if path.exists():
-            profiles.append(profile_from_json(path.read_text()))
+            try:
+                profile = profile_from_json(path.read_text())
+                if profile.n != n:
+                    raise ValueError(f"it holds the profile for n={profile.n}")
+            except ValueError as exc:
+                raise click.UsageError(f"malformed artifact {path}: {exc}") from None
+            profiles.append(profile)
         elif no_recompute:
             raise click.UsageError(
                 f"missing artifact {path}; run compute first or drop --no-recompute"

@@ -99,14 +99,12 @@ def max_clique_through(graph: TransferGraph, p: Partition) -> tuple[Partition, .
     members = graph.adj[v]
     if not members:
         return (graph.vertices[v],)
-    rows = _local_rows(graph, members)
-    rows, old_of_new = _reorder_by_degeneracy(rows)
-    _, mask = _max_clique(rows, want_witness=True)
+    _, mask = _max_clique(_local_rows(graph, members), want_witness=True)
     chosen = [v]
     while mask:
         bit = mask & -mask
         mask ^= bit
-        chosen.append(members[old_of_new[bit.bit_length() - 1]])
+        chosen.append(members[bit.bit_length() - 1])
     return tuple(graph.vertices[i] for i in sorted(chosen))
 
 
@@ -115,9 +113,7 @@ def _neighborhood_clique_size(graph: TransferGraph, v: int) -> int:
     k = len(members)
     if k <= 1:
         return k
-    rows = _local_rows(graph, members)
-    rows, _ = _reorder_by_degeneracy(rows)
-    size, _ = _max_clique(rows)
+    size, _ = _max_clique(_local_rows(graph, members))
     return size
 
 
@@ -133,48 +129,6 @@ def _local_rows(graph: TransferGraph, members: Sequence[int]) -> list[int]:
                 bits |= 1 << j
         rows[i] = bits
     return rows
-
-
-def _reorder_by_degeneracy(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Renumber so the densest-core vertices come first.
-
-    Repeatedly removing a minimum-degree vertex yields a degeneracy order;
-    reversing it fronts the core, which tightens the greedy coloring used
-    as the search bound. Returns the renumbered rows and the old index of
-    each new position.
-    """
-    k = len(rows)
-    deg = [r.bit_count() for r in rows]
-    alive = [True] * k
-    removal: list[int] = []
-    for _ in range(k):
-        best = -1
-        for u in range(k):
-            if alive[u] and (best < 0 or deg[u] < deg[best]):
-                best = u
-        removal.append(best)
-        alive[best] = False
-        r = rows[best]
-        while r:
-            bit = r & -r
-            r ^= bit
-            u = bit.bit_length() - 1
-            if alive[u]:
-                deg[u] -= 1
-    old_of_new = removal[::-1]
-    new_of_old = [0] * k
-    for new, old in enumerate(old_of_new):
-        new_of_old[old] = new
-    out = [0] * k
-    for old in range(k):
-        r = rows[old]
-        bits = 0
-        while r:
-            bit = r & -r
-            r ^= bit
-            bits |= 1 << new_of_old[bit.bit_length() - 1]
-        out[new_of_old[old]] = bits
-    return out, old_of_new
 
 
 def _max_clique(rows: list[int], want_witness: bool = False) -> tuple[int, int]:
@@ -262,18 +216,41 @@ def profile_json(graph: TransferGraph, profile: ThicknessProfile) -> str:
 
 
 def profile_from_json(text: str) -> ThicknessProfile:
-    """Rebuild a profile from :func:`profile_json` output, with validation."""
+    """Rebuild a profile from :func:`profile_json` output, with validation.
+
+    Any malformed, incomplete or inconsistent document raises ``ValueError``.
+    """
     doc = json.loads(text)
-    n = doc["n"]
+    if not isinstance(doc, dict):
+        raise ValueError("profile document must be a JSON object")
+    n = _typed_field(doc, "n", int)
+    tau_map = _typed_field(doc, "tau", dict)
+    stated_max = _typed_field(doc, "tau_max", int)
+    stated_names = _typed_field(doc, "max_locus", list)
     verts = enumerate_partitions(n)
-    tau_map = doc["tau"]
     if len(tau_map) != len(verts):
         raise ValueError(f"profile for n={n} must list {len(verts)} vertices")
-    tau = tuple(tau_map[format_partition(p)] for p in verts)
+    try:
+        tau = tuple(tau_map[format_partition(p)] for p in verts)
+    except KeyError as exc:
+        raise ValueError(f"profile for n={n} lacks vertex {exc.args[0]}") from None
+    if not all(type(t) is int for t in tau):
+        raise ValueError(f"profile for n={n} has a non-integer thickness")
     tau_max = max(tau)
     locus = tuple(v for v, t in enumerate(tau) if t == tau_max)
     index = canonical_index(n)
-    stated_locus = tuple(sorted(index[parse_partition(s).parts] for s in doc["max_locus"]))
-    if doc["tau_max"] != tau_max or stated_locus != locus:
+    if not all(isinstance(name, str) for name in stated_names):
+        raise ValueError(f"max_locus of the profile for n={n} must list partition strings")
+    stated = [index.get(parse_partition(name).parts) for name in stated_names]
+    if None in stated:
+        raise ValueError(f"max_locus of the profile for n={n} names a foreign partition")
+    if stated_max != tau_max or tuple(sorted(stated)) != locus:
         raise ValueError(f"inconsistent profile document for n={n}")
     return ThicknessProfile(n=n, tau=tau, tau_max=tau_max, max_locus=locus)
+
+
+def _typed_field(doc: dict, key: str, kind: type):
+    value = doc.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"profile document needs {key!r} of type {kind.__name__}")
+    return value

@@ -17,60 +17,57 @@ def neighbors(p: Partition) -> set[Partition]:
     opens a new part of size one; the result is re-sorted. Outcomes equal
     to ``p`` itself are discarded, and duplicates collapse.
     """
-    return {Partition(t) for t in _neighbor_tuples(p.parts)}
+    return {Partition(t) for t in _corner_moves(p.parts)}
 
 
-def _neighbor_tuples(parts: tuple[int, ...]) -> set[tuple[int, ...]]:
-    counts: dict[int, int] = {}
-    for v in parts:
-        counts[v] = counts.get(v, 0) + 1
-    out: set[tuple[int, ...]] = set()
-    for v in counts:
-        base = dict(counts)
-        base[v] -= 1
-        if base[v] == 0:
-            del base[v]
-        if v > 1:
-            base[v - 1] = base.get(v - 1, 0) + 1
-        res = dict(base)
-        res[1] = res.get(1, 0) + 1
-        out.add(_expand(res))
-        for w in counts:
-            # the target must be a part other than the source instance
-            if w == v and counts[v] == 1:
+def _corner_moves(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The neighbors of ``parts`` as Young-diagram corner moves, each once.
+
+    Moving a unit and re-sorting is the same as taking one box off a
+    removable corner (the last row of some part value), giving mu, and
+    putting one box on an addable corner of mu: row 0, a row shorter than
+    the one above it, or a new row. Since mu is the unique common
+    sub-diagram of two distinct neighbors, no result repeats; putting the
+    box back where it came from gives ``parts`` and is skipped.
+    """
+    out: list[tuple[int, ...]] = []
+    last = len(parts) - 1
+    for i in range(last + 1):
+        if i < last and parts[i] == parts[i + 1]:
+            continue
+        mu = list(parts)
+        if mu[i] == 1:
+            mu.pop()
+        else:
+            mu[i] -= 1
+        k = len(mu)
+        for j in range(k + 1):
+            if j == i or (0 < j < k and mu[j - 1] == mu[j]):
                 continue
-            res = dict(base)
-            res[w] -= 1
-            if res[w] == 0:
-                del res[w]
-            res[w + 1] = res.get(w + 1, 0) + 1
-            out.add(_expand(res))
-    out.discard(parts)
+            if j == k:
+                out.append((*mu, 1))
+            else:
+                mu[j] += 1
+                out.append(tuple(mu))
+                mu[j] -= 1
     return out
-
-
-def _expand(counts: dict[int, int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for v in sorted(counts, reverse=True):
-        out.extend([v] * counts[v])
-    return tuple(out)
 
 
 @dataclass(frozen=True)
 class TransferGraph:
     """Immutable adjacency structure over all partitions of one total.
 
-    ``vertices`` follows the canonical enumeration order. ``adj`` holds
-    sorted neighbor indices per vertex, and ``bitrows`` the same rows as
-    integer bitmasks (bit j set when j is adjacent), which makes the
-    neighborhood intersections inside the clique search word-parallel.
+    ``vertices`` follows the canonical enumeration order, and ``adj``
+    holds the sorted neighbor indices of each vertex.
     """
 
     n: int
     vertices: tuple[Partition, ...]
     adj: tuple[tuple[int, ...], ...]
-    bitrows: tuple[int, ...]
     parts_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
+    _conjugation: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def index_of(self, p: Partition) -> int:
         idx = self.parts_index.get(p.parts)
@@ -104,8 +101,14 @@ class TransferGraph:
         return reached == len(self.vertices)
 
     def conjugation_permutation(self) -> tuple[int, ...]:
-        """Vertex permutation induced by conjugating every partition."""
-        return tuple(self.parts_index[v.conjugate().parts] for v in self.vertices)
+        """Vertex permutation induced by conjugating every partition.
+
+        Built on the first call and kept for the life of the graph.
+        """
+        if self._conjugation is None:
+            sigma = tuple(self.parts_index[v.conjugate().parts] for v in self.vertices)
+            object.__setattr__(self, "_conjugation", sigma)
+        return self._conjugation
 
     def dump_edges(self) -> str:
         """Edge list, one ``"a<TAB>b"`` line per edge, in canonical order."""
@@ -126,7 +129,7 @@ def build_graph(n: int) -> TransferGraph:
     """
     verts = enumerate_partitions(n)
     index = canonical_index(n)
-    adj_sets = [frozenset(index[t] for t in _neighbor_tuples(p.parts)) for p in verts]
+    adj_sets = [frozenset(index[t] for t in _corner_moves(p.parts)) for p in verts]
     for i, row in enumerate(adj_sets):
         if i in row:
             raise AssertionError(f"self-loop at vertex {i} of G_{n}")
@@ -134,15 +137,7 @@ def build_graph(n: int) -> TransferGraph:
             if i not in adj_sets[j]:
                 raise AssertionError(f"asymmetric adjacency {i}/{j} in G_{n}")
     adj = tuple(tuple(sorted(row)) for row in adj_sets)
-    bitrows = []
-    for row in adj:
-        bits = 0
-        for j in row:
-            bits |= 1 << j
-        bitrows.append(bits)
-    return TransferGraph(
-        n=n, vertices=verts, adj=adj, bitrows=tuple(bitrows), parts_index=index
-    )
+    return TransferGraph(n=n, vertices=verts, adj=adj, parts_index=index)
 
 
 def bfs_distances(graph: TransferGraph, sources: Iterable[int]) -> list[int]:

@@ -207,7 +207,7 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
                     f"main chain break at n={n}",
                 )
             if n >= 2:
-                inside = bfs_distances_within(g, fw.all_indices)
+                inside = induced_subgraph_connected(g, fw.all_indices)
                 fail_if(not inside, f"induced framework subgraph disconnected at n={n}")
         return "contains antennas, closed under conjugation, induced-connected"
 
@@ -478,7 +478,7 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
     return results
 
 
-def bfs_distances_within(graph: TransferGraph, members: frozenset[int]) -> bool:
+def induced_subgraph_connected(graph: TransferGraph, members: frozenset[int]) -> bool:
     """True when the subgraph induced on ``members`` is connected."""
     if not members:
         return True

@@ -2,6 +2,7 @@ import filecmp
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from partition_atlas.cli import main
@@ -103,6 +104,28 @@ def test_tables_no_recompute_needs_artifacts(tmp_path):
     )
     assert result.exit_code == 2
     assert "missing artifact" in result.output
+
+
+@pytest.mark.parametrize(
+    "replace",
+    [
+        lambda out: json.dumps({"n": 3}),
+        lambda out: "[]",
+        lambda out: "{not json",
+        lambda out: (out / "n04" / "profile.json").read_text(),  # valid, but for n=4
+    ],
+    ids=["missing-keys", "not-an-object", "not-json", "wrong-n"],
+)
+def test_tables_rejects_malformed_profile(tmp_path, replace):
+    out = tmp_path / "artifacts"
+    runner = CliRunner()
+    assert runner.invoke(main, ["compute", "--n-max", "4", "--out", str(out)]).exit_code == 0
+    bad = out / "n03" / "profile.json"
+    bad.write_text(replace(out))
+    result = runner.invoke(main, ["tables", "--n-max", "4", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "malformed artifact" in result.output
+    assert str(bad) in result.output
 
 
 def test_tables_rejects_partial_start(tmp_path):

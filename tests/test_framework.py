@@ -101,6 +101,16 @@ def test_framework_induced_subgraph_connected(n):
     assert seen == set(members)
 
 
+def test_induced_subgraph_connected_examples():
+    from partition_atlas.verify import induced_subgraph_connected
+
+    g = build_graph(4)  # the path 4 - 3,1 - {2,2 / 2,1,1} - 1,1,1,1
+    assert induced_subgraph_connected(g, frozenset())
+    assert induced_subgraph_connected(g, frozenset(range(len(g.vertices))))
+    assert induced_subgraph_connected(g, frozenset({0, 1}))
+    assert not induced_subgraph_connected(g, frozenset({0, len(g.vertices) - 1}))
+
+
 def test_axis_examples():
     assert [p.parts for p in self_conjugate_axis(3).members] == [(2, 1)]
     assert [p.parts for p in self_conjugate_axis(1).members] == [(1,)]

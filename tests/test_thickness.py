@@ -165,3 +165,43 @@ def test_profile_from_json_rejects_inconsistency():
     doc["tau_max"] = 9
     with pytest.raises(ValueError):
         profile_from_json(json.dumps(doc))
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+_G4 = build_graph(4)
+_DOC4 = json.loads(profile_json(_G4, thickness_profile(_G4)))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"n": 3},
+        [],
+        "profile",
+        _without(_DOC4, "max_locus"),
+        _without(_DOC4, "tau_max"),
+        _without(_DOC4, "tau"),
+        {**_DOC4, "n": "4"},
+        {**_DOC4, "n": True},
+        {**_DOC4, "tau": ["4", "3,1"]},
+        {**_DOC4, "max_locus": "3,1"},
+        {**_DOC4, "max_locus": [31]},
+        {**_DOC4, "max_locus": ["5"]},
+        {**_DOC4, "tau_max": 2.0},
+        {**_DOC4, "tau": {**_DOC4["tau"], "3,1": "2"}},
+        {**_DOC4, "tau": {**_without(_DOC4["tau"], "2,2"), "9": 2}},
+    ],
+    ids=lambda doc: json.dumps(doc)[:40],
+)
+def test_profile_from_json_rejects_malformed(doc):
+    with pytest.raises(ValueError):
+        profile_from_json(json.dumps(doc))
+
+
+def test_profile_from_json_rejects_invalid_json():
+    with pytest.raises(ValueError):
+        profile_from_json("{not json")

@@ -133,16 +133,36 @@ def test_adjacency_shape(n):
     assert sum(len(r) for r in g.adj) == 2 * g.edge_count
 
 
-def test_bitrows_match_adjacency():
-    g = build_graph(8)
-    for i, row in enumerate(g.adj):
-        bits = g.bitrows[i]
-        members = []
-        while bits:
-            low = bits & -bits
-            members.append(low.bit_length() - 1)
-            bits ^= low
-        assert members == list(row)
+def _reference_neighbors(parts):
+    """Unit transfers straight from the definition: move, re-sort, drop self."""
+    out = set()
+    for src in range(len(parts)):
+        rest = list(parts)
+        rest[src] -= 1
+        targets = [t for t in range(len(parts)) if t != src] + [len(parts)]
+        for dst in targets:
+            moved = rest + [0]
+            moved[dst] += 1
+            out.add(tuple(sorted((x for x in moved if x > 0), reverse=True)))
+    out.discard(parts)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_adjacency_matches_definition(n):
+    g = build_graph(n)
+    for i, p in enumerate(g.vertices):
+        expected = _reference_neighbors(p.parts)
+        assert {q.parts for q in neighbors(p)} == expected
+        assert {g.vertices[j].parts for j in g.adj[i]} == expected
+
+
+def test_conjugation_permutation_built_once():
+    g = build_graph(9)
+    sigma = g.conjugation_permutation()
+    assert g.conjugation_permutation() is sigma
+    assert sorted(sigma) == list(range(len(g.vertices)))
+    assert all(g.vertices[sigma[i]] == p.conjugate() for i, p in enumerate(g.vertices))
 
 
 def test_dump_edges_n4():
