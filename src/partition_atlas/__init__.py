@@ -28,7 +28,6 @@ from .framework import (
 )
 from .partitions import (
     Partition,
-    PartitionIndex,
     canonical_index,
     enumerate_partitions,
     format_partition,
@@ -46,7 +45,13 @@ from .thickness import (
     profile_json,
     thickness_profile,
 )
-from .transfer_graph import TransferGraph, bfs_distances, build_graph, neighbors
+from .transfer_graph import (
+    TransferGraph,
+    bfs_distances,
+    build_graph,
+    induced_components,
+    neighbors,
+)
 from .zones import (
     FirstOccurrenceTable,
     ZoneComponent,
@@ -68,7 +73,6 @@ __all__ = [
     "LayoutPoint",
     "LocusStats",
     "Partition",
-    "PartitionIndex",
     "ThicknessProfile",
     "TransferGraph",
     "ZoneComponent",
@@ -87,6 +91,7 @@ __all__ = [
     "first_occurrences_csv",
     "format_partition",
     "framework_json",
+    "induced_components",
     "layout",
     "left_boundary",
     "local_simplex_dimension",

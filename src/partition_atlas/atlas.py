@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
-from .partitions import Partition, PartitionIndex, enumerate_partitions, format_partition
+from .partitions import Partition, enumerate_partitions, format_partition
 from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph, bfs_distances
 from .zones import decompose, exact_regime, first_occurrences, first_occurrences_csv
@@ -55,7 +55,6 @@ class LayoutPoint:
     partitions share the same cell.
     """
 
-    vertex: PartitionIndex
     x: int
     y: int
     dx: float
@@ -83,7 +82,7 @@ def layout(n: int) -> tuple[LayoutPoint, ...]:
                 angle = 2.0 * math.pi * k / m
                 dx = round(RING_OFFSET * math.cos(angle), 4)
                 dy = round(RING_OFFSET * math.sin(angle), 4)
-            points[i] = LayoutPoint(vertex=PartitionIndex(n, i), x=x, y=y, dx=dx, dy=dy)
+            points[i] = LayoutPoint(x=x, y=y, dx=dx, dy=dy)
     return tuple(points)  # type: ignore[arg-type]
 
 

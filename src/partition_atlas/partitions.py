@@ -63,14 +63,6 @@ class Partition:
         return self.conjugate().parts == self.parts
 
 
-@dataclass(frozen=True)
-class PartitionIndex:
-    """Position of a partition in the canonical enumeration for one total."""
-
-    n: int
-    index: int
-
-
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, in reverse-lexicographic order.

@@ -21,6 +21,7 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     parse_partition,
+    partition_count,
 )
 from .transfer_graph import TransferGraph
 
@@ -99,7 +100,7 @@ def max_clique_through(graph: TransferGraph, p: Partition) -> tuple[Partition, .
     members = graph.adj[v]
     if not members:
         return (graph.vertices[v],)
-    _, mask = _max_clique(_local_rows(graph, members), want_witness=True)
+    _, mask = _max_clique(_local_rows(graph, members))
     chosen = [v]
     while mask:
         bit = mask & -mask
@@ -131,20 +132,19 @@ def _local_rows(graph: TransferGraph, members: Sequence[int]) -> list[int]:
     return rows
 
 
-def _max_clique(rows: list[int], want_witness: bool = False) -> tuple[int, int]:
-    """Exact maximum clique size of the bitmask graph ``rows``.
+def _max_clique(rows: list[int]) -> tuple[int, int]:
+    """Exact maximum clique of the bitmask graph ``rows``.
 
     Branch and bound with a greedy-coloring upper bound: the candidate set
     is colored in index order, then explored from the highest color down,
     so a branch is cut as soon as clique-so-far plus color cannot beat the
-    best clique found. Returns (size, member mask); the mask stays 0
-    unless ``want_witness``.
+    best clique found. Returns (size, member mask) of the first largest
+    clique found.
     """
     best = 0
     best_mask = 0
-    stack: list[int] = []
 
-    def expand(size: int, cand: int) -> None:
+    def expand(clique: int, size: int, cand: int) -> None:
         nonlocal best, best_mask
         seq: list[int] = []
         bound: list[int] = []
@@ -166,23 +166,15 @@ def _max_clique(rows: list[int], want_witness: bool = False) -> tuple[int, int]:
                 return
             v = seq[idx]
             bit = 1 << v
-            if want_witness:
-                stack.append(v)
             nxt = cand & rows[v]
             if size + 1 > best:
                 best = size + 1
-                if want_witness:
-                    mask = 0
-                    for u in stack:
-                        mask |= 1 << u
-                    best_mask = mask
+                best_mask = clique | bit
             if nxt:
-                expand(size + 1, nxt)
-            if want_witness:
-                stack.pop()
+                expand(clique | bit, size + 1, nxt)
             cand ^= bit
 
-    expand(0, (1 << len(rows)) - 1)
+    expand(0, 0, (1 << len(rows)) - 1)
     return best, best_mask
 
 
@@ -227,9 +219,11 @@ def profile_from_json(text: str) -> ThicknessProfile:
     tau_map = _typed_field(doc, "tau", dict)
     stated_max = _typed_field(doc, "tau_max", int)
     stated_names = _typed_field(doc, "max_locus", list)
+    # p(n) >= n, so the first test bounds n by the document size before
+    # anything of size p(n) is computed
+    if n > len(tau_map) or len(tau_map) != partition_count(n):
+        raise ValueError(f"profile for n={n} lists {len(tau_map)} vertices, not p({n})")
     verts = enumerate_partitions(n)
-    if len(tau_map) != len(verts):
-        raise ValueError(f"profile for n={n} must list {len(verts)} vertices")
     try:
         tau = tuple(tau_map[format_partition(p)] for p in verts)
     except KeyError as exc:

@@ -86,19 +86,8 @@ class TransferGraph:
         return sum(len(row) for row in self.adj) // 2
 
     def is_connected(self) -> bool:
-        """True when every vertex is reachable from vertex 0."""
-        seen = bytearray(len(self.vertices))
-        seen[0] = 1
-        reached = 1
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    reached += 1
-                    queue.append(w)
-        return reached == len(self.vertices)
+        """True when the whole graph is one component."""
+        return len(induced_components(self, range(len(self.vertices)))) == 1
 
     def conjugation_permutation(self) -> tuple[int, ...]:
         """Vertex permutation induced by conjugating every partition.
@@ -155,3 +144,28 @@ def bfs_distances(graph: TransferGraph, sources: Iterable[int]) -> list[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def induced_components(graph: TransferGraph, members: Iterable[int]) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced on ``members``.
+
+    A walk starts from each not yet reached member in increasing order, so
+    the components come out ordered by their smallest member.
+    """
+    order = sorted(members)
+    unseen = bytearray(len(graph.vertices))
+    for v in order:
+        unseen[v] = 1
+    components = []
+    for start in order:
+        if not unseen[start]:
+            continue
+        unseen[start] = 0
+        component = [start]
+        for u in component:
+            for w in graph.adj[u]:
+                if unseen[w]:
+                    unseen[w] = 0
+                    component.append(w)
+        components.append(frozenset(component))
+    return components

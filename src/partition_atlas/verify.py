@@ -22,13 +22,15 @@ from .thickness import (
     max_thickness_locus,
     thickness_profile,
 )
-from .transfer_graph import TransferGraph, bfs_distances, build_graph
+from .transfer_graph import TransferGraph, build_graph, induced_components
 from .zones import decompose, first_occurrences, threshold_zone
 
 ORACLE_RANGE_MAX = 12
 FULL_CONJUGATION_RANGE_MAX = 20
 
-# reference values reproduced by the full computation
+# reference values reproduced by the full computation, complete for n up to
+# REFERENCE_RANGE_MAX; an order first realized past it is reported as new
+REFERENCE_RANGE_MAX = 30
 EXPECTED_FIRST_OCCURRENCES = {2: 4, 3: 7, 4: 11, 5: 16, 6: 22, 7: 29}
 EXPECTED_MAX_LOCUS = {
     7: (3, 4, ("4,2,1", "3,3,1")),
@@ -207,8 +209,10 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
                     f"main chain break at n={n}",
                 )
             if n >= 2:
-                inside = induced_subgraph_connected(g, fw.all_indices)
-                fail_if(not inside, f"induced framework subgraph disconnected at n={n}")
+                fail_if(
+                    len(induced_components(g, fw.all_indices)) != 1,
+                    f"induced framework subgraph disconnected at n={n}",
+                )
         return "contains antennas, closed under conjugation, induced-connected"
 
     check("boundary framework shape", c_framework_shape)
@@ -380,11 +384,16 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
 
         def c_first_occurrence_table() -> str:
             table = first_occurrences([profiles[n] for n in ns])
+            known = {r: v for r, v in table.entries.items() if v <= REFERENCE_RANGE_MAX}
+            new = {r: v for r, v in table.entries.items() if v > REFERENCE_RANGE_MAX}
             expected = {r: v for r, v in EXPECTED_FIRST_OCCURRENCES.items() if v <= n_max}
-            fail_if(table.entries != expected, f"got {table.entries}, expected {expected}")
+            fail_if(known != expected, f"got {known}, expected {expected}")
             values = list(table.entries.values())
             fail_if(values != sorted(set(values)), "first occurrences not strictly increasing")
-            return f"{expected or 'no order realized in range'}"
+            detail = f"{expected or 'no order realized in range'}"
+            if new:
+                detail += f"; new beyond n={REFERENCE_RANGE_MAX}: {new}"
+            return detail
 
         check("first-occurrence table matches expected values", c_first_occurrence_table)
 
@@ -476,19 +485,3 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
     check("artifact generation idempotence", c_compute_idempotence)
 
     return results
-
-
-def induced_subgraph_connected(graph: TransferGraph, members: frozenset[int]) -> bool:
-    """True when the subgraph induced on ``members`` is connected."""
-    if not members:
-        return True
-    start = min(members)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in graph.adj[u]:
-            if w in members and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(members)

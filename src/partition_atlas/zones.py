@@ -9,34 +9,7 @@ from typing import Iterable, Sequence
 from .framework import FrameworkSet
 from .partitions import format_partition
 from .thickness import ThicknessProfile
-from .transfer_graph import TransferGraph
-
-
-class UnionFind:
-    """Union-find over an arbitrary set of vertex indices.
-
-    Roots are kept minimal, so each component's representative is its
-    smallest member and component identities are stable across runs.
-    """
-
-    def __init__(self, items: Iterable[int]):
-        self.parent = {v: v for v in items}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+from .transfer_graph import TransferGraph, induced_components
 
 
 @dataclass(frozen=True)
@@ -88,19 +61,10 @@ def decompose(
     if not (graph.n == framework.n == profile.n):
         raise ValueError("graph, framework and profile must describe the same n")
     zone = threshold_zone(profile, r)
-    uf = UnionFind(zone)
-    for i in zone:
-        for j in graph.adj[i]:
-            if j > i and j in zone:
-                uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in sorted(zone):
-        groups.setdefault(uf.find(i), []).append(i)
     components = []
     shell: set[int] = set()
     core: set[int] = set()
-    for root in sorted(groups):
-        vs = frozenset(groups[root])
+    for vs in induced_components(graph, zone):
         attached = not vs.isdisjoint(framework.all_indices)
         components.append(ZoneComponent(vertices=vs, boundary_attached=attached))
         (shell if attached else core).update(vs)

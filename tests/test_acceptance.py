@@ -26,18 +26,9 @@ from partition_atlas import (
     threshold_zone,
 )
 from partition_atlas.cli import main as cli_main
+from partition_atlas.verify import EXPECTED_FIRST_OCCURRENCES, EXPECTED_MAX_LOCUS
 
 RANGE_MAX = 30
-
-EXPECTED_FIRST_OCCURRENCES = {2: 4, 3: 7, 4: 11, 5: 16, 6: 22, 7: 29}
-
-EXPECTED_MAX_LOCUS = {
-    7: (3, 4, ("4,2,1", "3,3,1")),
-    11: (4, 5, ("5,3,2,1", "4,4,2,1")),
-    16: (5, 6, ("6,4,3,2,1", "5,5,3,2,1")),
-    22: (6, 7, ("7,5,4,3,2,1", "6,6,4,3,2,1")),
-    29: (7, 8, ("8,6,5,4,3,2,1", "7,7,5,4,3,2,1")),
-}
 
 ATLAS_NS = (4, 7, 11, 16)
 

@@ -9,6 +9,7 @@ from partition_atlas import (
     build_graph,
     enumerate_partitions,
     framework_json,
+    induced_components,
     left_boundary,
     main_chain,
     right_boundary,
@@ -102,13 +103,12 @@ def test_framework_induced_subgraph_connected(n):
 
 
 def test_induced_subgraph_connected_examples():
-    from partition_atlas.verify import induced_subgraph_connected
-
     g = build_graph(4)  # the path 4 - 3,1 - {2,2 / 2,1,1} - 1,1,1,1
-    assert induced_subgraph_connected(g, frozenset())
-    assert induced_subgraph_connected(g, frozenset(range(len(g.vertices))))
-    assert induced_subgraph_connected(g, frozenset({0, 1}))
-    assert not induced_subgraph_connected(g, frozenset({0, len(g.vertices) - 1}))
+    last = len(g.vertices) - 1
+    assert induced_components(g, frozenset()) == []
+    assert induced_components(g, frozenset(range(last + 1))) == [frozenset(range(last + 1))]
+    assert induced_components(g, frozenset({0, 1})) == [frozenset({0, 1})]
+    assert induced_components(g, frozenset({last, 0})) == [frozenset({0}), frozenset({last})]
 
 
 def test_axis_examples():

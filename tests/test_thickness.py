@@ -16,6 +16,8 @@ from partition_atlas import (
     profile_json,
     thickness_profile,
 )
+from partition_atlas import thickness
+from partition_atlas.partitions import enumerate_partitions
 from partition_atlas.verify import profile_conjugation_ok
 
 
@@ -194,10 +196,21 @@ _DOC4 = json.loads(profile_json(_G4, thickness_profile(_G4)))
         {**_DOC4, "tau_max": 2.0},
         {**_DOC4, "tau": {**_DOC4["tau"], "3,1": "2"}},
         {**_DOC4, "tau": {**_without(_DOC4["tau"], "2,2"), "9": 2}},
+        {**_DOC4, "n": 80},
+        {**_DOC4, "n": 5},
+        {**_DOC4, "n": 0},
+        {**_DOC4, "n": -1},
     ],
     ids=lambda doc: json.dumps(doc)[:40],
 )
-def test_profile_from_json_rejects_malformed(doc):
+def test_profile_from_json_rejects_malformed(doc, monkeypatch):
+    # a document is rejected before anything of size p(n) is built for a
+    # large n (p(80) is about 15.8 million)
+    def enumerate_small(n):
+        assert n <= 30, f"enumerated the partitions of {n}"
+        return enumerate_partitions(n)
+
+    monkeypatch.setattr(thickness, "enumerate_partitions", enumerate_small)
     with pytest.raises(ValueError):
         profile_from_json(json.dumps(doc))
 

@@ -9,6 +9,7 @@ from partition_atlas import (
     exact_regime,
     first_occurrences,
     first_occurrences_csv,
+    induced_components,
     max_thickness_locus,
     thickness_profile,
     threshold_zone,
@@ -122,6 +123,40 @@ def test_decompose_n7_r3_core(small_profiles):
     locus = {g.index_of(p) for p in max_thickness_locus(g, prof)}
     assert dec.core == frozenset(locus)
     assert dec.shell == frozenset()
+
+
+def _components_by_label_propagation(graph, members):
+    # reference: every member repeatedly takes the smallest label among its
+    # member neighbours until nothing changes; each label is then the
+    # smallest member of its component
+    label = {v: v for v in members}
+    changed = True
+    while changed:
+        changed = False
+        for v in label:
+            for w in graph.adj[v]:
+                if w in label and label[w] < label[v]:
+                    label[v] = label[w]
+                    changed = True
+    groups = {}
+    for v, root in label.items():
+        groups.setdefault(root, set()).add(v)
+    return [frozenset(groups[root]) for root in sorted(groups)]
+
+
+def test_decompose_components_match_label_propagation(small_profiles):
+    for n, (g, prof, fw) in small_profiles.items():
+        for r in range(prof.tau_max + 2):
+            dec = decompose(g, fw, prof, r)
+            expected = _components_by_label_propagation(g, dec.threshold)
+            assert [c.vertices for c in dec.components] == expected, (n, r)
+            for c in dec.components:
+                assert c.boundary_attached == bool(c.vertices & fw.all_indices), (n, r)
+            # every threshold zone up to n=30 is one component; the exact
+            # regimes split, which exercises the component order
+            assert induced_components(g, dec.exact) == _components_by_label_propagation(
+                g, dec.exact
+            ), (n, r)
 
 
 def test_decompose_partitions_zone(small_profiles):
