@@ -33,6 +33,7 @@ from .partitions import (
     format_partition,
     parse_partition,
     partition_count,
+    partition_names,
 )
 from .thickness import (
     ThicknessProfile,
@@ -102,6 +103,7 @@ __all__ = [
     "neighbors",
     "parse_partition",
     "partition_count",
+    "partition_names",
     "profile_csv",
     "profile_from_json",
     "profile_json",

@@ -100,6 +100,16 @@ def canonical_index(n: int) -> dict[tuple[int, ...], int]:
     return {p.parts: i for i, p in enumerate(enumerate_partitions(n))}
 
 
+@lru_cache(maxsize=1)
+def partition_names(n: int) -> tuple[str, ...]:
+    """:func:`format_partition` of every partition of ``n``, in canonical order.
+
+    Only the latest table is kept: callers write one n at a time, and
+    keeping every table for n=1..30 costs about 2 MB.
+    """
+    return tuple(format_partition(p) for p in enumerate_partitions(n))
+
+
 def format_partition(p: Partition) -> str:
     """Render as comma-separated parts with no spaces, e.g. ``"4,2,1"``."""
     return ",".join(str(x) for x in p.parts)

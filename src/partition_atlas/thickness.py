@@ -1,10 +1,14 @@
 """Exact per-vertex clique thickness of a transfer graph.
 
 The thickness of a vertex is the size of the largest clique through it,
-minus one. Every clique through a vertex is that vertex plus a clique
-inside its neighborhood, so each value reduces to an exact maximum-clique
-computation on the subgraph induced on the neighbors. Neighborhoods stay
-small relative to the graph, which keeps exhaustive search cheap.
+minus one. A largest clique through a partition p of n is all covers of
+one partition of n - 1 below p, so the profile is read off the Young
+diagrams in closed form (proof at ``transfer_graph._corner_thickness``).
+
+The paper's method stays as :func:`local_simplex_dimension`: every clique
+through a vertex is that vertex plus a clique inside its neighborhood, so
+each value is an exact maximum-clique search on the subgraph induced on
+the neighbors. It shares no code with the closed form and cross-checks it.
 """
 
 from __future__ import annotations
@@ -18,12 +22,11 @@ from typing import Sequence
 from .partitions import (
     Partition,
     canonical_index,
-    enumerate_partitions,
-    format_partition,
     parse_partition,
     partition_count,
+    partition_names,
 )
-from .transfer_graph import TransferGraph
+from .transfer_graph import TransferGraph, _corner_thickness, _lower_covers, _upper_covers
 
 
 @dataclass(frozen=True)
@@ -41,17 +44,21 @@ class ThicknessProfile:
 
 
 def local_simplex_dimension(graph: TransferGraph, p: Partition) -> int:
-    """Largest clique size through ``p``, minus one; 0 for an isolated vertex."""
+    """Largest clique size through ``p``, minus one; 0 for an isolated vertex.
+
+    Exact maximum-clique search on the neighborhood of ``p``, independent
+    of the closed form that :func:`thickness_profile` uses.
+    """
     return _neighborhood_clique_size(graph, graph.index_of(p))
 
 
 def thickness_profile(graph: TransferGraph) -> ThicknessProfile:
-    """Thickness of every vertex, computed independently per vertex.
+    """Thickness of every vertex, from the Young-diagram corner formula.
 
-    No value is shortcut from another vertex's result, so the profile is
-    identical for any evaluation order.
+    Each value depends on its own partition alone, so the profile is
+    identical for any evaluation order; only ``graph.vertices`` is read.
     """
-    tau = tuple(_neighborhood_clique_size(graph, v) for v in range(len(graph.vertices)))
+    tau = tuple(_corner_thickness(p.parts) for p in graph.vertices)
     tau_max = max(tau)
     locus = tuple(v for v, t in enumerate(tau) if t == tau_max)
     return ThicknessProfile(n=graph.n, tau=tau, tau_max=tau_max, max_locus=locus)
@@ -93,20 +100,13 @@ def brute_force_local_dimension(graph: TransferGraph, p: Partition) -> int:
 def max_clique_through(graph: TransferGraph, p: Partition) -> tuple[Partition, ...]:
     """One largest clique containing ``p``, for figure annotation.
 
-    Deterministic for fixed inputs; the members come back in canonical
-    vertex order.
+    The clique is every cover of the first mu below ``p``, in corner
+    order, with the most distinct parts (see ``_corner_thickness``). The
+    members come back in canonical vertex order.
     """
-    v = graph.index_of(p)
-    members = graph.adj[v]
-    if not members:
-        return (graph.vertices[v],)
-    _, mask = _max_clique(_local_rows(graph, members))
-    chosen = [v]
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        chosen.append(members[bit.bit_length() - 1])
-    return tuple(graph.vertices[i] for i in sorted(chosen))
+    graph.index_of(p)  # a foreign p is a ValueError, as elsewhere
+    mu = max(_lower_covers(p.parts), key=lambda m: len(set(m)))
+    return tuple(graph.vertices[i] for i in sorted(graph.parts_index[t] for t in _upper_covers(mu)))
 
 
 def _neighborhood_clique_size(graph: TransferGraph, v: int) -> int:
@@ -114,8 +114,7 @@ def _neighborhood_clique_size(graph: TransferGraph, v: int) -> int:
     k = len(members)
     if k <= 1:
         return k
-    size, _ = _max_clique(_local_rows(graph, members))
-    return size
+    return _max_clique(_local_rows(graph, members))
 
 
 def _local_rows(graph: TransferGraph, members: Sequence[int]) -> list[int]:
@@ -132,20 +131,18 @@ def _local_rows(graph: TransferGraph, members: Sequence[int]) -> list[int]:
     return rows
 
 
-def _max_clique(rows: list[int]) -> tuple[int, int]:
-    """Exact maximum clique of the bitmask graph ``rows``.
+def _max_clique(rows: list[int]) -> int:
+    """Size of a maximum clique of the bitmask graph ``rows``.
 
     Branch and bound with a greedy-coloring upper bound: the candidate set
     is colored in index order, then explored from the highest color down,
     so a branch is cut as soon as clique-so-far plus color cannot beat the
-    best clique found. Returns (size, member mask) of the first largest
-    clique found.
+    best clique found.
     """
     best = 0
-    best_mask = 0
 
-    def expand(clique: int, size: int, cand: int) -> None:
-        nonlocal best, best_mask
+    def expand(size: int, cand: int) -> None:
+        nonlocal best
         seq: list[int] = []
         bound: list[int] = []
         uncolored = cand
@@ -165,17 +162,15 @@ def _max_clique(rows: list[int]) -> tuple[int, int]:
             if size + bound[idx] <= best:
                 return
             v = seq[idx]
-            bit = 1 << v
             nxt = cand & rows[v]
             if size + 1 > best:
                 best = size + 1
-                best_mask = clique | bit
             if nxt:
-                expand(clique | bit, size + 1, nxt)
-            cand ^= bit
+                expand(size + 1, nxt)
+            cand ^= 1 << v
 
-    expand(0, 0, (1 << len(rows)) - 1)
-    return best, best_mask
+    expand(0, (1 << len(rows)) - 1)
+    return best
 
 
 def profile_csv(graph: TransferGraph, profile: ThicknessProfile) -> str:
@@ -189,8 +184,7 @@ def profile_csv(graph: TransferGraph, profile: ThicknessProfile) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["partition", "tau"])
-    for i, p in enumerate(graph.vertices):
-        writer.writerow([format_partition(p), profile.tau[i]])
+    writer.writerows(zip(partition_names(graph.n), profile.tau))
     return buffer.getvalue()
 
 
@@ -198,11 +192,12 @@ def profile_json(graph: TransferGraph, profile: ThicknessProfile) -> str:
     """JSON export with the full map plus ``tau_max`` and the maximal locus."""
     if graph.n != profile.n:
         raise ValueError("graph and profile must describe the same n")
+    names = partition_names(graph.n)
     doc = {
         "n": profile.n,
         "tau_max": profile.tau_max,
-        "max_locus": [format_partition(graph.vertices[i]) for i in profile.max_locus],
-        "tau": {format_partition(p): profile.tau[i] for i, p in enumerate(graph.vertices)},
+        "max_locus": [names[i] for i in profile.max_locus],
+        "tau": dict(zip(names, profile.tau)),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -223,9 +218,8 @@ def profile_from_json(text: str) -> ThicknessProfile:
     # anything of size p(n) is computed
     if n > len(tau_map) or len(tau_map) != partition_count(n):
         raise ValueError(f"profile for n={n} lists {len(tau_map)} vertices, not p({n})")
-    verts = enumerate_partitions(n)
     try:
-        tau = tuple(tau_map[format_partition(p)] for p in verts)
+        tau = tuple(tau_map[name] for name in partition_names(n))
     except KeyError as exc:
         raise ValueError(f"profile for n={n} lacks vertex {exc.args[0]}") from None
     if not all(type(t) is int for t in tau):

@@ -6,7 +6,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .partitions import Partition, canonical_index, enumerate_partitions, format_partition
+from .partitions import (
+    Partition,
+    canonical_index,
+    enumerate_partitions,
+    format_partition,
+    partition_names,
+)
 
 
 def neighbors(p: Partition) -> set[Partition]:
@@ -51,6 +57,66 @@ def _corner_moves(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
                 out.append(tuple(mu))
                 mu[j] -= 1
     return out
+
+
+def _lower_covers(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``parts`` with one box taken off a removable corner, each corner once."""
+    last = len(parts) - 1
+    return [
+        parts[:i] + (parts[i] - 1,) + parts[i + 1 :] if parts[i] > 1 else parts[:-1]
+        for i in range(last + 1)
+        if i == last or parts[i] != parts[i + 1]
+    ]
+
+
+def _upper_covers(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``parts`` with one box put on an addable corner, each corner once."""
+    grown = [
+        parts[:j] + (parts[j] + 1,) + parts[j + 1 :]
+        for j in range(len(parts))
+        if j == 0 or parts[j - 1] != parts[j]
+    ]
+    return [*grown, (*parts, 1)]
+
+
+def _corner_thickness(parts: tuple[int, ...]) -> int:
+    """Thickness of the vertex ``parts``, read off its Young diagram.
+
+    Write d(x) for the number of distinct parts of x: x has d(x) removable
+    and d(x) + 1 addable corners. For p of n, with mu over the lower covers
+    of p (partitions of n - 1; mu = () with d = 0 when n = 1) and lam over
+    its upper covers (partitions of n + 1),
+
+        tau(p) + 1 = max(max_mu d(mu) + 1, max_lam d(lam)) = max_mu d(mu) + 1.
+
+    Cliques. Read a partition of n as its set of n diagram cells; unions
+    and intersections of diagrams are diagrams. Two vertices are adjacent
+    exactly when they share n - 1 cells (see :func:`_corner_moves`), so
+    the graph is an induced subgraph of a Johnson graph. Take adjacent A, B
+    with M = A & B and L = A | B, of n - 1 and n + 1 cells. A vertex C
+    adjacent to both misses one cell of A and one of B. If it misses a cell
+    m of M, it holds (A | B) - {m}, which has n cells, so C = L - {m};
+    otherwise C contains M. Two vertices M | {x} with x outside L and
+    L - {m} with m in M share only n - 2 cells, so every clique of two or
+    more members either has all members above one mu = M, the covers of
+    mu, or all below one lam = L, the lower covers of lam (Godsil & Royle,
+    Algebraic Graph Theory, 1.6; Stanley, EC1, 7.2). Conversely the
+    d(mu) + 1 covers of mu, and the d(lam) lower covers of lam, are
+    pairwise adjacent. For n = 1 the lone vertex is the one cover of
+    mu = (). A largest clique through p is one of these families.
+
+    The lam term never wins. One box changes one row, so d(lam) <= d(p) + 1.
+    Unless p is the staircase (k, k-1, ..., 1), some part value v occurs
+    twice, or is above 1 with no part v - 1; taking the box off the last
+    row of value v then gives d(mu) >= d(p). The staircase has d(mu) = k - 1
+    for every mu and d(lam) <= k for every lam.
+
+    Counting: taking the box off the last row of part value v gives
+    d(mu) = d(p) - [v occurs once] + [v > 1 and v - 1 is no part].
+    """
+    values = set(parts)
+    d = len(values)
+    return max(d - (parts.count(v) == 1) + (v > 1 and v - 1 not in values) for v in values)
 
 
 @dataclass(frozen=True)
@@ -101,13 +167,14 @@ class TransferGraph:
 
     def dump_edges(self) -> str:
         """Edge list, one ``"a<TAB>b"`` line per edge, in canonical order."""
-        lines = []
+        names = partition_names(self.n)
+        # one string per row, not per edge: at n=36 a list of 187,019 edge
+        # strings was the peak allocation of compute
+        chunks = []
         for i, row in enumerate(self.adj):
-            left = format_partition(self.vertices[i])
-            for j in row:
-                if j > i:
-                    lines.append(f"{left}\t{format_partition(self.vertices[j])}")
-        return "\n".join(lines) + ("\n" if lines else "")
+            left = names[i]
+            chunks.append("".join([f"{left}\t{names[j]}\n" for j in row if j > i]))
+        return "".join(chunks)
 
 
 def build_graph(n: int) -> TransferGraph:

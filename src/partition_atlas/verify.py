@@ -19,6 +19,7 @@ from .partitions import enumerate_partitions, parse_partition, partition_count
 from .thickness import (
     ThicknessProfile,
     brute_force_local_dimension,
+    local_simplex_dimension,
     max_thickness_locus,
     thickness_profile,
 )
@@ -127,10 +128,14 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
 
     def c_conjugation_involution() -> str:
         for n in ns:
-            for p in enumerate_partitions(n):
-                q = p.conjugate()
-                fail_if(q.conjugate() != p, f"involution fails at {p}")
-                fail_if(q.length != p.largest, f"largest/length swap fails at {p}")
+            g = graphs[n]
+            sigma = g.conjugation_permutation()
+            for i, p in enumerate(g.vertices):
+                fail_if(sigma[sigma[i]] != i, f"involution fails at {p}")
+                fail_if(
+                    g.vertices[sigma[i]].length != p.largest,
+                    f"largest/length swap fails at {p}",
+                )
         return "involution and largest/length swap hold"
 
     check("conjugation is an involution", c_conjugation_involution)
@@ -250,6 +255,19 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
 
     check("thickness conjugation invariance", c_tau_conjugation)
 
+    def c_clique_search() -> str:
+        for n in ns:
+            g = graphs[n]
+            prof = profiles[n]
+            for i, p in enumerate(g.vertices):
+                fail_if(
+                    local_simplex_dimension(g, p) != prof.tau[i],
+                    f"clique search disagrees at n={n}, {p}",
+                )
+        return f"every vertex for n={n_min}..{n_max}"
+
+    check("clique search matches the corner formula", c_clique_search)
+
     def c_oracle_equivalence() -> str:
         checked = [n for n in ns if n <= ORACLE_RANGE_MAX]
         for n in checked:
@@ -262,7 +280,7 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
                 )
         return f"exhaustive agreement for n up to {max(checked, default=0)}"
 
-    check("clique search matches enumeration oracle", c_oracle_equivalence)
+    check("corner formula matches enumeration oracle", c_oracle_equivalence)
 
     def c_tau_bounds() -> str:
         for n in ns:
@@ -388,11 +406,16 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
             new = {r: v for r, v in table.entries.items() if v > REFERENCE_RANGE_MAX}
             expected = {r: v for r, v in EXPECTED_FIRST_OCCURRENCES.items() if v <= n_max}
             fail_if(known != expected, f"got {known}, expected {expected}")
+            # by the corner formula, tau = r needs a partition of n - 1 with r
+            # distinct parts, so n - 1 >= 1 + 2 + ... + r; the covers of the
+            # staircase (r, r-1, ..., 1) reach order r at n = r(r+1)/2 + 1
+            off = {r: v for r, v in new.items() if v != r * (r + 1) // 2 + 1}
+            fail_if(bool(off), f"new orders {off} are not at r(r+1)/2 + 1")
             values = list(table.entries.values())
             fail_if(values != sorted(set(values)), "first occurrences not strictly increasing")
             detail = f"{expected or 'no order realized in range'}"
             if new:
-                detail += f"; new beyond n={REFERENCE_RANGE_MAX}: {new}"
+                detail += f"; new beyond n={REFERENCE_RANGE_MAX}: {new}, each at r(r+1)/2 + 1"
             return detail
 
         check("first-occurrence table matches expected values", c_first_occurrence_table)
@@ -434,9 +457,9 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
     def c_layout_symmetry() -> str:
         for n in ns:
             pts = layout(n)
-            index = graphs[n].parts_index
+            sigma = graphs[n].conjugation_permutation()
             for i, p in enumerate(graphs[n].vertices):
-                mirror = pts[index[p.conjugate().parts]]
+                mirror = pts[sigma[i]]
                 fail_if(
                     (pts[i].x, pts[i].y) != (mirror.y, mirror.x),
                     f"layout transpose fails at n={n}, {p}",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .framework import FrameworkSet
-from .partitions import format_partition
+from .partitions import partition_names
 from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph, induced_components
 
@@ -120,8 +120,10 @@ def zone_json(graph: TransferGraph, decomposition: ZoneDecomposition) -> str:
     if graph.n != decomposition.n:
         raise ValueError("graph and decomposition must describe the same n")
 
+    table = partition_names(graph.n)
+
     def names(idxs: Iterable[int]) -> list[str]:
-        return [format_partition(graph.vertices[i]) for i in sorted(idxs)]
+        return [table[i] for i in sorted(idxs)]
 
     doc = {
         "n": decomposition.n,

@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from partition_atlas import (
     Partition,
@@ -16,8 +18,9 @@ from partition_atlas import (
     profile_json,
     thickness_profile,
 )
-from partition_atlas import thickness
-from partition_atlas.partitions import enumerate_partitions
+from partition_atlas import partitions
+from partition_atlas.partitions import enumerate_partitions, format_partition, partition_names
+from partition_atlas.transfer_graph import _corner_thickness
 from partition_atlas.verify import profile_conjugation_ok
 
 
@@ -114,18 +117,64 @@ def test_local_dimension_rejects_foreign_vertex():
         local_simplex_dimension(build_graph(4), Partition((5,)))
 
 
-def test_witness_clique_is_valid():
-    g = build_graph(7)
+@pytest.mark.parametrize("n", range(1, 21))
+def test_profile_matches_clique_search(n):
+    g = build_graph(n)
     prof = thickness_profile(g)
-    for i, p in enumerate(g.vertices):
-        witness = max_clique_through(g, p)
-        assert p in witness
-        assert len(witness) == prof.tau[i] + 1
-        idxs = [g.index_of(q) for q in witness]
-        for a in idxs:
-            for b in idxs:
-                if a != b:
-                    assert b in g.adj[a]
+    assert prof.tau == tuple(local_simplex_dimension(g, p) for p in g.vertices)
+
+
+def _contains(big, small):
+    return len(big) >= len(small) and all(a >= b for a, b in zip(big, small))
+
+
+def _clique_shapes(n):
+    """Every cover family of a mu of n - 1 and lower-cover family of a lam of n + 1."""
+    verts = [p.parts for p in enumerate_partitions(n)]
+    below = [p.parts for p in enumerate_partitions(n - 1)] if n > 1 else [()]
+    above = [p.parts for p in enumerate_partitions(n + 1)]
+    shapes = {frozenset(q for q in verts if _contains(q, mu)) for mu in below}
+    shapes |= {frozenset(q for q in verts if _contains(lam, q)) for lam in above}
+    return shapes
+
+
+def test_witness_clique_is_valid():
+    for n in range(1, 13):
+        g = build_graph(n)
+        prof = thickness_profile(g)
+        shapes = _clique_shapes(n)
+        for i, p in enumerate(g.vertices):
+            witness = max_clique_through(g, p)
+            assert p in witness
+            assert len(witness) == prof.tau[i] + 1
+            idxs = [g.index_of(q) for q in witness]
+            assert idxs == sorted(idxs)
+            for a in idxs:
+                for b in idxs:
+                    if a != b:
+                        assert b in g.adj[a]
+            assert frozenset(q.parts for q in witness) in shapes, (n, p)
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=60))
+def test_corner_thickness_conjugation_invariant(xs):
+    total = 0
+    parts = []
+    for x in sorted(xs, reverse=True):
+        if total + x <= 60:
+            parts.append(x)
+            total += x
+    p = Partition(tuple(parts))
+    assert _corner_thickness(p.parts) == _corner_thickness(p.conjugate().parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_partition_names_match_format(n):
+    names = partition_names(n)
+    verts = enumerate_partitions(n)
+    assert len(names) == len(verts)
+    for i, p in enumerate(verts):
+        assert names[i] == format_partition(p)
 
 
 def test_witness_for_isolated_vertex():
@@ -210,7 +259,7 @@ def test_profile_from_json_rejects_malformed(doc, monkeypatch):
         assert n <= 30, f"enumerated the partitions of {n}"
         return enumerate_partitions(n)
 
-    monkeypatch.setattr(thickness, "enumerate_partitions", enumerate_small)
+    monkeypatch.setattr(partitions, "enumerate_partitions", enumerate_small)
     with pytest.raises(ValueError):
         profile_from_json(json.dumps(doc))
 

@@ -1,4 +1,6 @@
-from partition_atlas import verify
+import dataclasses
+
+from partition_atlas import thickness_profile, verify
 
 
 def _first_occurrence_result(n_max):
@@ -22,3 +24,43 @@ def test_first_occurrence_mismatch_within_reference_fails(monkeypatch):
     result = _first_occurrence_result(11)
     assert not result.ok
     assert "expected {2: 4, 3: 6}" in result.detail
+
+
+def test_first_occurrences_beyond_reference_follow_the_formula(monkeypatch):
+    monkeypatch.setattr(verify, "REFERENCE_RANGE_MAX", 5)
+    monkeypatch.setattr(verify, "EXPECTED_FIRST_OCCURRENCES", {2: 4})
+    result = _first_occurrence_result(12)
+    assert result.ok, result.detail
+    assert "new beyond n=5: {3: 7, 4: 11}, each at r(r+1)/2 + 1" in result.detail
+
+
+def test_first_occurrence_off_the_formula_fails(monkeypatch):
+    # a profile that reaches order 4 at n=10, one n before the formula
+    def early(graph):
+        prof = thickness_profile(graph)
+        if graph.n != 10:
+            return prof
+        tau = (4, *prof.tau[1:])
+        return dataclasses.replace(prof, tau=tau, tau_max=4, max_locus=(0,))
+
+    monkeypatch.setattr(verify, "REFERENCE_RANGE_MAX", 8)
+    monkeypatch.setattr(verify, "EXPECTED_FIRST_OCCURRENCES", {2: 4, 3: 7})
+    monkeypatch.setattr(verify, "thickness_profile", early)
+    result = _first_occurrence_result(11)
+    assert not result.ok
+    assert "new orders {4: 10} are not at r(r+1)/2 + 1" in result.detail
+
+
+def test_clique_search_check_catches_a_wrong_profile(monkeypatch):
+    def raised(graph):
+        prof = thickness_profile(graph)
+        if graph.n != 6:
+            return prof
+        return dataclasses.replace(prof, tau=(prof.tau[0] + 1, *prof.tau[1:]))
+
+    monkeypatch.setattr(verify, "thickness_profile", raised)
+    results = {r.name: r for r in verify.run_checks(1, 7)}
+    search = results["clique search matches the corner formula"]
+    assert not search.ok
+    assert "n=6, 6" in search.detail
+    assert not results["corner formula matches enumeration oracle"].ok
