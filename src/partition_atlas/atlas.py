@@ -134,15 +134,14 @@ def render_atlas(
     )
     out.append(f"<desc>{mode} atlas, n={n}</desc>")
     out.append('<g id="edges">')
-    for i in range(len(coords)):
-        x1, y1 = coords[i]
-        for j in graph.adj[i]:
-            if j > i:
-                x2, y2 = coords[j]
-                out.append(
-                    f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" '
-                    f'x2="{_coord(x2)}" y2="{_coord(y2)}" {EDGE_STYLE}/>'
-                )
+    # endpoints formatted once and one string per row, not per edge: at n=36
+    # per-edge strings set the peak memory of the atlas step
+    starts = [f'<line x1="{_coord(x)}" y1="{_coord(y)}" ' for x, y in coords]
+    ends = [f'x2="{_coord(x)}" y2="{_coord(y)}" {EDGE_STYLE}/>' for x, y in coords]
+    for i, row in enumerate(graph.adj):
+        lines = [starts[i] + ends[j] for j in row if j > i]
+        if lines:
+            out.append("\n".join(lines))
     out.append("</g>")
     out.append('<g id="vertices">')
     for i, p in enumerate(graph.vertices):
@@ -180,8 +179,9 @@ def render_atlas(
             f'stroke-width="{stroke_width}"><title>{format_partition(p)}</title></circle>'
         )
     out.append("</g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    # the final newline goes on the last line, so the joined text is not copied again
+    out.append("</svg>\n")
+    return "\n".join(out)
 
 
 def export_tables(profiles: Sequence[ThicknessProfile], out_dir: Path) -> dict[str, Path]:

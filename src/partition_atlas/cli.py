@@ -5,7 +5,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -14,44 +13,38 @@ from .atlas import export_tables, render_atlas
 from .pipeline import compute_artifacts_for_n, n_dir
 from .thickness import max_thickness_locus, profile_from_json, thickness_profile
 from .transfer_graph import build_graph
-from .verify import run_checks
-
-VERIFIED_RANGE_MAX = 30
+from .verify import REFERENCE_RANGE_MAX, run_checks
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated range, output location and worker count for one command."""
-
-    n_min: int
-    n_max: int
-    output_dir: Path
-    jobs: int
-
-
-def _resolve_config(
-    n_min: int, n_max: int, out_dir: Path, jobs: int, allow_beyond: bool
-) -> RunConfig:
+def _resolve_range(n_min: int, n_max: int, allow_beyond: bool) -> tuple[int, int]:
+    """The range to process, capped at the verified range unless allowed past it."""
     if n_min < 1 or n_max < n_min:
         raise click.UsageError(f"invalid range {n_min}..{n_max}")
-    if jobs < 0:
-        raise click.UsageError(f"invalid worker count {jobs}")
-    if n_max > VERIFIED_RANGE_MAX:
+    if n_max > REFERENCE_RANGE_MAX:
         if allow_beyond:
             click.echo(
-                f"note: n > {VERIFIED_RANGE_MAX} is beyond the verified range; "
+                f"note: n > {REFERENCE_RANGE_MAX} is beyond the verified range; "
                 "results there are extrapolation",
                 err=True,
             )
         else:
             click.echo(
-                f"warning: capping n at {VERIFIED_RANGE_MAX} (the verified range); "
+                f"warning: capping n at {REFERENCE_RANGE_MAX} (the verified range); "
                 "pass --allow-beyond-verified-range to go further",
                 err=True,
             )
-            n_max = VERIFIED_RANGE_MAX
+            n_max = REFERENCE_RANGE_MAX
             n_min = min(n_min, n_max)
-    return RunConfig(n_min=n_min, n_max=n_max, output_dir=Path(out_dir), jobs=jobs)
+    return n_min, n_max
+
+
+def _check_single_n(n: int, allow_beyond: bool) -> None:
+    if n < 1:
+        raise click.UsageError(f"invalid n {n}")
+    if n > REFERENCE_RANGE_MAX and not allow_beyond:
+        raise click.UsageError(
+            f"n={n} is beyond the verified range; pass --allow-beyond-verified-range"
+        )
 
 
 def _range_options(command):
@@ -65,7 +58,7 @@ def _range_options(command):
         "--allow-beyond-verified-range",
         "allow_beyond",
         is_flag=True,
-        help=f"Permit n above {VERIFIED_RANGE_MAX}; such results are extrapolation.",
+        help=f"Permit n above {REFERENCE_RANGE_MAX}; such results are extrapolation.",
     )(command)
     return command
 
@@ -94,16 +87,18 @@ def main() -> None:
 )
 def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int) -> None:
     """Compute graphs, profiles and zone decompositions for a range of n."""
-    cfg = _resolve_config(n_min, n_max, out_dir, jobs, allow_beyond)
-    ns = list(range(cfg.n_min, cfg.n_max + 1))
-    workers = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
+    n_min, n_max = _resolve_range(n_min, n_max, allow_beyond)
+    if jobs < 0:
+        raise click.UsageError(f"invalid worker count {jobs}")
+    ns = list(range(n_min, n_max + 1))
+    workers = jobs if jobs > 0 else (os.cpu_count() or 1)
     if workers == 1 or len(ns) == 1:
         for n in ns:
-            compute_artifacts_for_n(n, cfg.output_dir)
+            compute_artifacts_for_n(n, out_dir)
     else:
         with multiprocessing.Pool(min(workers, len(ns))) as pool:
-            pool.starmap(compute_artifacts_for_n, [(n, cfg.output_dir) for n in ns])
-    click.echo(f"computed {len(ns)} graphs into {cfg.output_dir}")
+            pool.starmap(compute_artifacts_for_n, [(n, out_dir) for n in ns])
+    click.echo(f"computed {len(ns)} graphs into {out_dir}")
 
 
 @main.command()
@@ -125,10 +120,10 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
     """Write the first-occurrence, per-n summary and max-locus tables."""
     if n_min != 1:
         raise click.UsageError("tables needs profiles from n=1 upward; use --n-min 1")
-    cfg = _resolve_config(n_min, n_max, out_dir, 1, allow_beyond)
+    _, n_max = _resolve_range(n_min, n_max, allow_beyond)
     profiles = []
-    for n in range(1, cfg.n_max + 1):
-        path = n_dir(cfg.output_dir, n) / "profile.json"
+    for n in range(1, n_max + 1):
+        path = n_dir(out_dir, n) / "profile.json"
         if path.exists():
             try:
                 profile = profile_from_json(path.read_text())
@@ -143,7 +138,7 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
             )
         else:
             profiles.append(thickness_profile(build_graph(n)))
-    written = export_tables(profiles, cfg.output_dir)
+    written = export_tables(profiles, out_dir)
     for name in sorted(written):
         click.echo(f"wrote {written[name]}")
 
@@ -167,20 +162,14 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
     "--allow-beyond-verified-range",
     "allow_beyond",
     is_flag=True,
-    help=f"Permit n above {VERIFIED_RANGE_MAX}.",
+    help=f"Permit n above {REFERENCE_RANGE_MAX}.",
 )
 def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
     """Render one atlas figure as SVG, maximal locus outlined."""
-    if n < 1:
-        raise click.UsageError(f"invalid n {n}")
-    if n > VERIFIED_RANGE_MAX and not allow_beyond:
-        raise click.UsageError(
-            f"n={n} is beyond the verified range; pass --allow-beyond-verified-range"
-        )
+    _check_single_n(n, allow_beyond)
     graph = build_graph(n)
     profile = thickness_profile(graph)
     svg = render_atlas(graph, profile, mode, highlight=max_thickness_locus(graph, profile))
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"atlas_n{n}_{mode}.svg"
     path.write_text(svg)
@@ -191,8 +180,8 @@ def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
 @_range_options
 def verify(n_min: int, n_max: int, allow_beyond: bool) -> None:
     """Run the named invariant and reference-value checks."""
-    cfg = _resolve_config(n_min, n_max, Path("."), 1, allow_beyond)
-    results = run_checks(n_min=cfg.n_min, n_max=cfg.n_max)
+    n_min, n_max = _resolve_range(n_min, n_max, allow_beyond)
+    results = run_checks(n_min=n_min, n_max=n_max)
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         suffix = f": {res.detail}" if res.detail else ""
@@ -216,16 +205,11 @@ def verify(n_min: int, n_max: int, allow_beyond: bool) -> None:
     "--allow-beyond-verified-range",
     "allow_beyond",
     is_flag=True,
-    help=f"Permit n above {VERIFIED_RANGE_MAX}.",
+    help=f"Permit n above {REFERENCE_RANGE_MAX}.",
 )
 def graph_dump(n: int, out_path: Path | None, allow_beyond: bool) -> None:
     """Write the edge list of one graph as tab-separated partition pairs."""
-    if n < 1:
-        raise click.UsageError(f"invalid n {n}")
-    if n > VERIFIED_RANGE_MAX and not allow_beyond:
-        raise click.UsageError(
-            f"n={n} is beyond the verified range; pass --allow-beyond-verified-range"
-        )
+    _check_single_n(n, allow_beyond)
     text = build_graph(n).dump_edges()
     if out_path is None:
         click.echo(text, nl=False)

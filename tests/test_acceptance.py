@@ -1,6 +1,8 @@
 """Acceptance suite: every criterion at its stated range and tolerance.
 
-Each test prints one pass/fail line; all comparisons are exact."""
+Criteria 1, 2, 4, 5 and 6 read the named verdicts of one ``run_checks``
+over n = 1..30; 3, 7 and 8 test what ``verify`` does not. Each test
+prints one pass/fail line; all comparisons are exact."""
 
 import time
 from collections import Counter
@@ -12,21 +14,18 @@ from click.testing import CliRunner
 
 from partition_atlas import (
     boundary_framework,
-    brute_force_local_dimension,
     build_graph,
     decompose,
     enumerate_partitions,
     exact_regime,
-    first_occurrences,
     locus_statistics,
     max_thickness_locus,
-    parse_partition,
     partition_count,
     render_atlas,
-    threshold_zone,
+    thickness_profile,
 )
 from partition_atlas.cli import main as cli_main
-from partition_atlas.verify import EXPECTED_FIRST_OCCURRENCES, EXPECTED_MAX_LOCUS
+from partition_atlas.verify import EXPECTED_MAX_LOCUS, run_checks
 
 RANGE_MAX = 30
 
@@ -43,25 +42,33 @@ def criterion(name):
     print(f"ACCEPTANCE {name}: PASS")
 
 
-def test_criterion_1_first_occurrences(full_range):
+@pytest.fixture(scope="session")
+def verdicts():
+    """verify's named results for n = 1..30, computed once per session."""
+    start = time.time()
+    results = {r.name: r for r in run_checks(1, RANGE_MAX)}
+    seconds = time.time() - start
+    # covers the single-threaded 1..30 build and the n <= 12 oracle
+    assert seconds < 60.0, f"run_checks(1, {RANGE_MAX}) took {seconds:.1f}s"
+    print(f"  (verify 1..{RANGE_MAX}, build and oracle included, took {seconds:.1f}s)")
+    return results
+
+
+def assert_passed(verdicts, *names):
+    for name in names:
+        result = verdicts[name]
+        assert result.ok, f"{name}: {result.detail}"
+        print(f"  ({name}: {result.detail})")
+
+
+def test_criterion_1_first_occurrences(verdicts):
     with criterion("1 first-occurrence reproduction"):
-        profiles = [full_range.profiles[n] for n in range(1, RANGE_MAX + 1)]
-        table = first_occurrences(profiles)
-        assert table.entries == EXPECTED_FIRST_OCCURRENCES
-        assert full_range.build_seconds < 600.0
-        print(f"  (single-threaded 1..30 pipeline took {full_range.build_seconds:.1f}s)")
+        assert_passed(verdicts, "first-occurrence table matches expected values")
 
 
-def test_criterion_2_maximal_locus(full_range):
+def test_criterion_2_maximal_locus(verdicts):
     with criterion("2 maximal-locus reproduction"):
-        for n, (tau_max, size, representatives) in EXPECTED_MAX_LOCUS.items():
-            graph = full_range.graphs[n]
-            profile = full_range.profiles[n]
-            assert profile.tau_max == tau_max, f"tau_max at n={n}"
-            assert len(profile.max_locus) == size, f"|M_n| at n={n}"
-            locus = set(max_thickness_locus(graph, profile))
-            for text in representatives:
-                assert parse_partition(text) in locus, f"{text} not in M_{n}"
+        assert_passed(verdicts, "maximal-thickness table matches expected values")
 
 
 def _partition_count_dp(n):
@@ -80,98 +87,43 @@ def test_criterion_3_vertex_counts():
             assert enumerated == partition_count(n) == _partition_count_dp(n)
 
 
-def test_criterion_4_oracle_equivalence(full_range):
+def test_criterion_4_oracle_equivalence(verdicts):
     with criterion("4 oracle equivalence"):
-        start = time.time()
-        for n in range(1, 13):
-            graph = full_range.graphs[n]
-            profile = full_range.profiles[n]
-            for i, p in enumerate(graph.vertices):
-                assert brute_force_local_dimension(graph, p) == profile.tau[i], (
-                    f"disagreement at n={n}, vertex {p}"
-                )
-        elapsed = time.time() - start
-        assert elapsed < 60.0
-        print(f"  (all vertices of G_1..G_12 cross-checked in {elapsed:.1f}s)")
+        assert_passed(verdicts, "corner formula matches enumeration oracle")
 
 
-def test_criterion_5_structural_suite(full_range):
+def test_criterion_5_structural_suite(verdicts):
     with criterion("5 structural property suite"):
-        frameworks = {n: boundary_framework(n) for n in range(1, RANGE_MAX + 1)}
-
-        for n in range(2, RANGE_MAX + 1):
-            graph = full_range.graphs[n]
-            profile = full_range.profiles[n]
-            framework = frameworks[n]
-            assert graph.is_connected(), f"G_{n} disconnected"
-            for p in framework.antennas:
-                assert graph.degree(p) == 1, f"antenna degree at n={n}"
-                assert profile.tau[graph.index_of(p)] == 1, f"antenna tau at n={n}"
-
-        # conjugation invariance: full to n=20, spot checks at 25 and 30
-        for n in range(1, 21):
-            graph = full_range.graphs[n]
-            profile = full_range.profiles[n]
-            sigma = graph.conjugation_permutation()
-            assert all(
-                profile.tau[i] == profile.tau[sigma[i]] for i in range(len(sigma))
-            ), f"tau conjugation at n={n}"
-            for r in range(1, profile.tau_max + 1):
-                dec = decompose(graph, frameworks[n], profile, r)
-                for vs in (dec.threshold, dec.exact, dec.shell, dec.core):
-                    assert all(sigma[i] in vs for i in vs), f"zone conjugation n={n} r={r}"
-            locus = set(profile.max_locus)
-            assert all(sigma[i] in locus for i in locus), f"locus conjugation at n={n}"
-        for n in (25, 30):
-            graph = full_range.graphs[n]
-            profile = full_range.profiles[n]
-            sigma = graph.conjugation_permutation()
-            locus = set(profile.max_locus)
-            assert all(sigma[i] in locus for i in locus), f"locus conjugation at n={n}"
-            zone3 = threshold_zone(profile, 3)
-            assert all(sigma[i] in zone3 for i in zone3), f"zone-3 conjugation at n={n}"
-
-        for n in range(2, RANGE_MAX + 1):
-            graph = full_range.graphs[n]
-            profile = full_range.profiles[n]
-            framework = frameworks[n]
-            everything = frozenset(range(len(graph.vertices)))
-            decs = {
-                r: decompose(graph, framework, profile, r)
-                for r in range(1, profile.tau_max + 1)
-            }
-            assert decs[1].shell == everything, f"order-1 shell at n={n}"
-            assert decs[1].core == frozenset(), f"order-1 core at n={n}"
-            for r, dec in decs.items():
-                assert dec.shell | dec.core == dec.threshold, f"split at n={n} r={r}"
-                assert not dec.shell & dec.core, f"overlap at n={n} r={r}"
-            for r in range(1, profile.tau_max):
-                assert decs[r + 1].shell <= decs[r].shell, f"shell nesting n={n} r={r}"
-            for r in range(3, profile.tau_max + 1):
-                assert decs[r].threshold <= decs[2].threshold, f"zone nesting n={n} r={r}"
-            antennas_idx = {graph.index_of(p) for p in framework.antennas}
-            assert not antennas_idx & threshold_zone(profile, 2), f"antenna in T>=2, n={n}"
+        assert_passed(
+            verdicts,
+            "graph connectivity",
+            "antenna rigidity",
+            "thickness conjugation invariance",
+            "zone conjugation invariance",
+            "maximal-thickness locus",
+            "zone decomposition partitions",
+            "zone and shell nesting",
+            "first shell order is trivial",
+            "antenna exclusion from thick zones",
+        )
 
 
-def test_criterion_6_rear_central_support(full_range):
+def test_criterion_6_rear_central_support(verdicts):
     with criterion("6 rear-central descriptive support"):
-        for n in range(7, RANGE_MAX + 1):
-            graph = full_range.graphs[n]
-            profile = full_range.profiles[n]
-            framework = boundary_framework(n)
-            locus = max_thickness_locus(graph, profile)
-            antenna_set = set(framework.antennas)
-            assert not antenna_set & set(locus), f"antenna inside M_{n}"
-            stats = locus_statistics(graph, framework, locus)
-            assert stats.antenna_distance_min >= 2, f"M_{n} too close to an antenna"
-            if n in EXPECTED_MAX_LOCUS:
-                print(
-                    f"  (informational, n={n}: |M|={stats.size}"
-                    f" antenna_dist_min={stats.antenna_distance_min}"
-                    f" framework_dist_max={stats.framework_distance_max}"
-                    f" balance_mean={stats.balance_mean:+.2f}"
-                    f" axis_fraction={stats.axis_fraction:.2f})"
-                )
+        assert_passed(
+            verdicts, "maximal-thickness locus", "maximal loci keep away from the antennas"
+        )
+        for n in EXPECTED_MAX_LOCUS:
+            graph = build_graph(n)
+            locus = max_thickness_locus(graph, thickness_profile(graph))
+            stats = locus_statistics(graph, boundary_framework(n), locus)
+            print(
+                f"  (informational, n={n}: |M|={stats.size}"
+                f" antenna_dist_min={stats.antenna_distance_min}"
+                f" framework_dist_max={stats.framework_distance_max}"
+                f" balance_mean={stats.balance_mean:+.2f}"
+                f" axis_fraction={stats.axis_fraction:.2f})"
+            )
 
 
 def _tree(root: Path) -> dict[str, bytes]:
@@ -213,14 +165,14 @@ def test_criterion_7_determinism(tmp_path_factory):
         print(f"  ({len(tree_a)} artifacts byte-identical between 1 and 4 workers)")
 
 
-def test_criterion_8_atlas_integrity(full_range):
+def test_criterion_8_atlas_integrity():
     import xml.etree.ElementTree as ET
 
     svg = "{http://www.w3.org/2000/svg}"
     with criterion("8 atlas integrity"):
         for n in ATLAS_NS:
-            graph = full_range.graphs[n]
-            profile = full_range.profiles[n]
+            graph = build_graph(n)
+            profile = thickness_profile(graph)
             framework = boundary_framework(n)
             locus = max_thickness_locus(graph, profile)
             p_n = len(enumerate_partitions(n))

@@ -76,6 +76,15 @@ def test_compute_rejects_bad_range(tmp_path):
     assert result.exit_code == 2
 
 
+def test_compute_rejects_negative_jobs(tmp_path):
+    result = CliRunner().invoke(
+        main, ["compute", "--n-max", "3", "--out", str(tmp_path), "--jobs", "-1"]
+    )
+    assert result.exit_code == 2
+    assert "invalid worker count -1" in result.output
+    assert not list(tmp_path.iterdir())
+
+
 def test_tables_reuses_compute_artifacts(tmp_path):
     out = tmp_path / "artifacts"
     runner = CliRunner()

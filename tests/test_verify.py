@@ -1,6 +1,7 @@
 import dataclasses
+import re
 
-from partition_atlas import thickness_profile, verify
+from partition_atlas import pipeline, thickness_profile, verify
 
 
 def _first_occurrence_result(n_max):
@@ -64,3 +65,44 @@ def test_clique_search_check_catches_a_wrong_profile(monkeypatch):
     assert not search.ok
     assert "n=6, 6" in search.detail
     assert not results["corner formula matches enumeration oracle"].ok
+
+
+def test_thickness_conjugation_is_checked_past_n_20(monkeypatch):
+    def skewed(graph):
+        prof = thickness_profile(graph)
+        if graph.n != 23:
+            return prof
+        # (23) now disagrees with its conjugate (1^23); tau_max and the locus stay
+        return dataclasses.replace(prof, tau=(prof.tau[0] + 1, *prof.tau[1:]))
+
+    monkeypatch.setattr(verify, "thickness_profile", skewed)
+    results = {r.name: r for r in verify.run_checks(22, 23)}
+    check = results["thickness conjugation invariance"]
+    assert not check.ok
+    assert "n=23" in check.detail
+
+
+def test_idempotence_check_covers_the_requested_range(monkeypatch):
+    real = pipeline.compute_artifacts_for_n
+    calls = []
+
+    def drifting(n, out_root):
+        real(n, out_root)
+        calls.append(n)
+        if len(calls) == 2:
+            (pipeline.n_dir(out_root, n) / "edges.txt").write_text("changed\n")
+
+    monkeypatch.setattr(pipeline, "compute_artifacts_for_n", drifting)
+    results = {r.name: r for r in verify.run_checks(6, 7)}
+    assert calls == [6, 6]
+    assert not results["artifact generation idempotence"].ok
+
+
+def test_details_name_only_the_checked_range():
+    results = verify.run_checks(21, 22)
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+    # only the golden tables need profiles from n=1
+    assert "maximal loci keep away from the antennas" in {r.name for r in results}
+    for r in results:
+        for first, last in re.findall(r"n(?:=| up to )(\d+)(?:\.\.(\d+))?", r.detail):
+            assert 21 <= int(first) <= int(last or first) <= 22, (r.name, r.detail)
