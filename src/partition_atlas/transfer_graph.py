@@ -8,6 +8,7 @@ from typing import Iterable
 
 from .partitions import (
     Partition,
+    _partition_tuples,
     canonical_index,
     enumerate_partitions,
     format_partition,
@@ -21,42 +22,11 @@ def neighbors(p: Partition) -> set[Partition]:
     A move removes one unit from a source part (deleting the part when it
     drops to zero) and either adds it to a different existing part or
     opens a new part of size one; the result is re-sorted. Outcomes equal
-    to ``p`` itself are discarded, and duplicates collapse.
+    to ``p`` itself are discarded, and duplicates collapse. These are the
+    upper covers of the lower covers of ``p``, other than ``p`` itself.
     """
-    return {Partition(t) for t in _corner_moves(p.parts)}
-
-
-def _corner_moves(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The neighbors of ``parts`` as Young-diagram corner moves, each once.
-
-    Moving a unit and re-sorting is the same as taking one box off a
-    removable corner (the last row of some part value), giving mu, and
-    putting one box on an addable corner of mu: row 0, a row shorter than
-    the one above it, or a new row. Since mu is the unique common
-    sub-diagram of two distinct neighbors, no result repeats; putting the
-    box back where it came from gives ``parts`` and is skipped.
-    """
-    out: list[tuple[int, ...]] = []
-    last = len(parts) - 1
-    for i in range(last + 1):
-        if i < last and parts[i] == parts[i + 1]:
-            continue
-        mu = list(parts)
-        if mu[i] == 1:
-            mu.pop()
-        else:
-            mu[i] -= 1
-        k = len(mu)
-        for j in range(k + 1):
-            if j == i or (0 < j < k and mu[j - 1] == mu[j]):
-                continue
-            if j == k:
-                out.append((*mu, 1))
-            else:
-                mu[j] += 1
-                out.append(tuple(mu))
-                mu[j] -= 1
-    return out
+    parts = p.parts
+    return {Partition(t) for mu in _lower_covers(parts) for t in _upper_covers(mu) if t != parts}
 
 
 def _lower_covers(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -91,7 +61,7 @@ def _corner_thickness(parts: tuple[int, ...]) -> int:
 
     Cliques. Read a partition of n as its set of n diagram cells; unions
     and intersections of diagrams are diagrams. Two vertices are adjacent
-    exactly when they share n - 1 cells (see :func:`_corner_moves`), so
+    exactly when they share n - 1 cells (see :func:`build_graph`), so
     the graph is an induced subgraph of a Johnson graph. Take adjacent A, B
     with M = A & B and L = A | B, of n - 1 and n + 1 cells. A vertex C
     adjacent to both misses one cell of A and one of B. If it misses a cell
@@ -144,9 +114,6 @@ class TransferGraph:
     def degree(self, p: Partition) -> int:
         return len(self.adj[self.index_of(p)])
 
-    def neighbors_of(self, p: Partition) -> tuple[Partition, ...]:
-        return tuple(self.vertices[j] for j in self.adj[self.index_of(p)])
-
     @property
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adj) // 2
@@ -180,19 +147,20 @@ class TransferGraph:
 def build_graph(n: int) -> TransferGraph:
     """Build the transfer graph on all partitions of ``n``.
 
-    Adjacency is generated independently from both endpoints of every
-    edge and checked for symmetry and irreflexivity before freezing.
+    Moving one unit takes a box off a removable corner, giving mu of
+    n - 1, and puts it on another addable corner of mu. So two partitions
+    are adjacent exactly when both cover one mu, and that mu is unique:
+    the graph is the edge-disjoint union, over mu of n - 1, of the cliques
+    on the covers of mu. Each clique adds every pair from both ends.
     """
     verts = enumerate_partitions(n)
     index = canonical_index(n)
-    adj_sets = [frozenset(index[t] for t in _corner_moves(p.parts)) for p in verts]
-    for i, row in enumerate(adj_sets):
-        if i in row:
-            raise AssertionError(f"self-loop at vertex {i} of G_{n}")
-        for j in row:
-            if i not in adj_sets[j]:
-                raise AssertionError(f"asymmetric adjacency {i}/{j} in G_{n}")
-    adj = tuple(tuple(sorted(row)) for row in adj_sets)
+    rows: list[list[int]] = [[] for _ in verts]
+    for mu in _partition_tuples(n - 1) if n > 1 else [()]:
+        clique = [index[t] for t in _upper_covers(mu)]
+        for a in clique:
+            rows[a].extend(b for b in clique if b != a)
+    adj = tuple(tuple(sorted(row)) for row in rows)
     return TransferGraph(n=n, vertices=verts, adj=adj, parts_index=index)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable
 
 from .atlas import layout, locus_statistics, render_atlas
-from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
+from .framework import boundary_framework, self_conjugate_axis
 from .partitions import enumerate_partitions, parse_partition, partition_count
 from .thickness import (
     ThicknessProfile,

@@ -148,7 +148,7 @@ def _reference_neighbors(parts):
     return out
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_adjacency_matches_definition(n):
     g = build_graph(n)
     for i, p in enumerate(g.vertices):
