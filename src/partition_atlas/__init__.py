@@ -39,7 +39,6 @@ from .thickness import (
     ThicknessProfile,
     brute_force_local_dimension,
     local_simplex_dimension,
-    max_clique_through,
     max_thickness_locus,
     profile_csv,
     profile_from_json,
@@ -98,7 +97,6 @@ __all__ = [
     "local_simplex_dimension",
     "locus_statistics",
     "main_chain",
-    "max_clique_through",
     "max_thickness_locus",
     "neighbors",
     "parse_partition",

@@ -20,6 +20,8 @@ def _resolve_range(n_min: int, n_max: int, allow_beyond: bool) -> tuple[int, int
     """The range to process, capped at the verified range unless allowed past it."""
     if n_min < 1 or n_max < n_min:
         raise click.UsageError(f"invalid range {n_min}..{n_max}")
+    # only the top of a range is capped; one that starts past the cap is refused
+    _check_single_n(n_min, allow_beyond)
     if n_max > REFERENCE_RANGE_MAX:
         if allow_beyond:
             click.echo(
@@ -34,7 +36,6 @@ def _resolve_range(n_min: int, n_max: int, allow_beyond: bool) -> tuple[int, int
                 err=True,
             )
             n_max = REFERENCE_RANGE_MAX
-            n_min = min(n_min, n_max)
     return n_min, n_max
 
 

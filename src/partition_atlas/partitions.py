@@ -20,7 +20,10 @@ class Partition:
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
+        for p in parts:
+            if type(p) is not int:  # bool, float and str are refused, not coerced
+                raise ValueError(f"parts must be integers, got {p!r}")
         if not parts:
             raise ValueError("a partition has at least one part (n >= 1)")
         for a, b in zip(parts, parts[1:]):

@@ -26,7 +26,7 @@ from .partitions import (
     partition_count,
     partition_names,
 )
-from .transfer_graph import TransferGraph, _corner_thickness, _lower_covers, _upper_covers
+from .transfer_graph import TransferGraph, _corner_thickness
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,6 @@ def brute_force_local_dimension(graph: TransferGraph, p: Partition) -> int:
 
     extend(0, members)
     return best
-
-
-def max_clique_through(graph: TransferGraph, p: Partition) -> tuple[Partition, ...]:
-    """One largest clique containing ``p``, for figure annotation.
-
-    The clique is every cover of the first mu below ``p``, in corner
-    order, with the most distinct parts (see ``_corner_thickness``). The
-    members come back in canonical vertex order.
-    """
-    graph.index_of(p)  # a foreign p is a ValueError, as elsewhere
-    mu = max(_lower_covers(p.parts), key=lambda m: len(set(m)))
-    return tuple(graph.vertices[i] for i in sorted(graph.parts_index[t] for t in _upper_covers(mu)))
 
 
 def _neighborhood_clique_size(graph: TransferGraph, v: int) -> int:

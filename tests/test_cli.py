@@ -68,6 +68,23 @@ def test_compute_soft_caps_range(tmp_path):
     assert not (out / "n31").exists()
 
 
+def test_compute_refuses_range_starting_past_cap(tmp_path):
+    out = tmp_path / "artifacts"
+    result = CliRunner().invoke(
+        main, ["compute", "--n-min", "35", "--n-max", "36", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert "--allow-beyond-verified-range" in result.output
+    assert not out.exists()
+
+
+def test_verify_refuses_range_starting_past_cap():
+    result = CliRunner().invoke(main, ["verify", "--n-min", "40", "--n-max", "41"])
+    assert result.exit_code == 2
+    assert "--allow-beyond-verified-range" in result.output
+    assert "checks passed" not in result.output
+
+
 def test_compute_rejects_bad_range(tmp_path):
     result = CliRunner().invoke(
         main, ["compute", "--n-min", "5", "--n-max", "2", "--out", str(tmp_path)]

@@ -137,6 +137,16 @@ def test_partition_validation():
         Partition((2, 0))
 
 
+@pytest.mark.parametrize("parts", [(2.5, 1), ("3", "1"), (True,)])
+def test_partition_rejects_non_int_parts(parts):
+    with pytest.raises(ValueError, match=f"got {parts[0]!r}"):
+        Partition(parts)
+
+
+def test_partition_stores_any_sequence_as_tuple():
+    assert Partition([3, 1]).parts == (3, 1)
+
+
 def test_partition_sum_cached():
     p = Partition((5, 3, 1))
     assert p.n == 9

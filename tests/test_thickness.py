@@ -10,7 +10,6 @@ from partition_atlas import (
     brute_force_local_dimension,
     build_graph,
     local_simplex_dimension,
-    max_clique_through,
     max_thickness_locus,
     parse_partition,
     profile_csv,
@@ -20,7 +19,7 @@ from partition_atlas import (
 )
 from partition_atlas import partitions
 from partition_atlas.partitions import enumerate_partitions, format_partition, partition_names
-from partition_atlas.transfer_graph import _corner_thickness
+from partition_atlas.transfer_graph import _corner_thickness, _lower_covers, _upper_covers
 from partition_atlas.verify import profile_conjugation_ok
 
 
@@ -138,22 +137,23 @@ def _clique_shapes(n):
     return shapes
 
 
-def test_witness_clique_is_valid():
+def test_cover_families_are_largest_cliques():
     for n in range(1, 13):
         g = build_graph(n)
         prof = thickness_profile(g)
         shapes = _clique_shapes(n)
         for i, p in enumerate(g.vertices):
-            witness = max_clique_through(g, p)
-            assert p in witness
-            assert len(witness) == prof.tau[i] + 1
-            idxs = [g.index_of(q) for q in witness]
-            assert idxs == sorted(idxs)
-            for a in idxs:
-                for b in idxs:
-                    if a != b:
-                        assert b in g.adj[a]
-            assert frozenset(q.parts for q in witness) in shapes, (n, p)
+            families = [_upper_covers(mu) for mu in _lower_covers(p.parts)]
+            for family in families:
+                assert p.parts in family
+                idxs = [g.parts_index[t] for t in family]
+                for a in idxs:
+                    for b in idxs:
+                        if a != b:
+                            assert b in g.adj[a]
+                assert frozenset(family) in shapes, (n, p)
+            assert max(len(f) for f in families) == prof.tau[i] + 1, (n, p)
+    assert _upper_covers(()) == [(1,)]
 
 
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=60))
@@ -175,11 +175,6 @@ def test_partition_names_match_format(n):
     assert len(names) == len(verts)
     for i, p in enumerate(verts):
         assert names[i] == format_partition(p)
-
-
-def test_witness_for_isolated_vertex():
-    g = build_graph(1)
-    assert max_clique_through(g, Partition((1,))) == (Partition((1,)),)
 
 
 def test_profile_csv_n4():

@@ -1,7 +1,7 @@
 import dataclasses
 import re
 
-from partition_atlas import pipeline, thickness_profile, verify
+from partition_atlas import Partition, pipeline, thickness_profile, verify
 
 
 def _first_occurrence_result(n_max):
@@ -106,3 +106,19 @@ def test_details_name_only_the_checked_range():
     for r in results:
         for first, last in re.findall(r"n(?:=| up to )(\d+)(?:\.\.(\d+))?", r.detail):
             assert 21 <= int(first) <= int(last or first) <= 22, (r.name, r.detail)
+
+
+def test_passing_verify_formats_no_partition(monkeypatch):
+    # a failure message is built only when its check fails
+    def refuse(self):
+        raise RuntimeError("a passing check formatted a partition")
+
+    monkeypatch.setattr(Partition, "__str__", refuse)
+    results = verify.run_checks(1, 9)
+    assert all(r.ok for r in results), [r.name for r in results if not r.ok]
+
+
+def test_check_names_are_unique():
+    # results are read by name, so a repeated name would hide a verdict
+    names = [name for name, _ in verify.CHECKS]
+    assert len(names) == len(set(names))
