@@ -137,7 +137,8 @@ def _clique_shapes(n):
     return shapes
 
 
-def test_cover_families_are_largest_cliques():
+def test_witness_clique_is_valid():
+    """The largest cover family through p is a clique of tau(p) + 1 members."""
     for n in range(1, 13):
         g = build_graph(n)
         prof = thickness_profile(g)
@@ -153,6 +154,10 @@ def test_cover_families_are_largest_cliques():
                             assert b in g.adj[a]
                 assert frozenset(family) in shapes, (n, p)
             assert max(len(f) for f in families) == prof.tau[i] + 1, (n, p)
+
+
+def test_witness_for_isolated_vertex():
+    assert _lower_covers((1,)) == [()]
     assert _upper_covers(()) == [(1,)]
 
 
