@@ -180,13 +180,18 @@ def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
 @main.command()
 @_range_options
 def verify(n_min: int, n_max: int, allow_beyond: bool) -> None:
-    """Run the named invariant and reference-value checks."""
+    """Run the named invariant and reference-value checks.
+
+    Verdicts go to stdout; the seconds each check took go to stderr.
+    """
     n_min, n_max = _resolve_range(n_min, n_max, allow_beyond)
     results = run_checks(n_min=n_min, n_max=n_max)
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         suffix = f": {res.detail}" if res.detail else ""
         click.echo(f"[{status}] {res.name}{suffix}")
+        # stderr, so stdout stays the verdicts alone
+        click.echo(f"{res.seconds:6.2f} s  {res.name}", err=True)
     passed = sum(1 for r in results if r.ok)
     click.echo(f"{passed}/{len(results)} checks passed")
     if passed != len(results):

@@ -53,17 +53,21 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Reflect the Ferrers diagram: part j of the result counts parts >= j."""
-        parts = self.parts
-        out = []
-        count = len(parts)
-        for j in range(1, parts[0] + 1):
-            while parts[count - 1] < j:
-                count -= 1
-            out.append(count)
-        return Partition(tuple(out))
+        return Partition(_conjugate(self.parts))
 
     def is_self_conjugate(self) -> bool:
-        return self.conjugate().parts == self.parts
+        return _conjugate(self.parts) == self.parts
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugate of a valid parts tuple, without building a ``Partition``."""
+    out = []
+    count = len(parts)
+    for j in range(1, parts[0] + 1):
+        while parts[count - 1] < j:
+            count -= 1
+        out.append(count)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ minus one. A largest clique through a partition p of n is all covers of
 one partition of n - 1 below p, so the profile is read off the Young
 diagrams in closed form (proof at ``transfer_graph._corner_thickness``).
 
-The paper's method stays as :func:`local_simplex_dimension`: every clique
+The paper's method stays as :func:`local_simplex_dimension`, and as
+:func:`clique_search_profile` for every vertex of a graph: every clique
 through a vertex is that vertex plus a clique inside its neighborhood, so
 each value is an exact maximum-clique search on the subgraph induced on
 the neighbors. It shares no code with the closed form and cross-checks it.
@@ -49,7 +50,19 @@ def local_simplex_dimension(graph: TransferGraph, p: Partition) -> int:
     Exact maximum-clique search on the neighborhood of ``p``, independent
     of the closed form that :func:`thickness_profile` uses.
     """
-    return _neighborhood_clique_size(graph, graph.index_of(p))
+    v = graph.index_of(p)
+    return _neighborhood_clique_size(graph.adj, v, [0] * len(graph.adj))
+
+
+def clique_search_profile(graph: TransferGraph) -> tuple[int, ...]:
+    """:func:`local_simplex_dimension` of every vertex, in canonical order.
+
+    The same search, with one scratch list shared by every neighborhood of
+    the graph instead of one allocated per vertex.
+    """
+    adj = graph.adj
+    bit = [0] * len(adj)
+    return tuple(_neighborhood_clique_size(adj, v, bit) for v in range(len(adj)))
 
 
 def thickness_profile(graph: TransferGraph) -> ThicknessProfile:
@@ -97,25 +110,28 @@ def brute_force_local_dimension(graph: TransferGraph, p: Partition) -> int:
     return best
 
 
-def _neighborhood_clique_size(graph: TransferGraph, v: int) -> int:
-    members = graph.adj[v]
+def _neighborhood_clique_size(adj: Sequence[Sequence[int]], v: int, bit: list[int]) -> int:
+    members = adj[v]
     k = len(members)
     if k <= 1:
         return k
-    return _max_clique(_local_rows(graph, members))
+    return _max_clique(_local_rows(adj, members, bit))
 
 
-def _local_rows(graph: TransferGraph, members: Sequence[int]) -> list[int]:
-    """Bitmask adjacency of the subgraph induced on ``members``."""
-    pos = {u: i for i, u in enumerate(members)}
-    rows = [0] * len(members)
+def _local_rows(adj: Sequence[Sequence[int]], members: Sequence[int], bit: list[int]) -> list[int]:
+    """Bitmask adjacency of the subgraph induced on ``members``.
+
+    ``bit`` is an all-zero scratch list with one entry per vertex. It holds
+    ``1 << i`` at the i-th member while the rows are summed, and is all
+    zero again on return. Rows of ``adj`` are duplicate-free, so each sum
+    of distinct powers of two is their bitwise or.
+    """
     for i, u in enumerate(members):
-        bits = 0
-        for w in graph.adj[u]:
-            j = pos.get(w)
-            if j is not None:
-                bits |= 1 << j
-        rows[i] = bits
+        bit[u] = 1 << i
+    get = bit.__getitem__
+    rows = [sum(map(get, adj[u])) for u in members]
+    for u in members:
+        bit[u] = 0
     return rows
 
 
@@ -127,37 +143,42 @@ def _max_clique(rows: list[int]) -> int:
     so a branch is cut as soon as clique-so-far plus color cannot beat the
     best clique found.
     """
-    best = 0
+    return _expand(rows, 0, (1 << len(rows)) - 1, 0)
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        seq: list[int] = []
-        bound: list[int] = []
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            cls = uncolored
-            while cls:
-                bit = cls & -cls
-                v = bit.bit_length() - 1
-                cls &= ~rows[v]
-                cls ^= bit
-                uncolored ^= bit
-                seq.append(v)
-                bound.append(color)
-        for idx in range(len(seq) - 1, -1, -1):
-            if size + bound[idx] <= best:
-                return
-            v = seq[idx]
-            nxt = cand & rows[v]
-            if size + 1 > best:
-                best = size + 1
-            if nxt:
-                expand(size + 1, nxt)
-            cand ^= 1 << v
 
-    expand(0, (1 << len(rows)) - 1)
+def _expand(rows: list[int], size: int, cand: int, best: int) -> int:
+    """Best clique size after extending a clique of ``size`` from ``cand``.
+
+    Module-level, so a search leaves no reference cycle for the garbage
+    collector. A vertex is taken out of its color class and of ``cand``
+    before its row is read, so a bit of its own in its row (a self-loop)
+    cannot make the search loop.
+    """
+    seq: list[int] = []
+    bound: list[int] = []
+    uncolored = cand
+    color = 0
+    while uncolored:
+        color += 1
+        cls = uncolored
+        while cls:
+            bit = cls & -cls
+            v = bit.bit_length() - 1
+            cls ^= bit
+            cls &= ~rows[v]
+            uncolored ^= bit
+            seq.append(v)
+            bound.append(color)
+    for idx in range(len(seq) - 1, -1, -1):
+        if size + bound[idx] <= best:
+            return best
+        v = seq[idx]
+        cand ^= 1 << v
+        if size + 1 > best:
+            best = size + 1
+        nxt = cand & rows[v]
+        if nxt:
+            best = _expand(rows, size + 1, nxt, best)
     return best
 
 

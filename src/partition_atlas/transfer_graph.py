@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .partitions import (
     Partition,
+    _conjugate,
     _partition_tuples,
     canonical_index,
     enumerate_partitions,
@@ -128,7 +130,8 @@ class TransferGraph:
         Built on the first call and kept for the life of the graph.
         """
         if self._conjugation is None:
-            sigma = tuple(self.parts_index[v.conjugate().parts] for v in self.vertices)
+            index = self.parts_index
+            sigma = tuple(index[_conjugate(v.parts)] for v in self.vertices)
             object.__setattr__(self, "_conjugation", sigma)
         return self._conjugation
 
@@ -159,8 +162,14 @@ def build_graph(n: int) -> TransferGraph:
     for mu in _partition_tuples(n - 1) if n > 1 else [()]:
         clique = [index[t] for t in _upper_covers(mu)]
         for a in clique:
-            rows[a].extend(b for b in clique if b != a)
-    adj = tuple(tuple(sorted(row)) for row in rows)
+            rows[a] += clique
+    # a lies in one clique per lower cover, so its row holds d(a) copies of
+    # a, adjacent once sorted
+    for a, row in enumerate(rows):
+        row.sort()
+        at = bisect_left(row, a)
+        del row[at : at + row.count(a)]
+    adj = tuple(map(tuple, rows))
     return TransferGraph(n=n, vertices=verts, adj=adj, parts_index=index)
 
 

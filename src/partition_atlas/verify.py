@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import filecmp
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .atlas import layout, locus_statistics, render_atlas
+from .atlas import layout, render_atlas
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
 from .partitions import enumerate_partitions, parse_partition, partition_count
 from .thickness import (
     ThicknessProfile,
     brute_force_local_dimension,
-    local_simplex_dimension,
+    clique_search_profile,
     max_thickness_locus,
     thickness_profile,
 )
-from .transfer_graph import TransferGraph, build_graph, induced_components
+from .transfer_graph import TransferGraph, bfs_distances, build_graph, induced_components
 from .zones import ZoneDecomposition, decompose, first_occurrences, threshold_zone
 
 ORACLE_RANGE_MAX = 12
@@ -45,9 +46,12 @@ EXPECTED_MAX_LOCUS = {
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One verdict; ``seconds`` is the time the check took, not part of it."""
+
     name: str
     ok: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -116,13 +120,14 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
 
     results: list[CheckResult] = []
     for name, check in CHECKS:
+        start = time.perf_counter()
         try:
-            detail = check(run)
+            ok, detail = True, check(run)
         except Exception as exc:  # a crash is a failed check, not a crash of verify
-            results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
-            continue
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - start
         if detail is not None:
-            results.append(CheckResult(name, True, detail))
+            results.append(CheckResult(name, ok, detail, seconds))
     return results
 
 
@@ -156,11 +161,20 @@ def _check_conjugation_involution(run: _Run) -> str:
 def _check_adjacency_shape(run: _Run) -> str:
     for n in run.ns:
         g = run.graphs[n]
+        # back[i] lists, in increasing order, every j with i in adj[j]; an
+        # edge i -> j is symmetric exactly when j is in back[i], so no row is
+        # searched per edge, and a sorted symmetric row equals its back list
+        back: list[list[int]] = [[] for _ in g.adj]
+        for j, row in enumerate(g.adj):
+            for i in row:
+                back[i].append(j)
         for i, row in enumerate(g.adj):
             _fail_if(i in row, "self-loop at n={}", n)
             _fail_if(len(set(row)) != len(row), "duplicate neighbor at n={}", n)
-            for j in row:
-                _fail_if(i not in g.adj[j], "asymmetric edge {}/{} at n={}", i, j, n)
+            if tuple(back[i]) != row:
+                stray = set(row).difference(back[i])
+                for j in row:
+                    _fail_if(j in stray, "asymmetric edge {}/{} at n={}", i, j, n)
         _fail_if(sum(len(r) for r in g.adj) != 2 * g.edge_count, "degree sum at n={}", n)
     return "symmetric, irreflexive, duplicate-free"
 
@@ -236,10 +250,11 @@ def _check_tau_conjugation(run: _Run) -> str:
 def _check_clique_search(run: _Run) -> str:
     for n in run.ns:
         g = run.graphs[n]
-        prof = run.profiles[n]
-        for i, p in enumerate(g.vertices):
-            tau = local_simplex_dimension(g, p)
-            _fail_if(tau != prof.tau[i], "clique search disagrees at n={}, {}", n, p)
+        tau = run.profiles[n].tau
+        searched = clique_search_profile(g)
+        if searched != tau:
+            i = next(i for i, t in enumerate(searched) if t != tau[i])
+            raise AssertionError(f"clique search disagrees at n={n}, {g.vertices[i]}")
     return f"every vertex for n={run.n_min}..{run.n_max}"
 
 
@@ -395,10 +410,9 @@ def _check_rear_support(run: _Run) -> str:
         if n < 7:
             continue
         g = run.graphs[n]
-        stats = locus_statistics(g, run.frameworks[n], max_thickness_locus(g, run.profiles[n]))
-        _fail_if(
-            stats.antenna_distance_min < 2, "max locus within distance 1 of an antenna at n={}", n
-        )
+        dist = bfs_distances(g, [g.index_of(p) for p in run.frameworks[n].antennas])
+        nearest = min(dist[i] for i in run.profiles[n].max_locus)
+        _fail_if(nearest < 2, "max locus within distance 1 of an antenna at n={}", n)
         checked.append(n)
     return f"antenna distance >= 2 for n in {checked}" if checked else "no n >= 7 in range"
 

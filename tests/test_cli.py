@@ -229,6 +229,24 @@ def test_verify_reports_failures_with_exit_1(monkeypatch):
     assert "1/2 checks passed" in result.output
 
 
+def test_verify_prints_check_seconds_to_stderr_only(monkeypatch, capsys):
+    from partition_atlas import cli as cli_module
+    from partition_atlas.verify import CheckResult
+
+    monkeypatch.setattr(
+        cli_module,
+        "run_checks",
+        lambda n_min, n_max: [
+            CheckResult("first", True, "fine", 0.25),
+            CheckResult("second", True, "", 1.5),
+        ],
+    )
+    main(["verify", "--n-max", "4"], standalone_mode=False)
+    captured = capsys.readouterr()
+    assert captured.out == "[PASS] first: fine\n[PASS] second\n2/2 checks passed\n"
+    assert captured.err == "  0.25 s  first\n  1.50 s  second\n"
+
+
 def test_usage_error_exit_code():
     result = CliRunner().invoke(main, ["compute", "--n-min", "0"])
     assert result.exit_code == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from partition_atlas import (
 )
 from partition_atlas import partitions
 from partition_atlas.partitions import enumerate_partitions, format_partition, partition_names
+from partition_atlas.thickness import _local_rows, _max_clique, clique_search_profile
 from partition_atlas.transfer_graph import _corner_thickness, _lower_covers, _upper_covers
 from partition_atlas.verify import profile_conjugation_ok
 
@@ -121,6 +123,20 @@ def test_profile_matches_clique_search(n):
     g = build_graph(n)
     prof = thickness_profile(g)
     assert prof.tau == tuple(local_simplex_dimension(g, p) for p in g.vertices)
+    assert clique_search_profile(g) == prof.tau
+
+
+def test_clique_search_leaves_no_garbage():
+    g = build_graph(12)
+    v = max(range(len(g.adj)), key=lambda i: len(g.adj[i]))
+    rows = _local_rows(g.adj, g.adj[v], [0] * len(g.adj))
+    gc.collect()
+    gc.disable()
+    try:
+        assert _max_clique(rows) == thickness_profile(g).tau[v]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _contains(big, small):

@@ -1,7 +1,9 @@
 import dataclasses
 import re
 
-from partition_atlas import Partition, pipeline, thickness_profile, verify
+import pytest
+
+from partition_atlas import Partition, build_graph, pipeline, thickness_profile, verify
 
 
 def _first_occurrence_result(n_max):
@@ -122,3 +124,41 @@ def test_check_names_are_unique():
     # results are read by name, so a repeated name would hide a verdict
     names = [name for name, _ in verify.CHECKS]
     assert len(names) == len(set(names))
+
+
+def _with_row(row_of):
+    """build_graph with row 3 of G_5 replaced by ``row_of(old_row)``."""
+
+    def patched(n):
+        graph = build_graph(n)
+        if n != 5:
+            return graph
+        adj = list(graph.adj)
+        adj[3] = tuple(row_of(adj[3]))
+        return dataclasses.replace(graph, adj=tuple(adj))
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "row_of, detail",
+    [
+        # (3,1,1) and (1^5) are not adjacent; only row 3 gains the edge
+        (lambda row: sorted({*row, 6}), "asymmetric edge 3/6 at n=5"),
+        (lambda row: sorted({*row, 3}), "self-loop at n=5"),
+        (lambda row: (*row, row[-1]), "duplicate neighbor at n=5"),
+    ],
+    ids=["asymmetric", "self-loop", "duplicate"],
+)
+def test_adjacency_check_catches_a_malformed_row(monkeypatch, row_of, detail):
+    monkeypatch.setattr(verify, "build_graph", _with_row(row_of))
+    results = {r.name: r for r in verify.run_checks(1, 8)}
+    check = results["adjacency structure"]
+    assert not check.ok
+    assert check.detail == f"raised AssertionError: {detail}"
+
+
+def test_results_carry_check_seconds():
+    results = verify.run_checks(1, 4)
+    assert all(r.seconds >= 0 for r in results)
+    assert sum(r.seconds for r in results) > 0
