@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
-from .partitions import Partition, enumerate_partitions, format_partition
+from .partitions import Partition, _partition_tuples, partition_names
 from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph, bfs_distances
 from .zones import decompose, exact_regime, first_occurrences, first_occurrences_csv
@@ -68,11 +68,11 @@ def layout(n: int) -> tuple[LayoutPoint, ...]:
     around it in canonical order, so placement is a pure function of the
     enumeration. Conjugation transposes the base cell.
     """
-    verts = enumerate_partitions(n)
+    parts = _partition_tuples(n)
     cells: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(verts):
-        cells.setdefault((p.largest, p.length), []).append(i)
-    points: list[Optional[LayoutPoint]] = [None] * len(verts)
+    for i, t in enumerate(parts):
+        cells.setdefault((t[0], len(t)), []).append(i)
+    points: list[Optional[LayoutPoint]] = [None] * len(parts)
     for (x, y), group in cells.items():
         m = len(group)
         for k, i in enumerate(group):
@@ -144,7 +144,9 @@ def render_atlas(
             out.append("\n".join(lines))
     out.append("</g>")
     out.append('<g id="vertices">')
-    for i, p in enumerate(graph.vertices):
+    # each title is formatted where it is written, so no table of p(n)
+    # names is held alongside the output
+    for i, parts in enumerate(graph.parts):
         classes = ["v"]
         if mode == "thickness":
             t = profile.tau[i]
@@ -176,7 +178,7 @@ def render_atlas(
         out.append(
             f'<circle class="{" ".join(classes)}" cx="{_coord(cx)}" cy="{_coord(cy)}" '
             f'r="{_coord(RADIUS)}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{stroke_width}"><title>{format_partition(p)}</title></circle>'
+            f'stroke-width="{stroke_width}"><title>{",".join(map(str, parts))}</title></circle>'
         )
     out.append("</g>")
     # the final newline goes on the last line, so the joined text is not copied again
@@ -208,8 +210,8 @@ def export_tables(profiles: Sequence[ThicknessProfile], out_dir: Path) -> dict[s
     loci: dict[str, list[str]] = {}
     for n_r in table.entries.values():
         prof = profiles[n_r - 1]
-        verts = enumerate_partitions(n_r)
-        loci[str(n_r)] = [format_partition(verts[i]) for i in prof.max_locus]
+        names = partition_names(n_r)
+        loci[str(n_r)] = [names[i] for i in prof.max_locus]
     locus_path = out_dir / "max_locus_members.json"
     locus_path.write_text(json.dumps(loci, indent=2) + "\n")
 
@@ -254,7 +256,7 @@ def locus_statistics(
     border = bfs_distances(graph, sorted(framework.all_indices))
     axis = {graph.parts_index[p.parts] for p in self_conjugate_axis(graph.n).members}
 
-    balances = [graph.vertices[i].largest - graph.vertices[i].length for i in idxs]
+    balances = [graph.parts[i][0] - len(graph.parts[i]) for i in idxs]
     antenna_d = [min(front[i], rear[i]) for i in idxs]
     framework_d = [border[i] for i in idxs]
 

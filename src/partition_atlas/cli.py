@@ -97,8 +97,12 @@ def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int
         for n in ns:
             compute_artifacts_for_n(n, out_dir)
     else:
+        # largest n first, one n per task: the default chunks hand the two
+        # costliest orders to one worker as the last task. Each n writes only
+        # its own directory, so the order changes no byte.
         with multiprocessing.Pool(min(workers, len(ns))) as pool:
-            pool.starmap(compute_artifacts_for_n, [(n, out_dir) for n in ns])
+            tasks = [(n, out_dir) for n in reversed(ns)]
+            pool.starmap(compute_artifacts_for_n, tasks, chunksize=1)
     click.echo(f"computed {len(ns)} graphs into {out_dir}")
 
 

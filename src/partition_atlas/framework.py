@@ -5,7 +5,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .partitions import Partition, canonical_index, enumerate_partitions, format_partition
+from .partitions import (
+    Partition,
+    _conjugate,
+    _partition_tuples,
+    canonical_index,
+    format_partition,
+    partition_names,
+)
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,10 @@ def boundary_framework(n: int) -> FrameworkSet:
 
 def self_conjugate_axis(n: int) -> AxisSet:
     """Fixpoints of conjugation within the partitions of ``n``."""
-    members = tuple(p for p in enumerate_partitions(n) if p.is_self_conjugate())
+    # a self-conjugate partition has as many parts as its largest part
+    members = tuple(
+        Partition(t) for t in _partition_tuples(n) if t[0] == len(t) and _conjugate(t) == t
+    )
     return AxisSet(n=n, members=members)
 
 
@@ -94,14 +104,14 @@ def framework_json(framework: FrameworkSet, axis: AxisSet) -> str:
     """JSON dump of the framework families plus the self-conjugate axis."""
     if framework.n != axis.n:
         raise ValueError("framework and axis must describe the same n")
-    verts = enumerate_partitions(framework.n)
+    names = partition_names(framework.n)
     doc = {
         "n": framework.n,
         "antennas": [format_partition(p) for p in framework.antennas],
         "main_chain": [format_partition(p) for p in framework.main_chain],
         "left_edge": [format_partition(p) for p in framework.left_edge],
         "right_edge": [format_partition(p) for p in framework.right_edge],
-        "all_vertices": [format_partition(verts[i]) for i in sorted(framework.all_indices)],
+        "all_vertices": [names[i] for i in sorted(framework.all_indices)],
         "self_conjugate_axis": [format_partition(p) for p in axis.members],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,19 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     The first entry is ``(n)`` and the last is ``(1^n)``; the position of
     a partition in the returned tuple is its canonical vertex index.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     return tuple(Partition(t) for t in _partition_tuples(n))
 
 
-def _partition_tuples(n: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    """Parts tuples of every partition of ``n``, in canonical order.
+
+    The one enumeration of the package. Vertices stay in this form on
+    every hot path, and a ``Partition`` is built only when asked for.
+    """
+    if n < 1:
+        # for n < 1 the loop below never reaches (1^n) and grows without bound
+        raise ValueError(f"n must be a positive integer, got {n}")
     out = []
     cur = [n]
     while True:
@@ -91,7 +98,7 @@ def _partition_tuples(n: int) -> list[tuple[int, ...]]:
         while i >= 0 and cur[i] == 1:
             i -= 1
         if i < 0:
-            return out
+            return tuple(out)
         cur[i] -= 1
         rem = len(cur) - i  # freed units: the trailing ones plus the decrement
         del cur[i + 1 :]
@@ -104,7 +111,8 @@ def _partition_tuples(n: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def canonical_index(n: int) -> dict[tuple[int, ...], int]:
     """Parts tuple -> position in the canonical enumeration. Do not mutate."""
-    return {p.parts: i for i, p in enumerate(enumerate_partitions(n))}
+    parts = _partition_tuples(n)
+    return dict(zip(parts, range(len(parts))))
 
 
 @lru_cache(maxsize=1)
@@ -114,7 +122,20 @@ def partition_names(n: int) -> tuple[str, ...]:
     Only the latest table is kept: callers write one n at a time, and
     keeping every table for n=1..30 costs about 2 MB.
     """
-    return tuple(format_partition(p) for p in enumerate_partitions(n))
+    return tuple(",".join(map(str, t)) for t in _partition_tuples(n))
+
+
+def _json_list(items: Sequence[str], depth: int) -> str:
+    """JSON list of already encoded ``items``, nested ``depth`` levels deep.
+
+    Laid out byte for byte as ``json.dumps(..., indent=2)`` lays it out, for
+    the artifact writers that build their JSON text directly.
+    """
+    if not items:
+        return "[]"
+    pad = "  " * depth
+    inner = f",\n{pad}  ".join(items)
+    return f"[\n{pad}  {inner}\n{pad}]"
 
 
 def format_partition(p: Partition) -> str:

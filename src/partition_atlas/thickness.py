@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .partitions import (
     Partition,
+    _json_list,
     canonical_index,
     parse_partition,
     partition_count,
@@ -69,9 +70,9 @@ def thickness_profile(graph: TransferGraph) -> ThicknessProfile:
     """Thickness of every vertex, from the Young-diagram corner formula.
 
     Each value depends on its own partition alone, so the profile is
-    identical for any evaluation order; only ``graph.vertices`` is read.
+    identical for any evaluation order; only ``graph.parts`` is read.
     """
-    tau = tuple(_corner_thickness(p.parts) for p in graph.vertices)
+    tau = tuple(map(_corner_thickness, graph.parts))
     tau_max = max(tau)
     locus = tuple(v for v, t in enumerate(tau) if t == tau_max)
     return ThicknessProfile(n=graph.n, tau=tau, tau_max=tau_max, max_locus=locus)
@@ -81,7 +82,7 @@ def max_thickness_locus(graph: TransferGraph, profile: ThicknessProfile) -> tupl
     """The partitions attaining ``tau_max``, in canonical order."""
     if graph.n != profile.n:
         raise ValueError("graph and profile must describe the same n")
-    return tuple(graph.vertices[i] for i in profile.max_locus)
+    return tuple(Partition(graph.parts[i]) for i in profile.max_locus)
 
 
 def brute_force_local_dimension(graph: TransferGraph, p: Partition) -> int:
@@ -198,17 +199,20 @@ def profile_csv(graph: TransferGraph, profile: ThicknessProfile) -> str:
 
 
 def profile_json(graph: TransferGraph, profile: ThicknessProfile) -> str:
-    """JSON export with the full map plus ``tau_max`` and the maximal locus."""
+    """JSON export with the full map plus ``tau_max`` and the maximal locus.
+
+    Written directly, as :func:`zones.zone_json` is, with the bytes
+    ``json.dumps(doc, indent=2)`` gives plus a newline.
+    """
     if graph.n != profile.n:
         raise ValueError("graph and profile must describe the same n")
     names = partition_names(graph.n)
-    doc = {
-        "n": profile.n,
-        "tau_max": profile.tau_max,
-        "max_locus": [names[i] for i in profile.max_locus],
-        "tau": dict(zip(names, profile.tau)),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    locus = _json_list([f'"{names[i]}"' for i in profile.max_locus], 1)
+    tau = ",\n    ".join([f'"{name}": {t}' for name, t in zip(names, profile.tau)])
+    return (
+        f'{{\n  "n": {profile.n},\n  "tau_max": {profile.tau_max},\n'
+        f'  "max_locus": {locus},\n  "tau": {{\n    {tau}\n  }}\n}}\n'
+    )
 
 
 def profile_from_json(text: str) -> ThicknessProfile:

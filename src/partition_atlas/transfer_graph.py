@@ -12,7 +12,6 @@ from .partitions import (
     _conjugate,
     _partition_tuples,
     canonical_index,
-    enumerate_partitions,
     format_partition,
     partition_names,
 )
@@ -95,17 +94,32 @@ def _corner_thickness(parts: tuple[int, ...]) -> int:
 class TransferGraph:
     """Immutable adjacency structure over all partitions of one total.
 
-    ``vertices`` follows the canonical enumeration order, and ``adj``
-    holds the sorted neighbor indices of each vertex.
+    ``parts`` holds the parts tuple of each vertex in the canonical
+    enumeration order, and ``adj`` the sorted neighbor indices of each
+    vertex. ``vertices`` gives the same vertices as ``Partition`` objects.
     """
 
     n: int
-    vertices: tuple[Partition, ...]
+    parts: tuple[tuple[int, ...], ...]
     adj: tuple[tuple[int, ...], ...]
     parts_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
+    _vertices: tuple[Partition, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _conjugation: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def vertices(self) -> tuple[Partition, ...]:
+        """Every vertex as a ``Partition``, in canonical order.
+
+        Built on the first access and kept for the life of the graph; the
+        pipeline itself reads ``parts`` and never builds these.
+        """
+        if self._vertices is None:
+            object.__setattr__(self, "_vertices", tuple(map(Partition, self.parts)))
+        return self._vertices
 
     def index_of(self, p: Partition) -> int:
         idx = self.parts_index.get(p.parts)
@@ -122,7 +136,7 @@ class TransferGraph:
 
     def is_connected(self) -> bool:
         """True when the whole graph is one component."""
-        return len(induced_components(self, range(len(self.vertices)))) == 1
+        return len(induced_components(self, range(len(self.adj)))) == 1
 
     def conjugation_permutation(self) -> tuple[int, ...]:
         """Vertex permutation induced by conjugating every partition.
@@ -131,7 +145,7 @@ class TransferGraph:
         """
         if self._conjugation is None:
             index = self.parts_index
-            sigma = tuple(index[_conjugate(v.parts)] for v in self.vertices)
+            sigma = tuple(index[_conjugate(t)] for t in self.parts)
             object.__setattr__(self, "_conjugation", sigma)
         return self._conjugation
 
@@ -155,12 +169,18 @@ def build_graph(n: int) -> TransferGraph:
     are adjacent exactly when both cover one mu, and that mu is unique:
     the graph is the edge-disjoint union, over mu of n - 1, of the cliques
     on the covers of mu. Each clique adds every pair from both ends.
+
+    Each mu of n - 1 is read off its cover (*mu, 1), the partitions of n
+    with a part 1, so the partitions of n - 1 are never enumerated (mu = ()
+    at n = 1).
     """
-    verts = enumerate_partitions(n)
+    parts = _partition_tuples(n)
     index = canonical_index(n)
-    rows: list[list[int]] = [[] for _ in verts]
-    for mu in _partition_tuples(n - 1) if n > 1 else [()]:
-        clique = [index[t] for t in _upper_covers(mu)]
+    rows: list[list[int]] = [[] for _ in parts]
+    for t in parts:
+        if t[-1] != 1:
+            continue
+        clique = [index[c] for c in _upper_covers(t[:-1])]
         for a in clique:
             rows[a] += clique
     # a lies in one clique per lower cover, so its row holds d(a) copies of
@@ -170,12 +190,12 @@ def build_graph(n: int) -> TransferGraph:
         at = bisect_left(row, a)
         del row[at : at + row.count(a)]
     adj = tuple(map(tuple, rows))
-    return TransferGraph(n=n, vertices=verts, adj=adj, parts_index=index)
+    return TransferGraph(n=n, parts=parts, adj=adj, parts_index=index)
 
 
 def bfs_distances(graph: TransferGraph, sources: Iterable[int]) -> list[int]:
     """Graph distance from the nearest source vertex; -1 where unreachable."""
-    dist = [-1] * len(graph.vertices)
+    dist = [-1] * len(graph.adj)
     queue: deque[int] = deque()
     for s in sources:
         if dist[s] == -1:
@@ -197,7 +217,7 @@ def induced_components(graph: TransferGraph, members: Iterable[int]) -> list[fro
     the components come out ordered by their smallest member.
     """
     order = sorted(members)
-    unseen = bytearray(len(graph.vertices))
+    unseen = bytearray(len(graph.adj))
     for v in order:
         unseen[v] = 1
     components = []

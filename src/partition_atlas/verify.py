@@ -17,7 +17,7 @@ from typing import Callable
 
 from .atlas import layout, render_atlas
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
-from .partitions import enumerate_partitions, parse_partition, partition_count
+from .partitions import Partition, _partition_tuples, parse_partition, partition_count
 from .thickness import (
     ThicknessProfile,
     brute_force_local_dimension,
@@ -133,18 +133,20 @@ def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
 
 def _check_partition_counts(run: _Run) -> str:
     for n in run.ns:
-        size = len(enumerate_partitions(n))
+        size = len(_partition_tuples(n))
         _fail_if(size != partition_count(n), "enumeration size mismatch at n={}", n)
     return f"p(n) agrees with the recurrence for n={run.n_min}..{run.n_max}"
 
 
 def _check_enumeration_order(run: _Run) -> str:
     for n in run.ns:
-        verts = enumerate_partitions(n)
-        _fail_if(verts[0].parts != (n,), "first vertex at n={}", n)
-        _fail_if(verts[-1].parts != (1,) * n, "last vertex at n={}", n)
-        for a, b in zip(verts, verts[1:]):
-            _fail_if(a.parts <= b.parts, "order violation at n={}: {} before {}", n, a, b)
+        parts = _partition_tuples(n)
+        _fail_if(parts[0] != (n,), "first vertex at n={}", n)
+        _fail_if(parts[-1] != (1,) * n, "last vertex at n={}", n)
+        for a, b in zip(parts, parts[1:]):
+            if a <= b:
+                order = f"{Partition(a)} before {Partition(b)}"
+                raise AssertionError(f"order violation at n={n}: {order}")
     return "reverse-lexicographic, extremes at the ends"
 
 
@@ -152,9 +154,12 @@ def _check_conjugation_involution(run: _Run) -> str:
     for n in run.ns:
         g = run.graphs[n]
         sigma = g.conjugation_permutation()
-        for i, p in enumerate(g.vertices):
-            _fail_if(sigma[sigma[i]] != i, "involution fails at {}", p)
-            _fail_if(g.vertices[sigma[i]].length != p.largest, "largest/length swap fails at {}", p)
+        # vertices are read only to name a failure, so no Partition is built per vertex
+        for i, t in enumerate(g.parts):
+            if sigma[sigma[i]] != i:
+                raise AssertionError(f"involution fails at {g.vertices[i]}")
+            if len(g.parts[sigma[i]]) != t[0]:
+                raise AssertionError(f"largest/length swap fails at {g.vertices[i]}")
     return "involution and largest/length swap hold"
 
 
@@ -325,7 +330,7 @@ def _check_first_shell_trivial(run: _Run) -> str:
         if n < 2:
             continue
         dec = run.zones[n][1]
-        _fail_if(len(dec.shell) != len(enumerate_partitions(n)), "order-1 shell at n={}", n)
+        _fail_if(len(dec.shell) != len(run.graphs[n].adj), "order-1 shell at n={}", n)
         _fail_if(bool(dec.core), "order-1 core at n={}", n)
     return "order-1 shell is everything, its core empty"
 
@@ -422,10 +427,10 @@ def _check_layout_symmetry(run: _Run) -> str:
         pts = layout(n)
         g = run.graphs[n]
         sigma = g.conjugation_permutation()
-        for i, p in enumerate(g.vertices):
+        for i in range(len(g.adj)):
             mirror = pts[sigma[i]]
-            transposed = (pts[i].x, pts[i].y) == (mirror.y, mirror.x)
-            _fail_if(not transposed, "layout transpose fails at n={}, {}", n, p)
+            if (pts[i].x, pts[i].y) != (mirror.y, mirror.x):
+                raise AssertionError(f"layout transpose fails at n={n}, {g.vertices[i]}")
             _fail_if(abs(pts[i].dx) >= 0.5 or abs(pts[i].dy) >= 0.5, "offset too large at n={}", n)
     return "conjugation transposes every base cell"
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .framework import FrameworkSet
-from .partitions import partition_names
+from .partitions import _json_list, partition_names
 from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph, induced_components
 
@@ -116,25 +115,31 @@ def first_occurrences_csv(table: FirstOccurrenceTable) -> str:
 
 
 def zone_json(graph: TransferGraph, decomposition: ZoneDecomposition) -> str:
-    """JSON export of one decomposition, partitions in canonical text form."""
+    """JSON export of one decomposition, partitions in canonical text form.
+
+    The text is written directly, with the bytes ``json.dumps(doc,
+    indent=2)`` gives plus a newline; names are digits and commas, so
+    nothing needs escaping.
+    """
     if graph.n != decomposition.n:
         raise ValueError("graph and decomposition must describe the same n")
 
     table = partition_names(graph.n)
+    components = [
+        f'{{\n      "vertices": {_name_list(table, c.vertices, 3)},\n'
+        f'      "boundary_attached": {"true" if c.boundary_attached else "false"}\n    }}'
+        for c in decomposition.components
+    ]
+    return (
+        f'{{\n  "n": {decomposition.n},\n  "r": {decomposition.r},\n'
+        f'  "threshold": {_name_list(table, decomposition.threshold, 1)},\n'
+        f'  "exact": {_name_list(table, decomposition.exact, 1)},\n'
+        f'  "shell": {_name_list(table, decomposition.shell, 1)},\n'
+        f'  "core": {_name_list(table, decomposition.core, 1)},\n'
+        f'  "components": {_json_list(components, 1)}\n}}\n'
+    )
 
-    def names(idxs: Iterable[int]) -> list[str]:
-        return [table[i] for i in sorted(idxs)]
 
-    doc = {
-        "n": decomposition.n,
-        "r": decomposition.r,
-        "threshold": names(decomposition.threshold),
-        "exact": names(decomposition.exact),
-        "shell": names(decomposition.shell),
-        "core": names(decomposition.core),
-        "components": [
-            {"vertices": names(c.vertices), "boundary_attached": c.boundary_attached}
-            for c in decomposition.components
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def _name_list(table: Sequence[str], idxs: Iterable[int], depth: int) -> str:
+    """JSON list of the names at ``idxs`` in index order, nested ``depth`` deep."""
+    return _json_list([f'"{table[i]}"' for i in sorted(idxs)], depth)

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,33 @@ def test_verify_prints_check_seconds_to_stderr_only(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "[PASS] first: fine\n[PASS] second\n2/2 checks passed\n"
     assert captured.err == "  0.25 s  first\n  1.50 s  second\n"
+
+
+def test_cli_steps_build_no_partition_per_vertex(tmp_path, monkeypatch):
+    # vertices stay parts tuples on every CLI path: the Partition
+    # enumeration and the graph's Partition view must both go unread
+    from partition_atlas import partitions
+    from partition_atlas.transfer_graph import TransferGraph
+
+    def refuse(*args):
+        raise AssertionError("a CLI step built a Partition per vertex")
+
+    original = partitions.enumerate_partitions
+    holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "partition_atlas"]
+    for module in holders:
+        if getattr(module, "enumerate_partitions", None) is original:
+            monkeypatch.setattr(module, "enumerate_partitions", refuse)
+    monkeypatch.setattr(TransferGraph, "vertices", property(refuse))
+    out = str(tmp_path / "artifacts")
+    runner = CliRunner()
+    for args in (
+        ["compute", "--n-max", "9", "--out", out],
+        ["tables", "--n-max", "9", "--no-recompute", "--out", out],
+        ["atlas", "--n", "9", "--mode", "thickness", "--out", out],
+        ["atlas", "--n", "9", "--mode", "zones", "--out", out],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output, result.exception)
 
 
 def test_usage_error_exit_code():

@@ -4,11 +4,14 @@ from hypothesis import strategies as st
 
 from partition_atlas import (
     Partition,
+    canonical_index,
     enumerate_partitions,
     format_partition,
     parse_partition,
     partition_count,
+    partition_names,
 )
+from partition_atlas.partitions import _partition_tuples
 
 partitions_st = st.lists(st.integers(1, 12), min_size=1, max_size=10).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True)))
@@ -71,6 +74,22 @@ def test_enumerate_rejects_nonpositive():
         enumerate_partitions(0)
     with pytest.raises(ValueError):
         enumerate_partitions(-3)
+
+
+def test_partition_tuples_rejects_nonpositive():
+    # the tuple enumerator guards itself: unguarded, its loop never ends for n < 1
+    with pytest.raises(ValueError):
+        _partition_tuples(0)
+    with pytest.raises(ValueError):
+        _partition_tuples(-3)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_tuple_tables_match_partitions(n):
+    verts = enumerate_partitions(n)
+    assert _partition_tuples(n) == tuple(p.parts for p in verts)
+    assert canonical_index(n) == {p.parts: i for i, p in enumerate(verts)}
+    assert partition_names(n) == tuple(format_partition(p) for p in verts)
 
 
 def test_conjugate_examples():

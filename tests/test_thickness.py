@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -226,6 +227,21 @@ def test_profile_json_roundtrip():
     assert profile_from_json(profile_json(g, prof)) == prof
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_profile_json_matches_json_dumps(n):
+    # profile_json writes its text directly; the json module is the reference
+    g = build_graph(n)
+    prof = thickness_profile(g)
+    names = [str(p) for p in g.vertices]
+    doc = {
+        "n": n,
+        "tau_max": prof.tau_max,
+        "max_locus": [names[i] for i in prof.max_locus],
+        "tau": dict(zip(names, prof.tau)),
+    }
+    assert profile_json(g, prof) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_profile_from_json_rejects_inconsistency():
     g = build_graph(4)
     doc = json.loads(profile_json(g, thickness_profile(g)))
@@ -270,12 +286,21 @@ _DOC4 = json.loads(profile_json(_G4, thickness_profile(_G4)))
 )
 def test_profile_from_json_rejects_malformed(doc, monkeypatch):
     # a document is rejected before anything of size p(n) is built for a
-    # large n (p(80) is about 15.8 million)
-    def enumerate_small(n):
-        assert n <= 30, f"enumerated the partitions of {n}"
-        return enumerate_partitions(n)
+    # large n (p(80) is about 15.8 million); every table of the partitions
+    # of n comes from the tuple enumerator, so both enumerators are guarded
+    # in every module that holds them
+    def small(enumerate_n):
+        def guarded(n):
+            assert n <= 30, f"enumerated the partitions of {n}"
+            return enumerate_n(n)
 
-    monkeypatch.setattr(partitions, "enumerate_partitions", enumerate_small)
+        return guarded
+
+    holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "partition_atlas"]
+    for original in (partitions._partition_tuples, partitions.enumerate_partitions):
+        for module in holders:
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, small(original))
     with pytest.raises(ValueError):
         profile_from_json(json.dumps(doc))
 

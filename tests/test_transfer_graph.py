@@ -75,6 +75,13 @@ def test_build_graph_n4_edges_frozen():
     assert got == expected
 
 
+def test_vertices_view_is_built_once_from_parts():
+    g = build_graph(7)
+    assert g.vertices is g.vertices
+    assert tuple(p.parts for p in g.vertices) == g.parts
+    assert all(type(p) is Partition for p in g.vertices)
+
+
 def test_build_graph_rejects_nonpositive():
     with pytest.raises(ValueError):
         build_graph(0)

@@ -249,3 +249,37 @@ def test_zone_json_n4(small_profiles):
     assert doc["components"] == [
         {"vertices": ["3,1", "2,2", "2,1,1"], "boundary_attached": True}
     ]
+
+
+def _zone_doc(graph, dec):
+    """The document :func:`zone_json` writes, named through ``graph.vertices``."""
+
+    def named(idxs):
+        return [str(graph.vertices[i]) for i in sorted(idxs)]
+
+    return {
+        "n": dec.n,
+        "r": dec.r,
+        "threshold": named(dec.threshold),
+        "exact": named(dec.exact),
+        "shell": named(dec.shell),
+        "core": named(dec.core),
+        "components": [
+            {"vertices": named(c.vertices), "boundary_attached": c.boundary_attached}
+            for c in dec.components
+        ],
+    }
+
+
+def test_zone_json_matches_json_dumps(small_profiles):
+    # zone_json writes its text directly; the json module is the reference
+    seen = set()
+    for n, (g, prof, fw) in small_profiles.items():
+        for r in range(prof.tau_max + 2):
+            dec = decompose(g, fw, prof, r)
+            doc = _zone_doc(g, dec)
+            assert zone_json(g, dec) == json.dumps(doc, indent=2) + "\n", (n, r)
+            seen.update(key for key in ("exact", "core", "components") if not doc[key])
+            seen.update(c["boundary_attached"] for c in doc["components"])
+    # the layouts of empty lists and of both flags were all compared
+    assert seen == {"exact", "core", "components", True, False}
