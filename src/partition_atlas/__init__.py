@@ -5,66 +5,36 @@ partitions of n and whose edges move a single unit between parts. For
 every vertex it computes the exact size of the largest clique through it,
 splits the resulting threshold zones into boundary-attached shells and
 interior cores, and exports tables and SVG figures.
+
+Each public name is imported from its home module on first access, so
+importing the package, or running one CLI command, loads only the layers
+that are used.
 """
 
-from .atlas import (
-    LayoutPoint,
-    LocusStats,
-    export_tables,
-    layout,
-    locus_statistics,
-    render_atlas,
-)
-from .framework import (
-    AxisSet,
-    FrameworkSet,
-    antennas,
-    boundary_framework,
-    framework_json,
-    left_boundary,
-    main_chain,
-    right_boundary,
-    self_conjugate_axis,
-)
-from .partitions import (
-    Partition,
-    canonical_index,
-    enumerate_partitions,
-    format_partition,
-    parse_partition,
-    partition_count,
-    partition_names,
-)
-from .thickness import (
-    ThicknessProfile,
-    brute_force_local_dimension,
-    local_simplex_dimension,
-    max_thickness_locus,
-    profile_csv,
-    profile_from_json,
-    profile_json,
-    thickness_profile,
-)
-from .transfer_graph import (
-    TransferGraph,
-    bfs_distances,
-    build_graph,
-    induced_components,
-    neighbors,
-)
-from .zones import (
-    FirstOccurrenceTable,
-    ZoneComponent,
-    ZoneDecomposition,
-    decompose,
-    exact_regime,
-    first_occurrences,
-    first_occurrences_csv,
-    threshold_zone,
-    zone_json,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# largest n whose reference values `verify` holds in full; the CLI's
+# verified range, past which an order first realized is reported as new
+REFERENCE_RANGE_MAX = 30
+
+_HOME = {
+    name: module
+    for module, names in {
+        "atlas": "LayoutPoint LocusStats export_tables layout locus_statistics render_atlas",
+        "framework": "AxisSet FrameworkSet antennas boundary_framework framework_json "
+        "left_boundary main_chain right_boundary self_conjugate_axis",
+        "partitions": "Partition canonical_index enumerate_partitions format_partition "
+        "parse_partition partition_count partition_names",
+        "thickness": "ThicknessProfile brute_force_local_dimension local_simplex_dimension "
+        "max_thickness_locus profile_csv profile_from_json profile_json thickness_profile",
+        "transfer_graph": "TransferGraph bfs_distances build_graph induced_components neighbors",
+        "zones": "FirstOccurrenceTable ZoneComponent ZoneDecomposition decompose exact_regime "
+        "first_occurrences first_occurrences_csv threshold_zone zone_json",
+    }.items()
+    for name in names.split()
+}
 
 __all__ = [
     "AxisSet",
@@ -112,3 +82,12 @@ __all__ = [
     "threshold_zone",
     "zone_json",
 ]
+
+
+def __getattr__(name: str):
+    """Import a public name from its home module and keep it here (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

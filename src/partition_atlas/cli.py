@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 from pathlib import Path
 
 import click
 
-from .atlas import export_tables, render_atlas
-from .pipeline import compute_artifacts_for_n, n_dir
-from .thickness import max_thickness_locus, profile_from_json, thickness_profile
-from .transfer_graph import build_graph
-from .verify import REFERENCE_RANGE_MAX, run_checks
+from . import REFERENCE_RANGE_MAX
+
+# each command imports the layers it runs in its own body, so a command
+# loads only those, and reads each function off its home module per call
 
 
 def _resolve_range(n_min: int, n_max: int, allow_beyond: bool) -> tuple[int, int]:
@@ -88,6 +86,8 @@ def main() -> None:
 )
 def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int) -> None:
     """Compute graphs, profiles and zone decompositions for a range of n."""
+    from .pipeline import compute_artifacts_for_n
+
     n_min, n_max = _resolve_range(n_min, n_max, allow_beyond)
     if jobs < 0:
         raise click.UsageError(f"invalid worker count {jobs}")
@@ -100,6 +100,8 @@ def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int
         # largest n first, one n per task: the default chunks hand the two
         # costliest orders to one worker as the last task. Each n writes only
         # its own directory, so the order changes no byte.
+        import multiprocessing
+
         with multiprocessing.Pool(min(workers, len(ns))) as pool:
             tasks = [(n, out_dir) for n in reversed(ns)]
             pool.starmap(compute_artifacts_for_n, tasks, chunksize=1)
@@ -123,6 +125,11 @@ def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int
 )
 def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) -> None:
     """Write the first-occurrence, per-n summary and max-locus tables."""
+    from .atlas import export_tables
+    from .pipeline import n_dir
+    from .thickness import profile_from_json, thickness_profile
+    from .transfer_graph import build_graph
+
     if n_min != 1:
         raise click.UsageError("tables needs profiles from n=1 upward; use --n-min 1")
     _, n_max = _resolve_range(n_min, n_max, allow_beyond)
@@ -134,7 +141,7 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
                 profile = profile_from_json(path.read_text())
                 if profile.n != n:
                     raise ValueError(f"it holds the profile for n={profile.n}")
-            except ValueError as exc:
+            except (OSError, ValueError) as exc:
                 raise click.UsageError(f"malformed artifact {path}: {exc}") from None
             profiles.append(profile)
         elif no_recompute:
@@ -171,6 +178,10 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
 )
 def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
     """Render one atlas figure as SVG, maximal locus outlined."""
+    from .atlas import render_atlas
+    from .thickness import max_thickness_locus, thickness_profile
+    from .transfer_graph import build_graph
+
     _check_single_n(n, allow_beyond)
     graph = build_graph(n)
     profile = thickness_profile(graph)
@@ -188,6 +199,8 @@ def verify(n_min: int, n_max: int, allow_beyond: bool) -> None:
 
     Verdicts go to stdout; the seconds each check took go to stderr.
     """
+    from .verify import run_checks
+
     n_min, n_max = _resolve_range(n_min, n_max, allow_beyond)
     results = run_checks(n_min=n_min, n_max=n_max)
     for res in results:
@@ -219,6 +232,8 @@ def verify(n_min: int, n_max: int, allow_beyond: bool) -> None:
 )
 def graph_dump(n: int, out_path: Path | None, allow_beyond: bool) -> None:
     """Write the edge list of one graph as tab-separated partition pairs."""
+    from .transfer_graph import build_graph
+
     _check_single_n(n, allow_beyond)
     text = build_graph(n).dump_edges()
     if out_path is None:

@@ -14,8 +14,6 @@ the neighbors. It shares no code with the closed form and cross-checks it.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -186,16 +184,17 @@ def _expand(rows: list[int], size: int, cand: int, best: int) -> int:
 def profile_csv(graph: TransferGraph, profile: ThicknessProfile) -> str:
     """CSV export, header ``partition,tau``, rows in canonical order.
 
-    Partition text carries commas, so that field is quoted whenever the
-    partition has more than one part.
+    Written directly, as :func:`profile_json` is. Partition text carries
+    commas, so a name is quoted exactly when the partition has more than one
+    part, as ``csv.writer`` quotes it.
     """
     if graph.n != profile.n:
         raise ValueError("graph and profile must describe the same n")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["partition", "tau"])
-    writer.writerows(zip(partition_names(graph.n), profile.tau))
-    return buffer.getvalue()
+    rows = [
+        f'"{name}",{t}\n' if "," in name else f"{name},{t}\n"
+        for name, t in zip(partition_names(graph.n), profile.tau)
+    ]
+    return "partition,tau\n" + "".join(rows)
 
 
 def profile_json(graph: TransferGraph, profile: ThicknessProfile) -> str:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from . import REFERENCE_RANGE_MAX
 from .atlas import layout, render_atlas
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
 from .partitions import Partition, _partition_tuples, parse_partition, partition_count
@@ -31,9 +32,7 @@ from .zones import ZoneDecomposition, decompose, first_occurrences, threshold_zo
 ORACLE_RANGE_MAX = 12
 
 # reference values reproduced by the full computation, complete for n up to
-# REFERENCE_RANGE_MAX, which is also the CLI's verified range; an order
-# first realized past it is reported as new
-REFERENCE_RANGE_MAX = 30
+# REFERENCE_RANGE_MAX; an order first realized past it is reported as new
 EXPECTED_FIRST_OCCURRENCES = {2: 4, 3: 7, 4: 11, 5: 16, 6: 22, 7: 29}
 EXPECTED_MAX_LOCUS = {
     7: (3, 4, ("4,2,1", "3,3,1")),

@@ -154,6 +154,19 @@ def test_tables_rejects_malformed_profile(tmp_path, replace):
     assert str(bad) in result.output
 
 
+def test_tables_rejects_unreadable_profile(tmp_path):
+    out = tmp_path / "artifacts"
+    runner = CliRunner()
+    assert runner.invoke(main, ["compute", "--n-max", "4", "--out", str(out)]).exit_code == 0
+    bad = out / "n03" / "profile.json"
+    bad.unlink()
+    bad.mkdir()
+    result = runner.invoke(main, ["tables", "--n-max", "4", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "malformed artifact" in result.output
+    assert str(bad) in result.output
+
+
 def test_tables_rejects_partial_start(tmp_path):
     result = CliRunner().invoke(
         main, ["tables", "--n-min", "3", "--n-max", "6", "--out", str(tmp_path)]
@@ -213,11 +226,12 @@ def test_verify_small_range_passes():
 
 
 def test_verify_reports_failures_with_exit_1(monkeypatch):
-    from partition_atlas import cli as cli_module
+    from partition_atlas import verify
     from partition_atlas.verify import CheckResult
 
+    # the command reads run_checks off its home module at call time
     monkeypatch.setattr(
-        cli_module,
+        verify,
         "run_checks",
         lambda n_min, n_max: [
             CheckResult("good", True, ""),
@@ -231,11 +245,12 @@ def test_verify_reports_failures_with_exit_1(monkeypatch):
 
 
 def test_verify_prints_check_seconds_to_stderr_only(monkeypatch, capsys):
-    from partition_atlas import cli as cli_module
+    from partition_atlas import verify
     from partition_atlas.verify import CheckResult
 
+    # the command reads run_checks off its home module at call time
     monkeypatch.setattr(
-        cli_module,
+        verify,
         "run_checks",
         lambda n_min, n_max: [
             CheckResult("first", True, "fine", 0.25),

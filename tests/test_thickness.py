@@ -217,6 +217,21 @@ def test_profile_csv_parses_back():
     assert [int(r[1]) for r in rows[1:]] == list(prof.tau)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_profile_csv_matches_csv_writer(n):
+    # profile_csv writes its text directly; the csv module is the reference
+    import csv
+    import io
+
+    g = build_graph(n)
+    prof = thickness_profile(g)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["partition", "tau"])
+    writer.writerows(zip([str(p) for p in g.vertices], prof.tau))
+    assert profile_csv(g, prof) == buffer.getvalue()
+
+
 def test_profile_json_roundtrip():
     g = build_graph(6)
     prof = thickness_profile(g)
