@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
 from .partitions import Partition, _partition_tuples, partition_names
@@ -96,7 +96,17 @@ def render_atlas(
     mode: str,
     highlight: Optional[Iterable[Partition]] = None,
 ) -> str:
-    """SVG drawing of one transfer graph.
+    """SVG drawing of one transfer graph, as one string; see :func:`atlas_chunks`."""
+    return "".join(atlas_chunks(graph, profile, mode, highlight))
+
+
+def atlas_chunks(
+    graph: TransferGraph,
+    profile: ThicknessProfile,
+    mode: str,
+    highlight: Optional[Iterable[Partition]] = None,
+) -> Iterator[str]:
+    """SVG drawing of one transfer graph, as text chunks to write in order.
 
     ``mode="thickness"`` fills vertices from the thickness palette.
     ``mode="zones"`` paints the exactly-one-dimensional regime gray, the
@@ -104,46 +114,55 @@ def render_atlas(
     core overlap), with the residual tone elsewhere; each glyph's class
     attribute records every zone it belongs to. Highlighted vertices are
     outlined in black. Output is byte-deterministic for fixed inputs.
+
+    Every ``ValueError`` is raised by this call, before the iterator is
+    returned, so a rejected drawing never leaves a partial file behind.
+    The chunks are the header and group lines, one chunk per row of edges
+    and one per vertex, so a writer holds no more than one row at a time.
     """
     if mode not in ("thickness", "zones"):
         raise ValueError(f"unknown atlas mode {mode!r}")
     if graph.n != profile.n:
         raise ValueError("graph and profile must describe the same n")
-    n = graph.n
     outlined: set[int] = set()
     if highlight is not None:
         outlined = {graph.index_of(p) for p in highlight}
+    return _svg_chunks(graph, profile, mode, outlined)
 
+
+def _svg_chunks(
+    graph: TransferGraph, profile: ThicknessProfile, mode: str, outlined: set[int]
+) -> Iterator[str]:
+    n = graph.n
     if mode == "zones":
         fw = boundary_framework(n)
         exact1 = exact_regime(profile, 1)
         skin2 = decompose(graph, fw, profile, 2).shell
         core3 = decompose(graph, fw, profile, 3).core
 
-    points = layout(n)
+    # the layout points are dropped once placed: at n=45 they hold 13 MB
     coords = [
         (MARGIN + (p.x - 1 + p.dx) * CELL, MARGIN + (p.y - 1 + p.dy) * CELL)
-        for p in points
+        for p in layout(n)
     ]
     side = _coord(2 * MARGIN + (n - 1) * CELL)
 
-    out = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.append(
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{side}" height="{side}" viewBox="0 0 {side} {side}">'
+        f'width="{side}" height="{side}" viewBox="0 0 {side} {side}">\n'
     )
-    out.append(f"<desc>{mode} atlas, n={n}</desc>")
-    out.append('<g id="edges">')
-    # endpoints formatted once and one string per row, not per edge: at n=36
-    # per-edge strings set the peak memory of the atlas step
+    yield f"<desc>{mode} atlas, n={n}</desc>\n"
+    yield '<g id="edges">\n'
+    # each endpoint is formatted once, as a line's first or second half
     starts = [f'<line x1="{_coord(x)}" y1="{_coord(y)}" ' for x, y in coords]
-    ends = [f'x2="{_coord(x)}" y2="{_coord(y)}" {EDGE_STYLE}/>' for x, y in coords]
+    ends = [f'x2="{_coord(x)}" y2="{_coord(y)}" {EDGE_STYLE}/>\n' for x, y in coords]
     for i, row in enumerate(graph.adj):
-        lines = [starts[i] + ends[j] for j in row if j > i]
-        if lines:
-            out.append("\n".join(lines))
-    out.append("</g>")
-    out.append('<g id="vertices">')
+        chunk = "".join([starts[i] + ends[j] for j in row if j > i])
+        if chunk:
+            yield chunk
+    yield "</g>\n"
+    yield '<g id="vertices">\n'
     # each title is formatted where it is written, so no table of p(n)
     # names is held alongside the output
     for i, parts in enumerate(graph.parts):
@@ -175,15 +194,13 @@ def render_atlas(
         else:
             stroke, stroke_width = PLAIN_STROKE
         cx, cy = coords[i]
-        out.append(
+        yield (
             f'<circle class="{" ".join(classes)}" cx="{_coord(cx)}" cy="{_coord(cy)}" '
             f'r="{_coord(RADIUS)}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{stroke_width}"><title>{",".join(map(str, parts))}</title></circle>'
+            f'stroke-width="{stroke_width}"><title>{",".join(map(str, parts))}</title></circle>\n'
         )
-    out.append("</g>")
-    # the final newline goes on the last line, so the joined text is not copied again
-    out.append("</svg>\n")
-    return "\n".join(out)
+    yield "</g>\n"
+    yield "</svg>\n"
 
 
 def export_tables(profiles: Sequence[ThicknessProfile], out_dir: Path) -> dict[str, Path]:

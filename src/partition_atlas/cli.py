@@ -178,17 +178,19 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
 )
 def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
     """Render one atlas figure as SVG, maximal locus outlined."""
-    from .atlas import render_atlas
+    from .atlas import atlas_chunks
     from .thickness import max_thickness_locus, thickness_profile
     from .transfer_graph import build_graph
 
     _check_single_n(n, allow_beyond)
     graph = build_graph(n)
     profile = thickness_profile(graph)
-    svg = render_atlas(graph, profile, mode, highlight=max_thickness_locus(graph, profile))
+    # raises before any file is opened, so a rejected drawing leaves none
+    chunks = atlas_chunks(graph, profile, mode, highlight=max_thickness_locus(graph, profile))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"atlas_n{n}_{mode}.svg"
-    path.write_text(svg)
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(chunks)
     click.echo(f"wrote {path}")
 
 
@@ -235,12 +237,13 @@ def graph_dump(n: int, out_path: Path | None, allow_beyond: bool) -> None:
     from .transfer_graph import build_graph
 
     _check_single_n(n, allow_beyond)
-    text = build_graph(n).dump_edges()
+    chunks = build_graph(n).edge_chunks()
     if out_path is None:
-        click.echo(text, nl=False)
+        sys.stdout.writelines(chunks)
     else:
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text)
+        with open(out_path, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
         click.echo(f"wrote {out_path}")
 
 

@@ -26,7 +26,8 @@ def compute_artifacts_for_n(n: int, out_root: Path) -> None:
     axis = self_conjugate_axis(n)
     target = n_dir(out_root, n)
     target.mkdir(parents=True, exist_ok=True)
-    (target / "edges.txt").write_text(graph.dump_edges())
+    with open(target / "edges.txt", "w", encoding="utf-8") as f:
+        f.writelines(graph.edge_chunks())
     (target / "framework.json").write_text(framework_json(framework, axis))
     (target / "profile.csv").write_text(profile_csv(graph, profile))
     (target / "profile.json").write_text(profile_json(graph, profile))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .partitions import (
     Partition,
@@ -149,16 +149,22 @@ class TransferGraph:
             object.__setattr__(self, "_conjugation", sigma)
         return self._conjugation
 
-    def dump_edges(self) -> str:
-        """Edge list, one ``"a<TAB>b"`` line per edge, in canonical order."""
+    def edge_chunks(self) -> Iterator[str]:
+        """The text of :meth:`dump_edges`, one chunk per row with an edge ``j > i``.
+
+        Writers pass the chunks to ``writelines``, so no more than one row's
+        lines is held at a time (at n=50 the whole text is 167 MB).
+        """
         names = partition_names(self.n)
-        # one string per row, not per edge: at n=36 a list of 187,019 edge
-        # strings was the peak allocation of compute
-        chunks = []
         for i, row in enumerate(self.adj):
             left = names[i]
-            chunks.append("".join([f"{left}\t{names[j]}\n" for j in row if j > i]))
-        return "".join(chunks)
+            chunk = "".join([f"{left}\t{names[j]}\n" for j in row if j > i])
+            if chunk:
+                yield chunk
+
+    def dump_edges(self) -> str:
+        """Edge list, one ``"a<TAB>b"`` line per edge, in canonical order."""
+        return "".join(self.edge_chunks())
 
 
 def build_graph(n: int) -> TransferGraph:

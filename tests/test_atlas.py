@@ -18,6 +18,7 @@ from partition_atlas import (
     self_conjugate_axis,
     thickness_profile,
 )
+from partition_atlas.atlas import atlas_chunks
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -134,6 +135,19 @@ def test_render_rejects_bad_inputs():
         render_atlas(g, prof, "thickness", highlight=[Partition((5,))])
     with pytest.raises(ValueError):
         render_atlas(g, thickness_profile(build_graph(5)), "thickness")
+
+
+def test_atlas_chunks_rejects_bad_inputs_before_iterating():
+    # every check runs on the call itself, so a writer that opens its file
+    # after the call never leaves a partial drawing behind
+    g = build_graph(4)
+    prof = thickness_profile(g)
+    with pytest.raises(ValueError, match="mode"):
+        atlas_chunks(g, prof, "heatmap")
+    with pytest.raises(ValueError, match="same n"):
+        atlas_chunks(g, thickness_profile(build_graph(5)), "zones")
+    with pytest.raises(ValueError, match="not a partition of 4"):
+        atlas_chunks(g, prof, "thickness", highlight=iter([Partition((5,))]))
 
 
 def test_render_titles_name_partitions():
