@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -68,22 +69,35 @@ def layout(n: int) -> tuple[LayoutPoint, ...]:
     around it in canonical order, so placement is a pure function of the
     enumeration. Conjugation transposes the base cell.
     """
+    return tuple(LayoutPoint(x, y, dx, dy) for x, y, dx, dy in _cells(n))
+
+
+def _cells(n: int) -> tuple[tuple[int, int, float, float], ...]:
+    """:func:`layout` as plain ``(x, y, dx, dy)`` tuples.
+
+    The offsets of a ring of m points are computed once per m and shared
+    by every cell that holds m partitions.
+    """
     parts = _partition_tuples(n)
     cells: dict[tuple[int, int], list[int]] = {}
     for i, t in enumerate(parts):
         cells.setdefault((t[0], len(t)), []).append(i)
-    points: list[Optional[LayoutPoint]] = [None] * len(parts)
+    rings: dict[int, list[tuple[float, float]]] = {1: [(0.0, 0.0)]}
+    points: list = [None] * len(parts)
     for (x, y), group in cells.items():
         m = len(group)
-        for k, i in enumerate(group):
-            if m == 1:
-                dx, dy = 0.0, 0.0
-            else:
-                angle = 2.0 * math.pi * k / m
-                dx = round(RING_OFFSET * math.cos(angle), 4)
-                dy = round(RING_OFFSET * math.sin(angle), 4)
-            points[i] = LayoutPoint(x=x, y=y, dx=dx, dy=dy)
-    return tuple(points)  # type: ignore[arg-type]
+        ring = rings.get(m)
+        if ring is None:
+            ring = rings[m] = [
+                (
+                    round(RING_OFFSET * math.cos(2.0 * math.pi * k / m), 4),
+                    round(RING_OFFSET * math.sin(2.0 * math.pi * k / m), 4),
+                )
+                for k in range(m)
+            ]
+        for i, (dx, dy) in zip(group, ring):
+            points[i] = (x, y, dx, dy)
+    return tuple(points)
 
 
 def _coord(value: float) -> str:
@@ -140,11 +154,12 @@ def _svg_chunks(
         skin2 = decompose(graph, fw, profile, 2).shell
         core3 = decompose(graph, fw, profile, 3).core
 
-    # the layout points are dropped once placed: at n=45 they hold 13 MB
-    coords = [
-        (MARGIN + (p.x - 1 + p.dx) * CELL, MARGIN + (p.y - 1 + p.dy) * CELL)
-        for p in layout(n)
-    ]
+    # each coordinate is formatted once, and the lines and circles share
+    # the strings; the cells are dropped once placed (at n=45 they hold 7 MB)
+    cells = _cells(n)
+    xs = [_coord(MARGIN + (x - 1 + dx) * CELL) for x, _, dx, _ in cells]
+    ys = [_coord(MARGIN + (y - 1 + dy) * CELL) for _, y, _, dy in cells]
+    del cells
     side = _coord(2 * MARGIN + (n - 1) * CELL)
 
     yield '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -154,17 +169,20 @@ def _svg_chunks(
     )
     yield f"<desc>{mode} atlas, n={n}</desc>\n"
     yield '<g id="edges">\n'
-    # each endpoint is formatted once, as a line's first or second half
-    starts = [f'<line x1="{_coord(x)}" y1="{_coord(y)}" ' for x, y in coords]
-    ends = [f'x2="{_coord(x)}" y2="{_coord(y)}" {EDGE_STYLE}/>\n' for x, y in coords]
+    # each endpoint is written as a line's first or second half, and a row
+    # of lines is its second halves joined by its first half
+    starts = [f'<line x1="{x}" y1="{y}" ' for x, y in zip(xs, ys)]
+    ends = [f'x2="{x}" y2="{y}" {EDGE_STYLE}/>\n' for x, y in zip(xs, ys)]
     for i, row in enumerate(graph.adj):
-        chunk = "".join([starts[i] + ends[j] for j in row if j > i])
-        if chunk:
-            yield chunk
+        k = bisect_right(row, i)
+        if k < len(row):
+            start = starts[i]
+            yield start + start.join([ends[j] for j in row[k:]])
     yield "</g>\n"
     yield '<g id="vertices">\n'
     # each title is formatted where it is written, so no table of p(n)
     # names is held alongside the output
+    radius = _coord(RADIUS)
     for i, parts in enumerate(graph.parts):
         classes = ["v"]
         if mode == "thickness":
@@ -193,10 +211,9 @@ def _svg_chunks(
             stroke, stroke_width = OUTLINE_STROKE
         else:
             stroke, stroke_width = PLAIN_STROKE
-        cx, cy = coords[i]
         yield (
-            f'<circle class="{" ".join(classes)}" cx="{_coord(cx)}" cy="{_coord(cy)}" '
-            f'r="{_coord(RADIUS)}" fill="{fill}" stroke="{stroke}" '
+            f'<circle class="{" ".join(classes)}" cx="{xs[i]}" cy="{ys[i]}" '
+            f'r="{radius}" fill="{fill}" stroke="{stroke}" '
             f'stroke-width="{stroke_width}"><title>{",".join(map(str, parts))}</title></circle>\n'
         )
     yield "</g>\n"

@@ -127,8 +127,8 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
     """Write the first-occurrence, per-n summary and max-locus tables."""
     from .atlas import export_tables
     from .pipeline import n_dir
-    from .thickness import profile_from_json, thickness_profile
-    from .transfer_graph import build_graph
+    from .partitions import _partition_tuples
+    from .thickness import _corner_profile, profile_from_json
 
     if n_min != 1:
         raise click.UsageError("tables needs profiles from n=1 upward; use --n-min 1")
@@ -149,7 +149,8 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
                 f"missing artifact {path}; run compute first or drop --no-recompute"
             )
         else:
-            profiles.append(thickness_profile(build_graph(n)))
+            # the profile reads only the vertices, so no graph is built
+            profiles.append(_corner_profile(n, _partition_tuples(n)))
     written = export_tables(profiles, out_dir)
     for name in sorted(written):
         click.echo(f"wrote {written[name]}")

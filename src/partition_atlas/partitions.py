@@ -102,10 +102,11 @@ def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
         cur[i] -= 1
         rem = len(cur) - i  # freed units: the trailing ones plus the decrement
         del cur[i + 1 :]
-        while rem > 0:
-            t = min(cur[i], rem)
-            cur.append(t)
-            rem -= t
+        # refill greedily: as many copies of cur[i] as fit, then the remainder
+        q, r = divmod(rem, cur[i])
+        cur += [cur[i]] * q
+        if r:
+            cur.append(r)
 
 
 @lru_cache(maxsize=None)

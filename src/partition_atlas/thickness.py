@@ -70,10 +70,19 @@ def thickness_profile(graph: TransferGraph) -> ThicknessProfile:
     Each value depends on its own partition alone, so the profile is
     identical for any evaluation order; only ``graph.parts`` is read.
     """
-    tau = tuple(map(_corner_thickness, graph.parts))
+    return _corner_profile(graph.n, graph.parts)
+
+
+def _corner_profile(n: int, parts: Sequence[tuple[int, ...]]) -> ThicknessProfile:
+    """:func:`thickness_profile` from the vertices alone, with no graph built.
+
+    ``parts`` are the parts tuples of every partition of ``n``, in
+    canonical order.
+    """
+    tau = tuple(map(_corner_thickness, parts))
     tau_max = max(tau)
     locus = tuple(v for v, t in enumerate(tau) if t == tau_max)
-    return ThicknessProfile(n=graph.n, tau=tau, tau_max=tau_max, max_locus=locus)
+    return ThicknessProfile(n=n, tau=tau, tau_max=tau_max, max_locus=locus)
 
 
 def max_thickness_locus(graph: TransferGraph, profile: ThicknessProfile) -> tuple[Partition, ...]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -82,12 +82,28 @@ def _corner_thickness(parts: tuple[int, ...]) -> int:
     row of value v then gives d(mu) >= d(p). The staircase has d(mu) = k - 1
     for every mu and d(lam) <= k for every lam.
 
-    Counting: taking the box off the last row of part value v gives
-    d(mu) = d(p) - [v occurs once] + [v > 1 and v - 1 is no part].
+    Counting: d(p) is the number of runs of equal parts. Take the box off
+    the last row of a run of value v and length m, followed by the value w
+    (w = 0 after the last run). The run disappears when m = 1, and a new
+    value v - 1 appears unless v = 1 or w = v - 1, so d(mu) = d(p) + gain
+    with gain = [v > 1 and w != v - 1] - [m = 1], and tau(p) is the number
+    of runs plus the largest gain. One pass over the parts reads both.
     """
-    values = set(parts)
-    d = len(values)
-    return max(d - (parts.count(v) == 1) + (v > 1 and v - 1 not in values) for v in values)
+    runs = 0
+    best = -1
+    v = parts[0]
+    m = 0
+    for w in (*parts, 0):
+        if w == v:
+            m += 1
+            continue
+        runs += 1
+        gain = (v > 1 and w != v - 1) - (m == 1)
+        if gain > best:
+            best = gain
+        v = w
+        m = 1
+    return runs + best
 
 
 @dataclass(frozen=True)
@@ -157,10 +173,11 @@ class TransferGraph:
         """
         names = partition_names(self.n)
         for i, row in enumerate(self.adj):
-            left = names[i]
-            chunk = "".join([f"{left}\t{names[j]}\n" for j in row if j > i])
-            if chunk:
-                yield chunk
+            # rows are sorted, so the edges j > i are a suffix of the row
+            k = bisect_right(row, i)
+            if k < len(row):
+                left = names[i] + "\t"
+                yield left + ("\n" + left).join([names[j] for j in row[k:]]) + "\n"
 
     def dump_edges(self) -> str:
         """Edge list, one ``"a<TAB>b"`` line per edge, in canonical order."""
@@ -182,21 +199,32 @@ def build_graph(n: int) -> TransferGraph:
     """
     parts = _partition_tuples(n)
     index = canonical_index(n)
-    rows: list[list[int]] = [[] for _ in parts]
-    for t in parts:
+    rows: list = [[] for _ in parts]
+    # the loop runs over the index's own keys and values, so the rows hold
+    # the index's int objects, not fresh copies of them
+    for t, c in index.items():
         if t[-1] != 1:
             continue
-        clique = [index[c] for c in _upper_covers(t[:-1])]
+        # the covers of mu = t[:-1], as in _upper_covers: one box on each
+        # addable corner, put on and taken off one list in turn
+        mu = list(t[:-1])
+        clique = [c]
+        for j in range(len(mu)):
+            if j == 0 or mu[j - 1] != mu[j]:
+                mu[j] += 1
+                clique.append(index[tuple(mu)])
+                mu[j] -= 1
         for a in clique:
             rows[a] += clique
     # a lies in one clique per lower cover, so its row holds d(a) copies of
-    # a, adjacent once sorted
+    # a, adjacent once sorted. Each row's list gives way to its tuple at
+    # once, so no row is ever held both ways.
     for a, row in enumerate(rows):
         row.sort()
         at = bisect_left(row, a)
         del row[at : at + row.count(a)]
-    adj = tuple(map(tuple, rows))
-    return TransferGraph(n=n, parts=parts, adj=adj, parts_index=index)
+        rows[a] = tuple(row)
+    return TransferGraph(n=n, parts=parts, adj=tuple(rows), parts_index=index)
 
 
 def bfs_distances(graph: TransferGraph, sources: Iterable[int]) -> list[int]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import REFERENCE_RANGE_MAX
-from .atlas import layout, render_atlas
+from .atlas import _cells, render_atlas
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
 from .partitions import Partition, _partition_tuples, parse_partition, partition_count
 from .thickness import (
@@ -423,14 +423,14 @@ def _check_rear_support(run: _Run) -> str:
 
 def _check_layout_symmetry(run: _Run) -> str:
     for n in run.ns:
-        pts = layout(n)
+        cells = _cells(n)
         g = run.graphs[n]
         sigma = g.conjugation_permutation()
-        for i in range(len(g.adj)):
-            mirror = pts[sigma[i]]
-            if (pts[i].x, pts[i].y) != (mirror.y, mirror.x):
+        for i, (x, y, dx, dy) in enumerate(cells):
+            mirror = cells[sigma[i]]
+            if (x, y) != (mirror[1], mirror[0]):
                 raise AssertionError(f"layout transpose fails at n={n}, {g.vertices[i]}")
-            _fail_if(abs(pts[i].dx) >= 0.5 or abs(pts[i].dy) >= 0.5, "offset too large at n={}", n)
+            _fail_if(abs(dx) >= 0.5 or abs(dy) >= 0.5, "offset too large at n={}", n)
     return "conjugation transposes every base cell"
 
 

@@ -1,10 +1,12 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
 
 from partition_atlas import (
+    LayoutPoint,
     Partition,
     antennas,
     boundary_framework,
@@ -18,7 +20,7 @@ from partition_atlas import (
     self_conjugate_axis,
     thickness_profile,
 )
-from partition_atlas.atlas import atlas_chunks
+from partition_atlas.atlas import CELL, EDGE_STYLE, MARGIN, RING_OFFSET, atlas_chunks
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -65,6 +67,53 @@ def test_layout_conjugation_transposes_cells(n):
     for i, p in enumerate(verts):
         mirror = pts[index[p.conjugate().parts]]
         assert (pts[i].x, pts[i].y) == (mirror.y, mirror.x)
+
+
+def _layout_point_by_point(n):
+    # reference: each point's ring offset computed on its own
+    verts = enumerate_partitions(n)
+    cells = {}
+    for i, p in enumerate(verts):
+        cells.setdefault((p.largest, p.length), []).append(i)
+    points = [None] * len(verts)
+    for (x, y), group in cells.items():
+        m = len(group)
+        for k, i in enumerate(group):
+            if m == 1:
+                dx, dy = 0.0, 0.0
+            else:
+                angle = 2.0 * math.pi * k / m
+                dx = round(RING_OFFSET * math.cos(angle), 4)
+                dy = round(RING_OFFSET * math.sin(angle), 4)
+            points[i] = LayoutPoint(x=x, y=y, dx=dx, dy=dy)
+    return tuple(points)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_layout_matches_point_by_point_formula(n):
+    assert layout(n) == _layout_point_by_point(n)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_render_edge_block_matches_per_line_formatting(n):
+    g = build_graph(n)
+    prof = thickness_profile(g)
+    coords = [
+        (f"{MARGIN + (pt.x - 1 + pt.dx) * CELL:.2f}", f"{MARGIN + (pt.y - 1 + pt.dy) * CELL:.2f}")
+        for pt in layout(n)
+    ]
+    lines = [
+        f'<line x1="{coords[i][0]}" y1="{coords[i][1]}" '
+        f'x2="{coords[j][0]}" y2="{coords[j][1]}" {EDGE_STYLE}/>\n'
+        for i, row in enumerate(g.adj)
+        for j in row
+        if j > i
+    ]
+    expected = '<g id="edges">\n' + "".join(lines) + "</g>\n"
+    for mode in ("thickness", "zones"):
+        svg = render_atlas(g, prof, mode)
+        start = svg.index('<g id="edges">')
+        assert svg[start : svg.index("</g>\n", start) + 5] == expected, mode
 
 
 def test_render_thickness_n4():

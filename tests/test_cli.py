@@ -111,6 +111,25 @@ def test_tables_reuses_compute_artifacts(tmp_path):
     assert (out / "first_occurrences.csv").read_text() == "r,n_r\n2,4\n3,7\n"
 
 
+def test_tables_builds_no_graph(tmp_path, monkeypatch):
+    from partition_atlas import transfer_graph
+
+    runner = CliRunner()
+    computed = tmp_path / "computed"
+    assert runner.invoke(main, ["compute", "--n-max", "12", "--out", str(computed)]).exit_code == 0
+    assert runner.invoke(main, ["tables", "--n-max", "12", "--out", str(computed)]).exit_code == 0
+
+    def refuse(n):
+        raise AssertionError(f"tables built the graph for n={n}")
+
+    monkeypatch.setattr(transfer_graph, "build_graph", refuse)
+    fresh = tmp_path / "fresh"
+    result = runner.invoke(main, ["tables", "--n-max", "12", "--out", str(fresh)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    for name in ("first_occurrences.csv", "summary.csv", "max_locus_members.json"):
+        assert (fresh / name).read_bytes() == (computed / name).read_bytes(), name
+
+
 def test_tables_small_ranges(tmp_path):
     runner = CliRunner()
     out = tmp_path / "a"

@@ -48,7 +48,7 @@ def test_enumerate_n4_frozen():
     assert [p.parts for p in enumerate_partitions(4)] == expected
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 26))
 def test_enumerate_matches_recursive_oracle(n):
     assert [p.parts for p in enumerate_partitions(n)] == _all_partitions_recursive(n)
 

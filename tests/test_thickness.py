@@ -190,6 +190,20 @@ def test_corner_thickness_conjugation_invariant(xs):
     assert _corner_thickness(p.parts) == _corner_thickness(p.conjugate().parts)
 
 
+def _corner_thickness_by_values(parts):
+    # reference: the counting rule read value by value over the set of parts,
+    # d(mu) = d(p) - [v occurs once] + [v > 1 and v - 1 is no part]
+    values = set(parts)
+    d = len(values)
+    return max(d - (parts.count(v) == 1) + (v > 1 and v - 1 not in values) for v in values)
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+def test_corner_thickness_matches_value_by_value_rule(n):
+    for p in enumerate_partitions(n):
+        assert _corner_thickness(p.parts) == _corner_thickness_by_values(p.parts), p
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 20])
 def test_partition_names_match_format(n):
     names = partition_names(n)

@@ -1,8 +1,12 @@
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_atlas import Partition, bfs_distances, build_graph, neighbors
+from partition_atlas.partitions import _partition_tuples, canonical_index, format_partition
 
 small_partitions_st = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True)))
@@ -182,6 +186,32 @@ def test_dump_edges_n4():
 
 def test_dump_edges_n1_empty():
     assert build_graph(1).dump_edges() == ""
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_dump_edges_matches_per_edge_lines(n):
+    g = build_graph(n)
+    names = [format_partition(p) for p in g.vertices]
+    lines = [f"{names[i]}\t{names[j]}\n" for i, row in enumerate(g.adj) for j in row if j > i]
+    assert g.dump_edges() == "".join(lines)
+
+
+def test_build_graph_holds_no_transient_copy_of_the_rows():
+    n = 30
+    # enumeration and index warmed, so only the build itself is traced
+    _partition_tuples(n)
+    canonical_index(n)
+    tracemalloc.start()
+    try:
+        g = build_graph(n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = sum(map(sys.getsizeof, g.adj)) + sys.getsizeof(g.adj)
+    # a row's list is gone before the next row's tuple is made
+    assert peak < 1.8 * held, (peak, held)
+    # the rows hold the index's int objects, not fresh copies of them
+    assert held < 1.1 * rows, (held, rows)
 
 
 def test_bfs_distances():
