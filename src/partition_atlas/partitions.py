@@ -80,12 +80,15 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(t) for t in _partition_tuples(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """Parts tuples of every partition of ``n``, in canonical order.
 
     The one enumeration of the package. Vertices stay in this form on
     every hot path, and a ``Partition`` is built only when asked for.
+    Only the latest n is kept, as for :func:`canonical_index` and
+    :func:`partition_names`: every caller works through one n at a time,
+    in order, and a graph holds its own reference to its vertices.
     """
     if n < 1:
         # for n < 1 the loop below never reaches (1^n) and grows without bound
@@ -109,9 +112,13 @@ def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
             cur.append(r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def canonical_index(n: int) -> dict[tuple[int, ...], int]:
-    """Parts tuple -> position in the canonical enumeration. Do not mutate."""
+    """Parts tuple -> position in the canonical enumeration. Do not mutate.
+
+    Only the latest n is kept. Its values are the int objects that graph
+    rows and zone sets share, so each vertex index is allocated once.
+    """
     parts = _partition_tuples(n)
     return dict(zip(parts, range(len(parts))))
 

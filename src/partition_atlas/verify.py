@@ -1,9 +1,11 @@
 """Named verification checks over a computed range of n.
 
 Each check covers one documented property of the pipeline and is one
-entry of :data:`CHECKS`. The runner computes graphs and profiles once for
-the requested range and evaluates every check against them, reporting one
-result per check.
+entry of :data:`CHECKS`. The runner walks the requested range one n at a
+time: it builds that n's graph, profile, framework and zones once,
+evaluates every check against them, and drops them before the next n, so
+memory follows the largest n of the range rather than the whole range.
+It reports one result per check.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import filecmp
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
 from . import REFERENCE_RANGE_MAX
-from .atlas import _cells, render_atlas
+from .atlas import _cells, atlas_chunks
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
 from .partitions import Partition, _partition_tuples, parse_partition, partition_count
 from .thickness import (
@@ -54,19 +57,38 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class _Run:
-    """Everything the checks read, computed once for ``n_min..n_max``.
+class _Range:
+    """What the checks know of the whole range ``n_min..n_max``.
 
-    ``zones[n][r]`` is the decomposition of order r, for r = 1..tau_max.
+    ``profiles`` holds the profile of every n checked so far, in order;
+    the first-occurrence table is read off them at ``n_max``.
     """
 
     n_min: int
     n_max: int
-    ns: range
-    graphs: dict[int, TransferGraph]
-    profiles: dict[int, ThicknessProfile]
-    frameworks: dict[int, FrameworkSet]
-    zones: dict[int, dict[int, ZoneDecomposition]]
+    profiles: list[ThicknessProfile]
+
+
+@dataclass(frozen=True)
+class _Bundle:
+    """Everything the checks read of one n, built once and dropped after it.
+
+    ``zones[r]`` is the decomposition of order r, for r = 1..tau_max.
+    """
+
+    n: int
+    graph: TransferGraph
+    profile: ThicknessProfile
+    framework: FrameworkSet
+    zones: dict[int, ZoneDecomposition]
+
+
+def _bundle(n: int) -> _Bundle:
+    graph = build_graph(n)
+    profile = thickness_profile(graph)
+    framework = boundary_framework(n)
+    zones = {r: decompose(graph, framework, profile, r) for r in range(1, profile.tau_max + 1)}
+    return _Bundle(n, graph, profile, framework, zones)
 
 
 def profile_conjugation_ok(graph: TransferGraph, profile: ThicknessProfile) -> bool:
@@ -98,269 +120,250 @@ def _fail_if(condition: bool, message: str, *args: object) -> None:
 def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
     """Evaluate every check of :data:`CHECKS` for the range ``n_min..n_max``.
 
-    The two golden-table checks need profiles from n=1 upward, so they
-    are left out, rather than passed vacuously, when ``n_min`` is above 1.
+    Each check is called once per n, in increasing order, with that n's
+    bundle, until it raises; the detail it returns at ``n_max`` is its
+    verdict, and ``None`` there leaves it out of the report. The two
+    golden-table checks need profiles from n=1 upward, so they are left
+    out, rather than passed vacuously, when ``n_min`` is above 1.
     """
     if not (1 <= n_min <= n_max):
         raise ValueError(f"invalid range {n_min}..{n_max}")
 
-    ns = range(n_min, n_max + 1)
-    graphs = {n: build_graph(n) for n in ns}
-    profiles = {n: thickness_profile(graphs[n]) for n in ns}
-    frameworks = {n: boundary_framework(n) for n in ns}
-    zones = {
-        n: {
-            r: decompose(graphs[n], frameworks[n], profiles[n], r)
-            for r in range(1, profiles[n].tau_max + 1)
-        }
-        for n in ns
-    }
-    run = _Run(n_min, n_max, ns, graphs, profiles, frameworks, zones)
+    run = _Range(n_min, n_max, [])
+    details: dict[str, str | None] = {}
+    failures: dict[str, str] = {}
+    seconds = dict.fromkeys((name for name, _ in CHECKS), 0.0)
+    for n in range(n_min, n_max + 1):
+        b = _bundle(n)
+        run.profiles.append(b.profile)
+        for name, check in CHECKS:
+            if name in failures:
+                continue
+            start = time.perf_counter()
+            try:
+                details[name] = check(run, b)
+            except Exception as exc:  # a crash is a failed check, not a crash of verify
+                failures[name] = f"raised {type(exc).__name__}: {exc}"
+            seconds[name] += time.perf_counter() - start
+        # dropped here, not when the name is rebound, so no two bundles coexist
+        del b
 
     results: list[CheckResult] = []
-    for name, check in CHECKS:
-        start = time.perf_counter()
-        try:
-            ok, detail = True, check(run)
-        except Exception as exc:  # a crash is a failed check, not a crash of verify
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        seconds = time.perf_counter() - start
-        if detail is not None:
-            results.append(CheckResult(name, ok, detail, seconds))
+    for name, _ in CHECKS:
+        if name in failures:
+            results.append(CheckResult(name, False, failures[name], seconds[name]))
+        elif details[name] is not None:
+            results.append(CheckResult(name, True, details[name], seconds[name]))
     return results
 
 
-def _check_partition_counts(run: _Run) -> str:
-    for n in run.ns:
-        size = len(_partition_tuples(n))
-        _fail_if(size != partition_count(n), "enumeration size mismatch at n={}", n)
+def _check_partition_counts(run: _Range, b: _Bundle) -> str:
+    size = len(_partition_tuples(b.n))
+    _fail_if(size != partition_count(b.n), "enumeration size mismatch at n={}", b.n)
     return f"p(n) agrees with the recurrence for n={run.n_min}..{run.n_max}"
 
 
-def _check_enumeration_order(run: _Run) -> str:
-    for n in run.ns:
-        parts = _partition_tuples(n)
-        _fail_if(parts[0] != (n,), "first vertex at n={}", n)
-        _fail_if(parts[-1] != (1,) * n, "last vertex at n={}", n)
-        for a, b in zip(parts, parts[1:]):
-            if a <= b:
-                order = f"{Partition(a)} before {Partition(b)}"
-                raise AssertionError(f"order violation at n={n}: {order}")
+def _check_enumeration_order(run: _Range, b: _Bundle) -> str:
+    n = b.n
+    parts = _partition_tuples(n)
+    _fail_if(parts[0] != (n,), "first vertex at n={}", n)
+    _fail_if(parts[-1] != (1,) * n, "last vertex at n={}", n)
+    for x, y in zip(parts, parts[1:]):
+        if x <= y:
+            order = f"{Partition(x)} before {Partition(y)}"
+            raise AssertionError(f"order violation at n={n}: {order}")
     return "reverse-lexicographic, extremes at the ends"
 
 
-def _check_conjugation_involution(run: _Run) -> str:
-    for n in run.ns:
-        g = run.graphs[n]
-        sigma = g.conjugation_permutation()
-        # vertices are read only to name a failure, so no Partition is built per vertex
-        for i, t in enumerate(g.parts):
-            if sigma[sigma[i]] != i:
-                raise AssertionError(f"involution fails at {g.vertices[i]}")
-            if len(g.parts[sigma[i]]) != t[0]:
-                raise AssertionError(f"largest/length swap fails at {g.vertices[i]}")
+def _check_conjugation_involution(run: _Range, b: _Bundle) -> str:
+    g = b.graph
+    sigma = g.conjugation_permutation()
+    # vertices are read only to name a failure, so no Partition is built per vertex
+    for i, t in enumerate(g.parts):
+        if sigma[sigma[i]] != i:
+            raise AssertionError(f"involution fails at {g.vertices[i]}")
+        if len(g.parts[sigma[i]]) != t[0]:
+            raise AssertionError(f"largest/length swap fails at {g.vertices[i]}")
     return "involution and largest/length swap hold"
 
 
-def _check_adjacency_shape(run: _Run) -> str:
-    for n in run.ns:
-        g = run.graphs[n]
-        # back[i] lists, in increasing order, every j with i in adj[j]; an
-        # edge i -> j is symmetric exactly when j is in back[i], so no row is
-        # searched per edge, and a sorted symmetric row equals its back list
-        back: list[list[int]] = [[] for _ in g.adj]
-        for j, row in enumerate(g.adj):
-            for i in row:
-                back[i].append(j)
-        for i, row in enumerate(g.adj):
-            _fail_if(i in row, "self-loop at n={}", n)
-            _fail_if(len(set(row)) != len(row), "duplicate neighbor at n={}", n)
-            if tuple(back[i]) != row:
-                stray = set(row).difference(back[i])
-                for j in row:
-                    _fail_if(j in stray, "asymmetric edge {}/{} at n={}", i, j, n)
-        _fail_if(sum(len(r) for r in g.adj) != 2 * g.edge_count, "degree sum at n={}", n)
+def _check_adjacency_shape(run: _Range, b: _Bundle) -> str:
+    n = b.n
+    g = b.graph
+    # back[i] lists, in increasing order, every j with i in adj[j]; an
+    # edge i -> j is symmetric exactly when j is in back[i], so no row is
+    # searched per edge, and a sorted symmetric row equals its back list
+    back: list[list[int]] = [[] for _ in g.adj]
+    for j, row in enumerate(g.adj):
+        for i in row:
+            back[i].append(j)
+    for i, row in enumerate(g.adj):
+        _fail_if(i in row, "self-loop at n={}", n)
+        _fail_if(len(set(row)) != len(row), "duplicate neighbor at n={}", n)
+        if tuple(back[i]) != row:
+            stray = set(row).difference(back[i])
+            for j in row:
+                _fail_if(j in stray, "asymmetric edge {}/{} at n={}", i, j, n)
+    _fail_if(sum(len(r) for r in g.adj) != 2 * g.edge_count, "degree sum at n={}", n)
     return "symmetric, irreflexive, duplicate-free"
 
 
-def _check_connectivity(run: _Run) -> str:
-    for n in run.ns:
-        _fail_if(not run.graphs[n].is_connected(), "G_{} disconnected", n)
+def _check_connectivity(run: _Range, b: _Bundle) -> str:
+    _fail_if(not b.graph.is_connected(), "G_{} disconnected", b.n)
     return f"G_n connected for n={run.n_min}..{run.n_max}"
 
 
-def _check_conjugation_automorphism(run: _Run) -> str:
-    for n in run.ns:
-        g = run.graphs[n]
-        sigma = g.conjugation_permutation()
-        for i, row in enumerate(g.adj):
-            image = tuple(sorted(sigma[j] for j in row))
-            _fail_if(image != g.adj[sigma[i]], "automorphism fails at n={}, vertex {}", n, i)
+def _check_conjugation_automorphism(run: _Range, b: _Bundle) -> str:
+    g = b.graph
+    sigma = g.conjugation_permutation()
+    for i, row in enumerate(g.adj):
+        image = tuple(sorted(sigma[j] for j in row))
+        _fail_if(image != g.adj[sigma[i]], "automorphism fails at n={}, vertex {}", b.n, i)
     return f"every vertex for n={run.n_min}..{run.n_max}"
 
 
-def _check_left_boundary_path(run: _Run) -> str:
-    for n in run.ns:
-        g = run.graphs[n]
-        fw = run.frameworks[n]
-        for a, b in zip(fw.left_edge, fw.left_edge[1:]):
-            broken = g.index_of(b) not in g.adj[g.index_of(a)]
-            _fail_if(broken, "left boundary break at n={}: {} / {}", n, a, b)
+def _check_left_boundary_path(run: _Range, b: _Bundle) -> str:
+    g = b.graph
+    for x, y in zip(b.framework.left_edge, b.framework.left_edge[1:]):
+        broken = g.index_of(y) not in g.adj[g.index_of(x)]
+        _fail_if(broken, "left boundary break at n={}: {} / {}", b.n, x, y)
     return "consecutive two-part partitions are adjacent"
 
 
-def _check_antennas(run: _Run) -> str:
-    for n in run.ns:
-        if n < 2:
-            continue
-        g = run.graphs[n]
-        prof = run.profiles[n]
-        for p in run.frameworks[n].antennas:
-            _fail_if(g.degree(p) != 1, "degree at n={}, {}", n, p)
-            _fail_if(prof.tau[g.index_of(p)] != 1, "thickness at n={}, {}", n, p)
+def _check_antennas(run: _Range, b: _Bundle) -> str:
+    if b.n >= 2:
+        g = b.graph
+        for p in b.framework.antennas:
+            _fail_if(g.degree(p) != 1, "degree at n={}, {}", b.n, p)
+            _fail_if(b.profile.tau[g.index_of(p)] != 1, "thickness at n={}, {}", b.n, p)
     return "degree 1 and thickness 1 at both extremes"
 
 
-def _check_framework_shape(run: _Run) -> str:
-    for n in run.ns:
-        g = run.graphs[n]
-        fw = run.frameworks[n]
-        for p in fw.antennas:
-            _fail_if(g.index_of(p) not in fw.all_indices, "antenna missing at n={}", n)
-        closed = set_conjugation_invariant(g, fw.all_indices)
-        _fail_if(not closed, "framework not conjugation-invariant at n={}", n)
-        for a, b in zip(fw.main_chain, fw.main_chain[1:]):
-            _fail_if(g.index_of(b) not in g.adj[g.index_of(a)], "main chain break at n={}", n)
-        if n >= 2:
-            pieces = len(induced_components(g, fw.all_indices))
-            _fail_if(pieces != 1, "induced framework subgraph disconnected at n={}", n)
+def _check_framework_shape(run: _Range, b: _Bundle) -> str:
+    n = b.n
+    g = b.graph
+    fw = b.framework
+    for p in fw.antennas:
+        _fail_if(g.index_of(p) not in fw.all_indices, "antenna missing at n={}", n)
+    closed = set_conjugation_invariant(g, fw.all_indices)
+    _fail_if(not closed, "framework not conjugation-invariant at n={}", n)
+    for x, y in zip(fw.main_chain, fw.main_chain[1:]):
+        _fail_if(g.index_of(y) not in g.adj[g.index_of(x)], "main chain break at n={}", n)
+    if n >= 2:
+        pieces = len(induced_components(g, fw.all_indices))
+        _fail_if(pieces != 1, "induced framework subgraph disconnected at n={}", n)
     return "contains antennas, closed under conjugation, induced-connected"
 
 
-def _check_axis_count(run: _Run) -> str:
-    for n in run.ns:
-        axis = self_conjugate_axis(n)
-        _fail_if(len(axis.members) != _distinct_odd_part_count(n), "axis size mismatch at n={}", n)
+def _check_axis_count(run: _Range, b: _Bundle) -> str:
+    n = b.n
+    axis = self_conjugate_axis(n)
+    _fail_if(len(axis.members) != _distinct_odd_part_count(n), "axis size mismatch at n={}", n)
     return "axis size equals the distinct-odd-parts count"
 
 
-def _check_tau_conjugation(run: _Run) -> str:
-    for n in run.ns:
-        closed = profile_conjugation_ok(run.graphs[n], run.profiles[n])
-        _fail_if(not closed, "thickness not conjugation-invariant at n={}", n)
+def _check_tau_conjugation(run: _Range, b: _Bundle) -> str:
+    closed = profile_conjugation_ok(b.graph, b.profile)
+    _fail_if(not closed, "thickness not conjugation-invariant at n={}", b.n)
     return f"every vertex for n={run.n_min}..{run.n_max}"
 
 
-def _check_clique_search(run: _Run) -> str:
-    for n in run.ns:
-        g = run.graphs[n]
-        tau = run.profiles[n].tau
-        searched = clique_search_profile(g)
-        if searched != tau:
-            i = next(i for i, t in enumerate(searched) if t != tau[i])
-            raise AssertionError(f"clique search disagrees at n={n}, {g.vertices[i]}")
+def _check_clique_search(run: _Range, b: _Bundle) -> str:
+    tau = b.profile.tau
+    searched = clique_search_profile(b.graph)
+    if searched != tau:
+        i = next(i for i, t in enumerate(searched) if t != tau[i])
+        raise AssertionError(f"clique search disagrees at n={b.n}, {b.graph.vertices[i]}")
     return f"every vertex for n={run.n_min}..{run.n_max}"
 
 
-def _check_oracle_equivalence(run: _Run) -> str:
-    checked = [n for n in run.ns if n <= ORACLE_RANGE_MAX]
-    for n in checked:
-        g = run.graphs[n]
-        prof = run.profiles[n]
+def _check_oracle_equivalence(run: _Range, b: _Bundle) -> str:
+    if b.n <= ORACLE_RANGE_MAX:
+        g = b.graph
         for i, p in enumerate(g.vertices):
             tau = brute_force_local_dimension(g, p)
-            _fail_if(tau != prof.tau[i], "oracle disagrees at n={}, {}", n, p)
-    if not checked:
+            _fail_if(tau != b.profile.tau[i], "oracle disagrees at n={}, {}", b.n, p)
+    if run.n_min > ORACLE_RANGE_MAX:
         return f"no n <= {ORACLE_RANGE_MAX} in range"
-    return f"exhaustive agreement for n={checked[0]}..{checked[-1]}"
+    return f"exhaustive agreement for n={run.n_min}..{min(run.n_max, ORACLE_RANGE_MAX)}"
 
 
-def _check_tau_bounds(run: _Run) -> str:
-    for n in run.ns:
-        g = run.graphs[n]
-        prof = run.profiles[n]
-        for i, row in enumerate(g.adj):
-            _fail_if(prof.tau[i] > len(row), "thickness exceeds degree at n={}", n)
-        if n >= 2:
-            _fail_if(min(prof.tau) < 1, "thickness 0 on a non-isolated vertex at n={}", n)
+def _check_tau_bounds(run: _Range, b: _Bundle) -> str:
+    tau = b.profile.tau
+    for i, row in enumerate(b.graph.adj):
+        _fail_if(tau[i] > len(row), "thickness exceeds degree at n={}", b.n)
+    if b.n >= 2:
+        _fail_if(min(tau) < 1, "thickness 0 on a non-isolated vertex at n={}", b.n)
     return "degree bound and minimum thickness hold"
 
 
-def _check_max_locus(run: _Run) -> str:
-    for n in run.ns:
-        g = run.graphs[n]
-        prof = run.profiles[n]
-        _fail_if(not prof.max_locus, "empty max locus at n={}", n)
-        closed = set_conjugation_invariant(g, frozenset(prof.max_locus))
-        _fail_if(not closed, "max locus not conjugation-invariant at n={}", n)
-        if prof.tau_max >= 2:
-            antenna_idxs = {g.index_of(p) for p in run.frameworks[n].antennas}
-            inside = bool(antenna_idxs & set(prof.max_locus))
-            _fail_if(inside, "antenna inside max locus at n={}", n)
+def _check_max_locus(run: _Range, b: _Bundle) -> str:
+    n = b.n
+    g = b.graph
+    prof = b.profile
+    _fail_if(not prof.max_locus, "empty max locus at n={}", n)
+    closed = set_conjugation_invariant(g, frozenset(prof.max_locus))
+    _fail_if(not closed, "max locus not conjugation-invariant at n={}", n)
+    if prof.tau_max >= 2:
+        antenna_idxs = {g.index_of(p) for p in b.framework.antennas}
+        inside = bool(antenna_idxs & set(prof.max_locus))
+        _fail_if(inside, "antenna inside max locus at n={}", n)
     return "nonempty, conjugation-invariant, antenna-free above thickness 1"
 
 
-def _check_zone_partition(run: _Run) -> str:
-    for n in run.ns:
-        for r, dec in run.zones[n].items():
-            _fail_if(dec.shell | dec.core != dec.threshold, "shell/core at n={}, r={}", n, r)
-            _fail_if(bool(dec.shell & dec.core), "shell meets core at n={}, r={}", n, r)
-            union = frozenset().union(*(c.vertices for c in dec.components))
-            _fail_if(union != dec.threshold, "components at n={}, r={}", n, r)
+def _check_zone_partition(run: _Range, b: _Bundle) -> str:
+    for r, dec in b.zones.items():
+        _fail_if(dec.shell | dec.core != dec.threshold, "shell/core at n={}, r={}", b.n, r)
+        _fail_if(bool(dec.shell & dec.core), "shell meets core at n={}, r={}", b.n, r)
+        union = frozenset().union(*(c.vertices for c in dec.components))
+        _fail_if(union != dec.threshold, "components at n={}, r={}", b.n, r)
     return "shell and core split every zone exactly"
 
 
-def _check_zone_nesting(run: _Run) -> str:
-    for n in run.ns:
-        prof = run.profiles[n]
-        decs = run.zones[n]
-        for r in range(1, prof.tau_max):
-            nested = decs[r + 1].threshold <= decs[r].threshold
-            _fail_if(not nested, "zone nesting at n={}, r={}", n, r)
-            _fail_if(not decs[r + 1].shell <= decs[r].shell, "shell nesting at n={}, r={}", n, r)
-        for r in range(3, prof.tau_max + 1):
-            inside = decs[r].threshold <= decs[2].threshold
-            _fail_if(not inside, "higher zone outside triangular at n={}, r={}", n, r)
+def _check_zone_nesting(run: _Range, b: _Bundle) -> str:
+    decs = b.zones
+    for r in range(1, b.profile.tau_max):
+        nested = decs[r + 1].threshold <= decs[r].threshold
+        _fail_if(not nested, "zone nesting at n={}, r={}", b.n, r)
+        _fail_if(not decs[r + 1].shell <= decs[r].shell, "shell nesting at n={}, r={}", b.n, r)
+    for r in range(3, b.profile.tau_max + 1):
+        inside = decs[r].threshold <= decs[2].threshold
+        _fail_if(not inside, "higher zone outside triangular at n={}, r={}", b.n, r)
     return "zones and shells are nested, higher orders stay triangular"
 
 
-def _check_first_shell_trivial(run: _Run) -> str:
-    for n in run.ns:
-        if n < 2:
-            continue
-        dec = run.zones[n][1]
-        _fail_if(len(dec.shell) != len(run.graphs[n].adj), "order-1 shell at n={}", n)
-        _fail_if(bool(dec.core), "order-1 core at n={}", n)
+def _check_first_shell_trivial(run: _Range, b: _Bundle) -> str:
+    if b.n >= 2:
+        dec = b.zones[1]
+        _fail_if(len(dec.shell) != len(b.graph.adj), "order-1 shell at n={}", b.n)
+        _fail_if(bool(dec.core), "order-1 core at n={}", b.n)
     return "order-1 shell is everything, its core empty"
 
 
-def _check_zone_conjugation(run: _Run) -> str:
-    for n in run.ns:
-        g = run.graphs[n]
-        for r, dec in run.zones[n].items():
-            for label, vs in (
-                ("threshold", dec.threshold),
-                ("exact", dec.exact),
-                ("shell", dec.shell),
-                ("core", dec.core),
-            ):
-                closed = set_conjugation_invariant(g, vs)
-                _fail_if(not closed, "{} not conjugation-invariant at n={}, r={}", label, n, r)
+def _check_zone_conjugation(run: _Range, b: _Bundle) -> str:
+    for r, dec in b.zones.items():
+        for label, vs in (
+            ("threshold", dec.threshold),
+            ("exact", dec.exact),
+            ("shell", dec.shell),
+            ("core", dec.core),
+        ):
+            closed = set_conjugation_invariant(b.graph, vs)
+            _fail_if(not closed, "{} not conjugation-invariant at n={}, r={}", label, b.n, r)
     return f"zones, shells and cores invariant for n={run.n_min}..{run.n_max}"
 
 
-def _check_antenna_exclusion(run: _Run) -> str:
-    for n in run.ns:
-        if n < 2:
-            continue
-        g = run.graphs[n]
-        antenna_idxs = {g.index_of(p) for p in run.frameworks[n].antennas}
-        zone2 = threshold_zone(run.profiles[n], 2)
+def _check_antenna_exclusion(run: _Range, b: _Bundle) -> str:
+    n = b.n
+    if n >= 2:
+        g = b.graph
+        antenna_idxs = {g.index_of(p) for p in b.framework.antennas}
+        zone2 = threshold_zone(b.profile, 2)
         _fail_if(bool(antenna_idxs & zone2), "antenna in the triangular regime at n={}", n)
-        if 2 in run.zones[n]:
-            for comp in run.zones[n][2].components:
+        if 2 in b.zones:
+            for comp in b.zones[2].components:
                 if comp.boundary_attached:
-                    touch = comp.vertices & run.frameworks[n].all_indices
+                    touch = comp.vertices & b.framework.all_indices
                     _fail_if(
                         not (touch - antenna_idxs),
                         "order-2 component only meets the framework at an antenna, n={}",
@@ -369,10 +372,11 @@ def _check_antenna_exclusion(run: _Run) -> str:
     return "antennas stay outside the triangular regime"
 
 
-def _check_first_occurrence_table(run: _Run) -> str | None:
-    if run.n_min > 1:
+def _check_first_occurrence_table(run: _Range, b: _Bundle) -> str | None:
+    # a range-level fact: the table is read once every profile is in
+    if run.n_min > 1 or b.n < run.n_max:
         return None
-    table = first_occurrences([run.profiles[n] for n in run.ns])
+    table = first_occurrences(run.profiles)
     known = {r: v for r, v in table.entries.items() if v <= REFERENCE_RANGE_MAX}
     new = {r: v for r, v in table.entries.items() if v > REFERENCE_RANGE_MAX}
     expected = {r: v for r, v in EXPECTED_FIRST_OCCURRENCES.items() if v <= run.n_max}
@@ -390,84 +394,80 @@ def _check_first_occurrence_table(run: _Run) -> str | None:
     return detail
 
 
-def _check_max_locus_table(run: _Run) -> str | None:
+def _check_max_locus_table(run: _Range, b: _Bundle) -> str | None:
     if run.n_min > 1:
         return None
-    matched = []
-    for n, (tau_max, size, reps) in EXPECTED_MAX_LOCUS.items():
-        if n > run.n_max:
-            continue
-        g = run.graphs[n]
-        prof = run.profiles[n]
-        _fail_if(prof.tau_max != tau_max, "tau_max at n={}", n)
-        _fail_if(len(prof.max_locus) != size, "locus size at n={}", n)
-        locus = set(max_thickness_locus(g, prof))
+    golden = EXPECTED_MAX_LOCUS.get(b.n)
+    if golden is not None:
+        tau_max, size, reps = golden
+        prof = b.profile
+        _fail_if(prof.tau_max != tau_max, "tau_max at n={}", b.n)
+        _fail_if(len(prof.max_locus) != size, "locus size at n={}", b.n)
+        locus = set(max_thickness_locus(b.graph, prof))
         for text in reps:
-            _fail_if(parse_partition(text) not in locus, "{} missing at n={}", text, n)
-        matched.append(n)
+            _fail_if(parse_partition(text) not in locus, "{} missing at n={}", text, b.n)
+    matched = [n for n in EXPECTED_MAX_LOCUS if n <= run.n_max]
     return f"matched at n in {matched}" if matched else "no transition n in range"
 
 
-def _check_rear_support(run: _Run) -> str:
-    checked = []
-    for n in run.ns:
-        if n < 7:
-            continue
-        g = run.graphs[n]
-        dist = bfs_distances(g, [g.index_of(p) for p in run.frameworks[n].antennas])
-        nearest = min(dist[i] for i in run.profiles[n].max_locus)
-        _fail_if(nearest < 2, "max locus within distance 1 of an antenna at n={}", n)
-        checked.append(n)
+def _check_rear_support(run: _Range, b: _Bundle) -> str:
+    if b.n >= 7:
+        g = b.graph
+        dist = bfs_distances(g, [g.index_of(p) for p in b.framework.antennas])
+        nearest = min(dist[i] for i in b.profile.max_locus)
+        _fail_if(nearest < 2, "max locus within distance 1 of an antenna at n={}", b.n)
+    checked = list(range(max(7, run.n_min), run.n_max + 1))
     return f"antenna distance >= 2 for n in {checked}" if checked else "no n >= 7 in range"
 
 
-def _check_layout_symmetry(run: _Run) -> str:
-    for n in run.ns:
-        cells = _cells(n)
-        g = run.graphs[n]
-        sigma = g.conjugation_permutation()
-        for i, (x, y, dx, dy) in enumerate(cells):
-            mirror = cells[sigma[i]]
-            if (x, y) != (mirror[1], mirror[0]):
-                raise AssertionError(f"layout transpose fails at n={n}, {g.vertices[i]}")
-            _fail_if(abs(dx) >= 0.5 or abs(dy) >= 0.5, "offset too large at n={}", n)
+def _check_layout_symmetry(run: _Range, b: _Bundle) -> str:
+    cells = _cells(b.n)
+    g = b.graph
+    sigma = g.conjugation_permutation()
+    for i, (x, y, dx, dy) in enumerate(cells):
+        mirror = cells[sigma[i]]
+        if (x, y) != (mirror[1], mirror[0]):
+            raise AssertionError(f"layout transpose fails at n={b.n}, {g.vertices[i]}")
+        _fail_if(abs(dx) >= 0.5 or abs(dy) >= 0.5, "offset too large at n={}", b.n)
     return "conjugation transposes every base cell"
 
 
-def _check_render_determinism(run: _Run) -> str:
+def _check_render_determinism(run: _Range, b: _Bundle) -> str:
     n = max(run.n_min, min(7, run.n_max))
-    g = run.graphs[n]
-    prof = run.profiles[n]
-    locus = max_thickness_locus(g, prof)
-    for mode in ("thickness", "zones"):
-        first = render_atlas(g, prof, mode, highlight=locus)
-        second = render_atlas(g, prof, mode, highlight=locus)
-        _fail_if(first != second, "render differs in {} mode", mode)
+    if b.n == n:
+        locus = max_thickness_locus(b.graph, b.profile)
+        for mode in ("thickness", "zones"):
+            # two streams, compared chunk by chunk, so neither drawing is held whole
+            first = atlas_chunks(b.graph, b.profile, mode, highlight=locus)
+            second = atlas_chunks(b.graph, b.profile, mode, highlight=locus)
+            same = all(x == y for x, y in zip_longest(first, second))
+            _fail_if(not same, "render differs in {} mode", mode)
     return f"byte-identical repeated renders at n={n}"
 
 
-def _check_compute_idempotence(run: _Run) -> str:
-    # imported when the check runs, so a patched pipeline function is the one called
-    from .pipeline import compute_artifacts_for_n
-
+def _check_compute_idempotence(run: _Range, b: _Bundle) -> str:
     top = max(run.n_min, min(5, run.n_max))
-    with tempfile.TemporaryDirectory() as tmp:
-        first = Path(tmp) / "a"
-        second = Path(tmp) / "b"
-        for n in range(run.n_min, top + 1):
-            compute_artifacts_for_n(n, first)
-            compute_artifacts_for_n(n, second)
-        names = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
-        other = sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
-        _fail_if(names != other, "artifact sets differ")
-        for rel in names:
-            same = filecmp.cmp(first / rel, second / rel, shallow=False)
-            _fail_if(not same, "artifact {} differs between runs", rel)
+    if b.n == top:
+        # imported when the check runs, so a patched pipeline function is the one called
+        from .pipeline import compute_artifacts_for_n
+
+        with tempfile.TemporaryDirectory() as tmp:
+            first = Path(tmp) / "a"
+            second = Path(tmp) / "b"
+            for n in range(run.n_min, top + 1):
+                compute_artifacts_for_n(n, first)
+                compute_artifacts_for_n(n, second)
+            names = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+            other = sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+            _fail_if(names != other, "artifact sets differ")
+            for rel in names:
+                same = filecmp.cmp(first / rel, second / rel, shallow=False)
+                _fail_if(not same, "artifact {} differs between runs", rel)
     return f"identical artifacts for n={run.n_min}..{top}"
 
 
 # every check, in report order; the acceptance suite reads results by name
-CHECKS: tuple[tuple[str, Callable[[_Run], str | None]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str | None]], ...] = (
     ("partition counts match independent recurrence", _check_partition_counts),
     ("canonical enumeration order", _check_enumeration_order),
     ("conjugation is an involution", _check_conjugation_involution),

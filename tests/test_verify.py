@@ -1,9 +1,12 @@
 import dataclasses
 import re
+import tracemalloc
 
 import pytest
 
 from partition_atlas import Partition, build_graph, pipeline, thickness_profile, verify
+from partition_atlas.cli import main
+from partition_atlas.partitions import _partition_tuples, canonical_index
 
 
 def _first_occurrence_result(n_max):
@@ -162,3 +165,113 @@ def test_results_carry_check_seconds():
     results = verify.run_checks(1, 4)
     assert all(r.seconds >= 0 for r in results)
     assert sum(r.seconds for r in results) > 0
+
+
+def _traced(make):
+    """``make()``, with the bytes it leaves held and its traced peak."""
+    tracemalloc.start()
+    try:
+        value = make()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held, peak
+
+
+def test_run_checks_holds_one_n_at_a_time():
+    n = 24
+    # enumeration and index warmed, so the bundle is what one n adds
+    _partition_tuples(n)
+    canonical_index(n)
+    _, bundle, _ = _traced(lambda: verify._bundle(n))
+    results, _, peak = _traced(lambda: verify.run_checks(1, n))
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+    # a runner that holds every n of the range reads 4.6 bundles here
+    assert peak < 2 * bundle, (peak, bundle)
+
+
+def test_run_checks_builds_each_graph_once_in_order(monkeypatch):
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return build_graph(n)
+
+    monkeypatch.setattr(verify, "build_graph", counted)
+    results = verify.run_checks(1, 30)
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+    assert built == list(range(1, 31))
+    # only the latest enumeration survives the run
+    for cached in (_partition_tuples, canonical_index):
+        info = cached.cache_info()
+        assert info.currsize == 1, cached
+        cached(30)
+        assert cached.cache_info().hits == info.hits + 1, cached
+
+
+# the report's exact text; how the runner walks the range must not move a byte
+VERIFY_12_STDOUT = """\
+[PASS] partition counts match independent recurrence: p(n) agrees with the recurrence for n=1..12
+[PASS] canonical enumeration order: reverse-lexicographic, extremes at the ends
+[PASS] conjugation is an involution: involution and largest/length swap hold
+[PASS] adjacency structure: symmetric, irreflexive, duplicate-free
+[PASS] graph connectivity: G_n connected for n=1..12
+[PASS] conjugation is a graph automorphism: every vertex for n=1..12
+[PASS] left boundary edge is a path: consecutive two-part partitions are adjacent
+[PASS] antenna rigidity: degree 1 and thickness 1 at both extremes
+[PASS] boundary framework shape: contains antennas, closed under conjugation, induced-connected
+[PASS] self-conjugate axis size: axis size equals the distinct-odd-parts count
+[PASS] thickness conjugation invariance: every vertex for n=1..12
+[PASS] clique search matches the corner formula: every vertex for n=1..12
+[PASS] corner formula matches enumeration oracle: exhaustive agreement for n=1..12
+[PASS] thickness bounds: degree bound and minimum thickness hold
+[PASS] maximal-thickness locus: nonempty, conjugation-invariant, antenna-free above thickness 1
+[PASS] zone decomposition partitions: shell and core split every zone exactly
+[PASS] zone and shell nesting: zones and shells are nested, higher orders stay triangular
+[PASS] first shell order is trivial: order-1 shell is everything, its core empty
+[PASS] zone conjugation invariance: zones, shells and cores invariant for n=1..12
+[PASS] antenna exclusion from thick zones: antennas stay outside the triangular regime
+[PASS] first-occurrence table matches expected values: {2: 4, 3: 7, 4: 11}
+[PASS] maximal-thickness table matches expected values: matched at n in [7, 11]
+[PASS] maximal loci keep away from the antennas: antenna distance >= 2 for n in [7, 8, 9, 10, 11, 12]
+[PASS] layout conjugation symmetry: conjugation transposes every base cell
+[PASS] rendering determinism: byte-identical repeated renders at n=7
+[PASS] artifact generation idempotence: identical artifacts for n=1..5
+26/26 checks passed
+"""
+
+RUN_CHECKS_21_22 = [
+    ('partition counts match independent recurrence', True, 'p(n) agrees with the recurrence for n=21..22'),
+    ('canonical enumeration order', True, 'reverse-lexicographic, extremes at the ends'),
+    ('conjugation is an involution', True, 'involution and largest/length swap hold'),
+    ('adjacency structure', True, 'symmetric, irreflexive, duplicate-free'),
+    ('graph connectivity', True, 'G_n connected for n=21..22'),
+    ('conjugation is a graph automorphism', True, 'every vertex for n=21..22'),
+    ('left boundary edge is a path', True, 'consecutive two-part partitions are adjacent'),
+    ('antenna rigidity', True, 'degree 1 and thickness 1 at both extremes'),
+    ('boundary framework shape', True, 'contains antennas, closed under conjugation, induced-connected'),
+    ('self-conjugate axis size', True, 'axis size equals the distinct-odd-parts count'),
+    ('thickness conjugation invariance', True, 'every vertex for n=21..22'),
+    ('clique search matches the corner formula', True, 'every vertex for n=21..22'),
+    ('corner formula matches enumeration oracle', True, 'no n <= 12 in range'),
+    ('thickness bounds', True, 'degree bound and minimum thickness hold'),
+    ('maximal-thickness locus', True, 'nonempty, conjugation-invariant, antenna-free above thickness 1'),
+    ('zone decomposition partitions', True, 'shell and core split every zone exactly'),
+    ('zone and shell nesting', True, 'zones and shells are nested, higher orders stay triangular'),
+    ('first shell order is trivial', True, 'order-1 shell is everything, its core empty'),
+    ('zone conjugation invariance', True, 'zones, shells and cores invariant for n=21..22'),
+    ('antenna exclusion from thick zones', True, 'antennas stay outside the triangular regime'),
+    ('maximal loci keep away from the antennas', True, 'antenna distance >= 2 for n in [21, 22]'),
+    ('layout conjugation symmetry', True, 'conjugation transposes every base cell'),
+    ('rendering determinism', True, 'byte-identical repeated renders at n=21'),
+    ('artifact generation idempotence', True, 'identical artifacts for n=21..21'),
+]
+
+
+def test_verify_stdout_is_pinned(capsys):
+    main(["verify", "--n-max", "12"], standalone_mode=False)
+    assert capsys.readouterr().out == VERIFY_12_STDOUT
+
+
+def test_run_checks_verdicts_are_pinned():
+    assert [(r.name, r.ok, r.detail) for r in verify.run_checks(21, 22)] == RUN_CHECKS_21_22

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,8 @@ from partition_atlas import (
     threshold_zone,
     zone_json,
 )
+from partition_atlas.partitions import _partition_tuples, canonical_index
+from partition_atlas.thickness import _corner_profile
 
 
 def _named(graph, idxs):
@@ -77,6 +81,38 @@ def test_negative_r_rejected(small_profiles):
         threshold_zone(prof, -1)
     with pytest.raises(ValueError):
         exact_regime(prof, -1)
+
+
+def test_zone_of_a_profile_with_the_wrong_vertex_count_is_rejected(small_profiles):
+    _, prof, _ = small_profiles[4]
+    short = dataclasses.replace(prof, tau=prof.tau[:-1])
+    with pytest.raises(ValueError):
+        threshold_zone(short, 1)
+    with pytest.raises(ValueError):
+        exact_regime(short, 1)
+
+
+def test_threshold_zone_shares_the_index_ints():
+    # at n=36 the 17,975 members' own ints would cost as much as the set's
+    # table; at n=30 the table is the same 0.5 MB and the ints only 0.15 MB
+    n = 36
+    prof = _corner_profile(n, _partition_tuples(n))
+    index = canonical_index(n)  # warmed, so only the set itself is traced
+
+    def held(make):
+        tracemalloc.start()
+        try:
+            zone = make()
+            return tracemalloc.get_traced_memory()[0], zone
+        finally:
+            tracemalloc.stop()
+
+    shared, zone = held(lambda: threshold_zone(prof, 1))
+    fresh, same = held(lambda: frozenset(v for v, t in enumerate(prof.tau) if t >= 1))
+    assert zone == same
+    ints = {id(v) for v in index.values()}
+    assert all(id(v) in ints for v in zone)
+    assert shared <= 0.6 * fresh, (shared, fresh)
 
 
 def test_decompose_n4_r2(small_profiles):
