@@ -31,7 +31,7 @@ _HOME = {
         "max_thickness_locus profile_csv profile_from_json profile_json thickness_profile",
         "transfer_graph": "TransferGraph bfs_distances build_graph induced_components neighbors",
         "zones": "FirstOccurrenceTable ZoneComponent ZoneDecomposition decompose exact_regime "
-        "first_occurrences first_occurrences_csv threshold_zone zone_json",
+        "first_occurrences first_occurrences_csv threshold_zone zone_json zone_sweep",
     }.items()
     for name in names.split()
 }
@@ -81,6 +81,7 @@ __all__ = [
     "thickness_profile",
     "threshold_zone",
     "zone_json",
+    "zone_sweep",
 ]
 
 

@@ -10,10 +10,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
-from .partitions import Partition, _partition_tuples, partition_names
+from .partitions import Partition, _partition_tuples
 from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph, bfs_distances
-from .zones import decompose, exact_regime, first_occurrences, first_occurrences_csv
+from .zones import exact_regime, first_occurrences, first_occurrences_csv, zone_sweep
 
 # glyph geometry, in SVG user units
 CELL = 28.0
@@ -149,10 +149,8 @@ def _svg_chunks(
 ) -> Iterator[str]:
     n = graph.n
     if mode == "zones":
-        fw = boundary_framework(n)
         exact1 = exact_regime(profile, 1)
-        skin2 = decompose(graph, fw, profile, 2).shell
-        core3 = decompose(graph, fw, profile, 3).core
+        skin2, core3 = _skin_and_core(graph, profile)
 
     # each coordinate is formatted once, and the lines and circles share
     # the strings; the cells are dropped once placed (at n=45 they hold 7 MB)
@@ -220,14 +218,40 @@ def _svg_chunks(
     yield "</svg>\n"
 
 
-def export_tables(profiles: Sequence[ThicknessProfile], out_dir: Path) -> dict[str, Path]:
+def _skin_and_core(
+    graph: TransferGraph, profile: ThicknessProfile
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The order-2 shell and the order-3 core, from one sweep.
+
+    Each is empty where its order is not realized. Only the two sets
+    outlive the call, not the decompositions they come from.
+    """
+    skin2 = core3 = frozenset()
+    for dec in zone_sweep(graph, boundary_framework(graph.n), profile, low=2):
+        if dec.r == 3:
+            core3 = dec.core
+        elif dec.r == 2:
+            skin2 = dec.shell
+    return skin2, core3
+
+
+def export_tables(
+    profiles: Sequence[ThicknessProfile],
+    locus_names: Sequence[Sequence[str]],
+    out_dir: Path,
+) -> dict[str, Path]:
     """Write the first-occurrence, per-n summary and max-locus files.
 
-    ``profiles`` must cover 1..N contiguously. Returns the written paths
-    keyed by table name.
+    ``profiles`` must cover 1..N contiguously, and ``locus_names[i]``
+    names the members of ``profiles[i].max_locus`` in order, so a caller
+    that walks n names each locus while that n's partitions are at hand
+    and no n is enumerated twice. Returns the written paths keyed by
+    table name.
     """
     if not profiles or any(prof.n != i + 1 for i, prof in enumerate(profiles)):
         raise ValueError("profiles must cover a contiguous range starting at 1")
+    if len(locus_names) != len(profiles):
+        raise ValueError("locus_names must name the locus of every profile")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -243,9 +267,7 @@ def export_tables(profiles: Sequence[ThicknessProfile], out_dir: Path) -> dict[s
 
     loci: dict[str, list[str]] = {}
     for n_r in table.entries.values():
-        prof = profiles[n_r - 1]
-        names = partition_names(n_r)
-        loci[str(n_r)] = [names[i] for i in prof.max_locus]
+        loci[str(n_r)] = list(locus_names[n_r - 1])
     locus_path = out_dir / "max_locus_members.json"
     locus_path.write_text(json.dumps(loci, indent=2) + "\n")
 

@@ -127,13 +127,14 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
     """Write the first-occurrence, per-n summary and max-locus tables."""
     from .atlas import export_tables
     from .pipeline import n_dir
-    from .partitions import _partition_tuples
+    from .partitions import Partition, _partition_tuples, format_partition
     from .thickness import _corner_profile, profile_from_json
 
     if n_min != 1:
         raise click.UsageError("tables needs profiles from n=1 upward; use --n-min 1")
     _, n_max = _resolve_range(n_min, n_max, allow_beyond)
     profiles = []
+    locus_names = []
     for n in range(1, n_max + 1):
         path = n_dir(out_dir, n) / "profile.json"
         if path.exists():
@@ -151,7 +152,10 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
         else:
             # the profile reads only the vertices, so no graph is built
             profiles.append(_corner_profile(n, _partition_tuples(n)))
-    written = export_tables(profiles, out_dir)
+        # this n's partitions are cached now, so naming its locus enumerates nothing
+        parts = _partition_tuples(n)
+        locus_names.append([format_partition(Partition(parts[i])) for i in profiles[-1].max_locus])
+    written = export_tables(profiles, locus_names, out_dir)
     for name in sorted(written):
         click.echo(f"wrote {written[name]}")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 from .framework import boundary_framework, framework_json, self_conjugate_axis
 from .thickness import profile_csv, profile_json, thickness_profile
 from .transfer_graph import build_graph
-from .zones import decompose, zone_json
+from .zones import zone_json, zone_sweep
 
 
 def n_dir(out_root: Path, n: int) -> Path:
@@ -31,6 +31,7 @@ def compute_artifacts_for_n(n: int, out_root: Path) -> None:
     (target / "framework.json").write_text(framework_json(framework, axis))
     (target / "profile.csv").write_text(profile_csv(graph, profile))
     (target / "profile.json").write_text(profile_json(graph, profile))
-    for r in range(1, profile.tau_max + 1):
-        decomposition = decompose(graph, framework, profile, r)
-        (target / f"zones_r{r}.json").write_text(zone_json(graph, decomposition))
+    # each order is written as the sweep makes it, from tau_max down, and
+    # dropped once the next is grown from it
+    for decomposition in zone_sweep(graph, framework, profile):
+        (target / f"zones_r{decomposition.r}.json").write_text(zone_json(graph, decomposition))

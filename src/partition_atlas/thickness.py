@@ -6,15 +6,18 @@ one partition of n - 1 below p, so the profile is read off the Young
 diagrams in closed form (proof at ``transfer_graph._corner_thickness``).
 
 The paper's method stays as :func:`local_simplex_dimension`, and as
-:func:`clique_search_profile` for every vertex of a graph: every clique
-through a vertex is that vertex plus a clique inside its neighborhood, so
-each value is an exact maximum-clique search on the subgraph induced on
-the neighbors. It shares no code with the closed form and cross-checks it.
+:func:`clique_search_profile` for every vertex of a graph. Both read only
+the adjacency rows and enumerate maximal cliques with pivoted
+Bron-Kerbosch on bitmask rows: the first takes the largest maximal clique
+of one neighborhood, the second finds every maximal clique of the graph
+once, from its smallest vertex. They share no code with the closed form
+and cross-check it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,22 +49,55 @@ class ThicknessProfile:
 def local_simplex_dimension(graph: TransferGraph, p: Partition) -> int:
     """Largest clique size through ``p``, minus one; 0 for an isolated vertex.
 
-    Exact maximum-clique search on the neighborhood of ``p``, independent
-    of the closed form that :func:`thickness_profile` uses.
+    The largest maximal clique of the subgraph induced on the neighborhood
+    of ``p``, independent of the closed form that :func:`thickness_profile`
+    uses.
     """
-    v = graph.index_of(p)
-    return _neighborhood_clique_size(graph.adj, v, [0] * len(graph.adj))
+    adj = graph.adj
+    members = adj[graph.index_of(p)]
+    if not members:
+        return 0
+    cliques: list[int] = []
+    rows = _local_rows(adj, members, [0] * len(adj))
+    _maximal_cliques(rows, 0, (1 << len(members)) - 1, 0, cliques)
+    return max(c.bit_count() for c in cliques)
 
 
 def clique_search_profile(graph: TransferGraph) -> tuple[int, ...]:
     """:func:`local_simplex_dimension` of every vertex, in canonical order.
 
-    The same search, with one scratch list shared by every neighborhood of
-    the graph instead of one allocated per vertex.
+    Every clique has a smallest vertex m, and its other members lie in
+    N+(m), the neighbors of m above m. So each maximal clique of the graph
+    is found once, from its smallest vertex, as m plus a maximal clique of
+    the subgraph induced on N+(m) (Eppstein, Loffler & Strash 2010), and
+    its size is credited to m and to every member. A vertex's value is
+    its largest credit, minus one. Only ``graph.adj`` is read, with one
+    scratch list shared by every N+(m) of the graph. Each member's row is
+    summed whole, since its entries at or below m carry no bit; cutting
+    them off with a bisection per row measured no faster.
     """
     adj = graph.adj
+    best = [1] * len(adj)
     bit = [0] * len(adj)
-    return tuple(_neighborhood_clique_size(adj, v, bit) for v in range(len(adj)))
+    cliques: list[int] = []
+    for m, row in enumerate(adj):
+        above = row[bisect_right(row, m) :]
+        if not above:
+            continue
+        rows = _local_rows(adj, above, bit)
+        _maximal_cliques(rows, 0, (1 << len(above)) - 1, 0, cliques)
+        for c in cliques:
+            size = c.bit_count() + 1
+            if size > best[m]:
+                best[m] = size
+            while c:
+                b = c & -c
+                c ^= b
+                w = above[b.bit_length() - 1]
+                if size > best[w]:
+                    best[w] = size
+        cliques.clear()
+    return tuple(size - 1 for size in best)
 
 
 def thickness_profile(graph: TransferGraph) -> ThicknessProfile:
@@ -118,76 +154,61 @@ def brute_force_local_dimension(graph: TransferGraph, p: Partition) -> int:
     return best
 
 
-def _neighborhood_clique_size(adj: Sequence[Sequence[int]], v: int, bit: list[int]) -> int:
-    members = adj[v]
-    k = len(members)
-    if k <= 1:
-        return k
-    return _max_clique(_local_rows(adj, members, bit))
-
-
 def _local_rows(adj: Sequence[Sequence[int]], members: Sequence[int], bit: list[int]) -> list[int]:
     """Bitmask adjacency of the subgraph induced on ``members``.
 
     ``bit`` is an all-zero scratch list with one entry per vertex. It holds
     ``1 << i`` at the i-th member while the rows are summed, and is all
     zero again on return. Rows of ``adj`` are duplicate-free, so each sum
-    of distinct powers of two is their bitwise or.
+    of distinct powers of two is their bitwise or. A member's own bit is
+    masked out of its row, so a self-loop cannot make
+    :func:`_maximal_cliques` recurse forever.
     """
     for i, u in enumerate(members):
         bit[u] = 1 << i
     get = bit.__getitem__
-    rows = [sum(map(get, adj[u])) for u in members]
+    rows = [sum(map(get, adj[u])) & ~get(u) for u in members]
     for u in members:
         bit[u] = 0
     return rows
 
 
-def _max_clique(rows: list[int]) -> int:
-    """Size of a maximum clique of the bitmask graph ``rows``.
+def _maximal_cliques(rows: list[int], clique: int, p: int, x: int, out: list[int]) -> None:
+    """Append to ``out`` every maximal clique of the bitmask graph ``rows`` extending ``clique``.
 
-    Branch and bound with a greedy-coloring upper bound: the candidate set
-    is colored in index order, then explored from the highest color down,
-    so a branch is cut as soon as clique-so-far plus color cannot beat the
-    best clique found.
+    Bron-Kerbosch with Tomita's pivot. ``p`` holds the vertices that extend
+    ``clique`` and are still to be tried, ``x`` those that extend it but
+    were tried already; ``p`` is nonempty. The pivot is the vertex of
+    ``p | x`` with the most neighbours in ``p``, and only the vertices of
+    ``p`` outside its neighbourhood are branched on. A branch left with one
+    candidate is closed in place rather than by another call. Module-level,
+    so a search leaves no reference cycle for the garbage collector.
     """
-    return _expand(rows, 0, (1 << len(rows)) - 1, 0)
-
-
-def _expand(rows: list[int], size: int, cand: int, best: int) -> int:
-    """Best clique size after extending a clique of ``size`` from ``cand``.
-
-    Module-level, so a search leaves no reference cycle for the garbage
-    collector. A vertex is taken out of its color class and of ``cand``
-    before its row is read, so a bit of its own in its row (a self-loop)
-    cannot make the search loop.
-    """
-    seq: list[int] = []
-    bound: list[int] = []
-    uncolored = cand
-    color = 0
-    while uncolored:
-        color += 1
-        cls = uncolored
-        while cls:
-            bit = cls & -cls
-            v = bit.bit_length() - 1
-            cls ^= bit
-            cls &= ~rows[v]
-            uncolored ^= bit
-            seq.append(v)
-            bound.append(color)
-    for idx in range(len(seq) - 1, -1, -1):
-        if size + bound[idx] <= best:
-            return best
-        v = seq[idx]
-        cand ^= 1 << v
-        if size + 1 > best:
-            best = size + 1
-        nxt = cand & rows[v]
-        if nxt:
-            best = _expand(rows, size + 1, nxt, best)
-    return best
+    most = -1
+    rest = p | x
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        row = rows[b.bit_length() - 1]
+        k = (p & row).bit_count()
+        if k > most:
+            most = k
+            cover = row
+    branch = p & ~cover
+    while branch:
+        b = branch & -branch
+        branch ^= b
+        row = rows[b.bit_length() - 1]
+        q = p & row
+        if q & (q - 1):
+            _maximal_cliques(rows, clique | b, q, x & row, out)
+        elif q:
+            if not x & row & rows[q.bit_length() - 1]:
+                out.append(clique | b | q)
+        elif not x & row:
+            out.append(clique | b)
+        p ^= b
+        x |= b
 
 
 def profile_csv(graph: TransferGraph, profile: ThicknessProfile) -> str:

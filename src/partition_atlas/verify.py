@@ -30,7 +30,7 @@ from .thickness import (
     thickness_profile,
 )
 from .transfer_graph import TransferGraph, bfs_distances, build_graph, induced_components
-from .zones import ZoneDecomposition, decompose, first_occurrences, threshold_zone
+from .zones import ZoneDecomposition, first_occurrences, threshold_zone, zone_sweep
 
 ORACLE_RANGE_MAX = 12
 
@@ -87,7 +87,8 @@ def _bundle(n: int) -> _Bundle:
     graph = build_graph(n)
     profile = thickness_profile(graph)
     framework = boundary_framework(n)
-    zones = {r: decompose(graph, framework, profile, r) for r in range(1, profile.tau_max + 1)}
+    # the sweep runs from tau_max down; the checks read the orders upward
+    zones = {dec.r: dec for dec in reversed(list(zone_sweep(graph, framework, profile)))}
     return _Bundle(n, graph, profile, framework, zones)
 
 

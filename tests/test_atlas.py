@@ -206,9 +206,15 @@ def test_render_titles_name_partitions():
     assert titles == ["4", "3,1", "2,2", "2,1,1", "1,1,1,1"]
 
 
+def _profiles_and_loci(ns):
+    graphs = [build_graph(n) for n in ns]
+    profiles = [thickness_profile(g) for g in graphs]
+    loci = [[str(p) for p in max_thickness_locus(g, prof)] for g, prof in zip(graphs, profiles)]
+    return profiles, loci
+
+
 def test_export_tables_small_range(tmp_path):
-    profiles = [thickness_profile(build_graph(n)) for n in range(1, 8)]
-    paths = export_tables(profiles, tmp_path)
+    paths = export_tables(*_profiles_and_loci(range(1, 8)), tmp_path)
     assert paths["first_occurrences"].read_text() == "r,n_r\n2,4\n3,7\n"
     summary = paths["summary"].read_text().strip().split("\n")
     assert summary[0] == "n,p(n),tau_max,|M_n|"
@@ -221,9 +227,11 @@ def test_export_tables_small_range(tmp_path):
 
 
 def test_export_tables_rejects_gaps(tmp_path):
-    profiles = [thickness_profile(build_graph(n)) for n in (1, 2, 4)]
     with pytest.raises(ValueError):
-        export_tables(profiles, tmp_path)
+        export_tables(*_profiles_and_loci((1, 2, 4)), tmp_path)
+    profiles, loci = _profiles_and_loci(range(1, 5))
+    with pytest.raises(ValueError, match="locus_names"):
+        export_tables(profiles, loci[:-1], tmp_path)
 
 
 def test_locus_statistics_antennas():

@@ -130,6 +130,25 @@ def test_tables_builds_no_graph(tmp_path, monkeypatch):
         assert (fresh / name).read_bytes() == (computed / name).read_bytes(), name
 
 
+def test_tables_enumerates_each_n_once(tmp_path):
+    # the max-locus table names its members while tables walks n, so no
+    # first-occurrence n is enumerated a second time afterwards
+    from partition_atlas.partitions import _partition_tuples
+
+    runner = CliRunner()
+    computed = tmp_path / "computed"
+    assert runner.invoke(main, ["compute", "--n-max", "12", "--out", str(computed)]).exit_code == 0
+    for out, n_max, flags in ((tmp_path / "fresh", 30, []), (computed, 12, ["--no-recompute"])):
+        _partition_tuples.cache_clear()
+        result = runner.invoke(main, ["tables", "--n-max", str(n_max), "--out", str(out), *flags])
+        assert result.exit_code == 0, result.output
+        assert _partition_tuples.cache_info().misses == n_max, out
+    loci = json.loads((tmp_path / "fresh" / "max_locus_members.json").read_text())
+    assert list(loci) == ["4", "7", "11", "16", "22", "29"]
+    assert len(loci["29"]) == 8
+    assert {"8,6,5,4,3,2,1", "7,7,5,4,3,2,1"} <= set(loci["29"])
+
+
 def test_tables_small_ranges(tmp_path):
     runner = CliRunner()
     out = tmp_path / "a"

@@ -4,7 +4,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_atlas import (
@@ -21,7 +21,7 @@ from partition_atlas import (
 )
 from partition_atlas import partitions
 from partition_atlas.partitions import enumerate_partitions, format_partition, partition_names
-from partition_atlas.thickness import _local_rows, _max_clique, clique_search_profile
+from partition_atlas.thickness import clique_search_profile
 from partition_atlas.transfer_graph import _corner_thickness, _lower_covers, _upper_covers
 from partition_atlas.verify import profile_conjugation_ok
 
@@ -129,15 +129,66 @@ def test_profile_matches_clique_search(n):
 
 def test_clique_search_leaves_no_garbage():
     g = build_graph(12)
-    v = max(range(len(g.adj)), key=lambda i: len(g.adj[i]))
-    rows = _local_rows(g.adj, g.adj[v], [0] * len(g.adj))
     gc.collect()
     gc.disable()
     try:
-        assert _max_clique(rows) == thickness_profile(g).tau[v]
+        assert clique_search_profile(g) == thickness_profile(g).tau
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _with_adjacency(graph, edges):
+    """``graph`` with its rows replaced by the symmetric, loop-free ``edges``."""
+    rows = [set() for _ in graph.adj]
+    for a, b in edges:
+        if a != b:
+            rows[a].add(b)
+            rows[b].add(a)
+    return dataclasses.replace(graph, adj=tuple(tuple(sorted(row)) for row in rows))
+
+
+@st.composite
+def _random_adjacency(draw):
+    # any symmetric adjacency on the vertices of some G_n, n <= 8 (p(8) = 22),
+    # sparse enough that the unpruned oracle stays fast
+    g = build_graph(draw(st.integers(1, 8)))
+    k = len(g.adj)
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    return _with_adjacency(g, draw(st.sets(pair, max_size=3 * k)))
+
+
+@settings(deadline=None)
+@given(_random_adjacency())
+def test_clique_search_matches_oracle_on_any_adjacency(g):
+    # the search reads only graph.adj, so it holds on graphs the corner
+    # formula knows nothing about
+    oracle = tuple(brute_force_local_dimension(g, p) for p in g.vertices)
+    assert clique_search_profile(g) == oracle
+    assert tuple(local_simplex_dimension(g, p) for p in g.vertices) == oracle
+
+
+def test_clique_search_on_a_dense_adjacency():
+    # the complete graph on p(7) = 15 vertices: one clique through everything
+    g = build_graph(7)
+    k = len(g.adj)
+    complete = _with_adjacency(g, [(a, b) for a in range(k) for b in range(a)])
+    assert clique_search_profile(complete) == (k - 1,) * k
+    assert local_simplex_dimension(complete, g.vertices[3]) == k - 1
+
+
+def test_clique_search_terminates_on_a_self_loop():
+    # a vertex listed in its own row is masked out of every local row, so
+    # the search neither recurses forever nor counts the loop as a member
+    g = build_graph(9)
+    tau = thickness_profile(g).tau
+    rows = tuple(tuple(sorted({*row, v})) for v, row in enumerate(g.adj))
+    looped = dataclasses.replace(g, adj=rows)
+    assert clique_search_profile(looped) == tau
+    for v, p in enumerate(g.vertices):
+        # p lies in its own neighborhood now, next to all of it, so it
+        # joins every clique there once
+        assert local_simplex_dimension(looped, p) == tau[v] + 1
 
 
 def _contains(big, small):

@@ -3,6 +3,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_atlas import (
     boundary_framework,
@@ -16,6 +18,7 @@ from partition_atlas import (
     thickness_profile,
     threshold_zone,
     zone_json,
+    zone_sweep,
 )
 from partition_atlas.partitions import _partition_tuples, canonical_index
 from partition_atlas.thickness import _corner_profile
@@ -193,6 +196,96 @@ def test_decompose_components_match_label_propagation(small_profiles):
             assert induced_components(g, dec.exact) == _components_by_label_propagation(
                 g, dec.exact
             ), (n, r)
+
+
+def _reference(graph, framework, tau, r):
+    """Order r of a decomposition, walked afresh from the profile alone."""
+    zone = {v for v, t in enumerate(tau) if t >= r}
+    comps = _components_by_label_propagation(graph, zone)
+    attached = [bool(c & framework.all_indices) for c in comps]
+    return {
+        "threshold": zone,
+        "exact": {v for v, t in enumerate(tau) if t == r},
+        "components": list(zip(comps, attached)),
+        "shell": set().union(*[c for c, a in zip(comps, attached) if a]),
+        "core": set().union(*[c for c, a in zip(comps, attached) if not a]),
+    }
+
+
+def _as_reference(dec):
+    return {
+        "threshold": dec.threshold,
+        "exact": dec.exact,
+        "components": [(c.vertices, c.boundary_attached) for c in dec.components],
+        "shell": dec.shell,
+        "core": dec.core,
+    }
+
+
+@st.composite
+def _relabelled(draw):
+    # G_n with random thickness values: its zones split into several
+    # components, which merge as the sweep goes down, and some orders are
+    # skipped altogether
+    n = draw(st.integers(1, 12))
+    g = build_graph(n)
+    tau = tuple(draw(st.lists(st.integers(0, 5), min_size=len(g.adj), max_size=len(g.adj))))
+    prof = dataclasses.replace(thickness_profile(g), tau=tau, tau_max=max(tau))
+    return g, boundary_framework(n), prof
+
+
+@settings(deadline=None)
+@given(_relabelled())
+def test_sweep_matches_a_walk_per_order(case):
+    g, fw, prof = case
+    swept = {dec.r: dec for dec in zone_sweep(g, fw, prof, low=0)}
+    assert list(swept) == list(range(prof.tau_max, -1, -1))
+    for r in range(prof.tau_max + 2):
+        expected = _reference(g, fw, prof.tau, r)
+        dec = decompose(g, fw, prof, r)
+        assert (dec.n, dec.r) == (g.n, r)
+        assert _as_reference(dec) == expected, r
+        if r in swept:
+            assert swept[r] == dec, r
+
+
+def test_sweep_merges_components():
+    # on a path 0-1-2-3-4 of G_5's vertices, thickness 2 on the ends and
+    # the middle and 1 between them gives three order-2 pieces that one
+    # order-1 component joins; vertex 6 stays apart, and only vertex 0 is
+    # put in the framework
+    g5 = build_graph(5)
+    path = dataclasses.replace(g5, adj=((1,), (0, 2), (1, 3), (2, 4), (3,), (), ()))
+    fw = dataclasses.replace(boundary_framework(5), all_indices=frozenset({0}))
+    prof = dataclasses.replace(thickness_profile(g5), tau=(2, 1, 2, 1, 2, 0, 2), tau_max=2)
+    top, low = zone_sweep(path, fw, prof)
+    assert [sorted(c.vertices) for c in top.components] == [[0], [2], [4], [6]]
+    assert [c.boundary_attached for c in top.components] == [True, False, False, False]
+    assert top.shell == frozenset({0})
+    assert top.core == frozenset({2, 4, 6})
+    assert [sorted(c.vertices) for c in low.components] == [[0, 1, 2, 3, 4], [6]]
+    assert [c.boundary_attached for c in low.components] == [True, False]
+    # a component that gains nothing is carried over as it is
+    assert low.components[1] is top.components[3]
+    assert low.threshold == frozenset({0, 1, 2, 3, 4, 6})
+    assert low.exact == frozenset({1, 3})
+    assert low.shell == frozenset({0, 1, 2, 3, 4})
+    assert low.core == frozenset({6})
+
+
+def test_decompose_steps_from_the_order_above(small_profiles):
+    g, prof, fw = small_profiles[11]
+    above = None
+    for r in range(prof.tau_max, 0, -1):
+        above = decompose(g, fw, prof, r, above)
+        assert above == decompose(g, fw, prof, r)
+    with pytest.raises(ValueError, match="order-3"):
+        decompose(g, fw, prof, 2, decompose(g, fw, prof, 4))
+    g10, prof10, fw10 = small_profiles[10]
+    with pytest.raises(ValueError):
+        decompose(g10, fw10, prof10, 2, decompose(g, fw, prof, 3))
+    with pytest.raises(ValueError):
+        decompose(g, fw, prof, -1)
 
 
 def test_decompose_partitions_zone(small_profiles):
