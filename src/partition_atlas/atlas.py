@@ -9,11 +9,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
-from .partitions import Partition, _partition_tuples
+from .framework import FrameworkSet, boundary_framework
+from .partitions import Partition, _conjugate, _partition_tuples
 from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph, bfs_distances
-from .zones import exact_regime, first_occurrences, first_occurrences_csv, zone_sweep
+from .zones import decompose, exact_regime, first_occurrences, first_occurrences_csv
 
 # glyph geometry, in SVG user units
 CELL = 28.0
@@ -221,18 +221,15 @@ def _svg_chunks(
 def _skin_and_core(
     graph: TransferGraph, profile: ThicknessProfile
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """The order-2 shell and the order-3 core, from one sweep.
+    """The order-2 shell and the order-3 core, in two growth steps.
 
-    Each is empty where its order is not realized. Only the two sets
+    Order 3 is grown from the empty zone and order 2 from order 3. Each
+    set is empty where its order is not realized. Only the two sets
     outlive the call, not the decompositions they come from.
     """
-    skin2 = core3 = frozenset()
-    for dec in zone_sweep(graph, boundary_framework(graph.n), profile, low=2):
-        if dec.r == 3:
-            core3 = dec.core
-        elif dec.r == 2:
-            skin2 = dec.shell
-    return skin2, core3
+    framework = boundary_framework(graph.n)
+    order3 = decompose(graph, framework, profile, 3)
+    return decompose(graph, framework, profile, 2, order3).shell, order3.core
 
 
 def export_tables(
@@ -307,13 +304,12 @@ def locus_statistics(
     idxs = sorted(graph.index_of(p) for p in members)
     if not idxs:
         raise ValueError("the vertex set must be nonempty")
-    front = bfs_distances(graph, (graph.index_of(framework.antennas[0]),))
-    rear = bfs_distances(graph, (graph.index_of(framework.antennas[1]),))
+    near = bfs_distances(graph, [graph.index_of(p) for p in framework.antennas])
     border = bfs_distances(graph, sorted(framework.all_indices))
-    axis = {graph.parts_index[p.parts] for p in self_conjugate_axis(graph.n).members}
+    parts = graph.parts
 
-    balances = [graph.parts[i][0] - len(graph.parts[i]) for i in idxs]
-    antenna_d = [min(front[i], rear[i]) for i in idxs]
+    balances = [parts[i][0] - len(parts[i]) for i in idxs]
+    antenna_d = [near[i] for i in idxs]
     framework_d = [border[i] for i in idxs]
 
     def mean(xs: list[int]) -> float:
@@ -331,5 +327,5 @@ def locus_statistics(
         framework_distance_mean=mean(framework_d),
         framework_distance_min=min(framework_d),
         framework_distance_max=max(framework_d),
-        axis_fraction=sum(1 for i in idxs if i in axis) / len(idxs),
+        axis_fraction=sum(_conjugate(parts[i]) == parts[i] for i in idxs) / len(idxs),
     )

@@ -46,20 +46,22 @@ def _check_single_n(n: int, allow_beyond: bool) -> None:
         )
 
 
+_allow_beyond = click.option(
+    "--allow-beyond-verified-range",
+    "allow_beyond",
+    is_flag=True,
+    help=f"Permit n above {REFERENCE_RANGE_MAX}; such results are extrapolation.",
+)
+_n_min = click.option(
+    "--n-min", default=1, show_default=True, type=int, help="Smallest n to process."
+)
+_n_max = click.option(
+    "--n-max", default=30, show_default=True, type=int, help="Largest n to process."
+)
+
+
 def _range_options(command):
-    command = click.option(
-        "--n-min", default=1, show_default=True, type=int, help="Smallest n to process."
-    )(command)
-    command = click.option(
-        "--n-max", default=30, show_default=True, type=int, help="Largest n to process."
-    )(command)
-    command = click.option(
-        "--allow-beyond-verified-range",
-        "allow_beyond",
-        is_flag=True,
-        help=f"Permit n above {REFERENCE_RANGE_MAX}; such results are extrapolation.",
-    )(command)
-    return command
+    return _allow_beyond(_n_max(_n_min(command)))
 
 
 @click.group()
@@ -109,7 +111,8 @@ def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int
 
 
 @main.command()
-@_range_options
+@_allow_beyond
+@_n_max
 @click.option(
     "--out",
     "out_dir",
@@ -123,16 +126,14 @@ def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int
     is_flag=True,
     help="Fail instead of computing profiles missing from the output directory.",
 )
-def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) -> None:
-    """Write the first-occurrence, per-n summary and max-locus tables."""
+def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) -> None:
+    """Write the first-occurrence, per-n summary and max-locus tables for 1..n-max."""
     from .atlas import export_tables
     from .pipeline import n_dir
     from .partitions import Partition, _partition_tuples, format_partition
     from .thickness import _corner_profile, profile_from_json
 
-    if n_min != 1:
-        raise click.UsageError("tables needs profiles from n=1 upward; use --n-min 1")
-    _, n_max = _resolve_range(n_min, n_max, allow_beyond)
+    _, n_max = _resolve_range(1, n_max, allow_beyond)
     profiles = []
     locus_names = []
     for n in range(1, n_max + 1):
@@ -175,12 +176,7 @@ def tables(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, no_recompu
     show_default=True,
     type=click.Path(file_okay=False, path_type=Path),
 )
-@click.option(
-    "--allow-beyond-verified-range",
-    "allow_beyond",
-    is_flag=True,
-    help=f"Permit n above {REFERENCE_RANGE_MAX}.",
-)
+@_allow_beyond
 def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
     """Render one atlas figure as SVG, maximal locus outlined."""
     from .atlas import atlas_chunks
@@ -231,12 +227,7 @@ def verify(n_min: int, n_max: int, allow_beyond: bool) -> None:
     type=click.Path(dir_okay=False, path_type=Path),
     help="Output file; stdout when omitted.",
 )
-@click.option(
-    "--allow-beyond-verified-range",
-    "allow_beyond",
-    is_flag=True,
-    help=f"Permit n above {REFERENCE_RANGE_MAX}.",
-)
+@_allow_beyond
 def graph_dump(n: int, out_path: Path | None, allow_beyond: bool) -> None:
     """Write the edge list of one graph as tab-separated partition pairs."""
     from .transfer_graph import build_graph

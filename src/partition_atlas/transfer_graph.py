@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .partitions import (
@@ -119,23 +120,15 @@ class TransferGraph:
     parts: tuple[tuple[int, ...], ...]
     adj: tuple[tuple[int, ...], ...]
     parts_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
-    _vertices: tuple[Partition, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _conjugation: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[Partition, ...]:
         """Every vertex as a ``Partition``, in canonical order.
 
         Built on the first access and kept for the life of the graph; the
         pipeline itself reads ``parts`` and never builds these.
         """
-        if self._vertices is None:
-            object.__setattr__(self, "_vertices", tuple(map(Partition, self.parts)))
-        return self._vertices
+        return tuple(map(Partition, self.parts))
 
     def index_of(self, p: Partition) -> int:
         idx = self.parts_index.get(p.parts)
@@ -159,11 +152,12 @@ class TransferGraph:
 
         Built on the first call and kept for the life of the graph.
         """
-        if self._conjugation is None:
-            index = self.parts_index
-            sigma = tuple(index[_conjugate(t)] for t in self.parts)
-            object.__setattr__(self, "_conjugation", sigma)
         return self._conjugation
+
+    @cached_property
+    def _conjugation(self) -> tuple[int, ...]:
+        index = self.parts_index
+        return tuple(index[_conjugate(t)] for t in self.parts)
 
     def edge_chunks(self) -> Iterator[str]:
         """The text of :meth:`dump_edges`, one chunk per row with an edge ``j > i``.

@@ -1,10 +1,10 @@
 """Threshold thick zones and their shell/core split against the framework.
 
-The zones are nested, T_{>=r+1} inside T_{>=r}, so every order of one
-graph comes from one sweep downward from ``tau_max``: each step adds the
-vertices of thickness r, reads only their rows, and merges the
-components they join (:func:`zone_sweep`, one :func:`decompose` step per
-order).
+The zones are nested, T_{>=k} inside T_{>=r} for every k > r, so a zone
+grows from any higher order: one step adds the vertices with
+r <= tau < k, reads only their rows, and merges the components they join
+(:func:`decompose`). Every order of one graph comes from one sweep
+downward from ``tau_max``, one step per order (:func:`zone_sweep`).
 """
 
 from __future__ import annotations
@@ -82,12 +82,11 @@ def decompose(
 ) -> ZoneDecomposition:
     """Split the threshold zone at ``r`` relative to the framework.
 
-    The zone of order r is the zone of order r + 1 plus the vertices of
-    thickness exactly r, so the zones are grown in one sweep from the top
-    order down. ``above`` is the decomposition of order r + 1 of the same
-    graph; given it, this is one step of the sweep, which reads only the
-    rows of the new vertices. Without it, the sweep starts from the empty
-    zone above ``tau_max`` (or above r, if r is higher) and steps down to r.
+    The zone of order r is the zone of any higher order k plus the
+    vertices with r <= tau < k. ``above`` is a decomposition of a higher
+    order of the same graph; given it, this is one growth step, which
+    reads only the rows of the added vertices. Without it, the step starts
+    from the empty zone above ``tau_max`` (or above r, if r is higher).
     """
     if not (graph.n == framework.n == profile.n):
         raise ValueError("graph, framework and profile must describe the same n")
@@ -97,27 +96,22 @@ def decompose(
         empty: frozenset[int] = frozenset()
         top = max(r, profile.tau_max) + 1
         above = ZoneDecomposition(graph.n, top, empty, empty, (), empty, empty)
-        for q in range(top - 1, r, -1):
-            above = _grow(graph, framework, profile, q, above)
-    elif above.n != graph.n or above.r != r + 1:
-        raise ValueError(f"above must be the order-{r + 1} decomposition for n={graph.n}")
+    elif above.n != graph.n or above.r <= r:
+        raise ValueError(f"above must decompose an order above {r} for n={graph.n}")
     return _grow(graph, framework, profile, r, above)
 
 
 def zone_sweep(
-    graph: TransferGraph,
-    framework: FrameworkSet,
-    profile: ThicknessProfile,
-    low: int = 1,
+    graph: TransferGraph, framework: FrameworkSet, profile: ThicknessProfile
 ) -> Iterator[ZoneDecomposition]:
-    """:func:`decompose` of every order from ``tau_max`` down to ``low``.
+    """:func:`decompose` of every order from ``tau_max`` down to 1.
 
     Each order is grown from the one before, and is handed out before the
     next is made, so a caller that writes and drops each holds no more
     than two at a time.
     """
     above = None
-    for r in range(profile.tau_max, low - 1, -1):
+    for r in range(profile.tau_max, 0, -1):
         above = decompose(graph, framework, profile, r, above)
         yield above
 
@@ -129,18 +123,27 @@ def _grow(
     r: int,
     above: ZoneDecomposition,
 ) -> ZoneDecomposition:
-    """The decomposition of order ``r``, from ``above``, that of order r + 1.
+    """The decomposition of order ``r``, from ``above``, one of a higher order.
 
-    Every zone vertex is labelled with its group, and each component above
-    starts as one group. The row of each new vertex is read once: the
-    vertex joins one of the groups its labelled neighbors hold, or a group
-    of its own, and every other group it meets is merged in, the smaller
-    relabelled into the larger. So over the whole sweep each edge is read
-    at most twice. A component above that gains nothing is carried over
-    as it is.
+    The added vertices are those with r <= tau < ``above.r``: the exact
+    regime when ``above`` is order r + 1, as in the sweep. Every zone
+    vertex is labelled with its group, and each component above starts as
+    one group. The row of each added vertex is read once: the vertex joins
+    one of the groups its labelled neighbors hold, or a group of its own,
+    and every other group it meets is merged in, the smaller relabelled
+    into the larger. So over the whole sweep each edge is read at most
+    twice. A component above that gains nothing is carried over as it is.
     """
     adj = graph.adj
     exact = exact_regime(profile, r)
+    if above.r == r + 1:
+        added = exact
+        threshold = above.threshold | exact
+    else:
+        # above.threshold is T_{>=above.r}, so the rest has r <= tau < above.r;
+        # from the empty zone, every member is added and no copy is made
+        threshold = threshold_zone(profile, r)
+        added = threshold - above.threshold if above.threshold else threshold
     label: dict[int, int] = {}
     # per group: the components above it holds and its new vertices; a
     # merged-away group is None
@@ -151,7 +154,7 @@ def _grow(
         olds.append([comp])
         news.append([])
     get = label.get
-    for v in exact:
+    for v in added:
         met = set(map(get, adj[v]))
         met.discard(None)
         if met:
@@ -191,7 +194,7 @@ def _grow(
     return ZoneDecomposition(
         n=graph.n,
         r=r,
-        threshold=above.threshold | exact,
+        threshold=threshold,
         exact=exact,
         components=tuple(components),
         shell=frozenset().union(*shell),

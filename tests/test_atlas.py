@@ -7,8 +7,10 @@ import pytest
 
 from partition_atlas import (
     LayoutPoint,
+    LocusStats,
     Partition,
     antennas,
+    bfs_distances,
     boundary_framework,
     build_graph,
     enumerate_partitions,
@@ -260,6 +262,37 @@ def test_locus_statistics_m7_avoids_antennas():
     prof = thickness_profile(g)
     stats = locus_statistics(g, boundary_framework(7), max_thickness_locus(g, prof))
     assert stats.antenna_distance_min >= 2
+
+
+def _two_walk_stats(graph, framework, members):
+    """:func:`locus_statistics` with one walk per antenna and the axis set built whole."""
+    idxs = sorted(graph.index_of(p) for p in members)
+    front, rear = (bfs_distances(graph, [graph.index_of(a)]) for a in framework.antennas)
+    border = bfs_distances(graph, sorted(framework.all_indices))
+    axis = {graph.index_of(p) for p in self_conjugate_axis(graph.n).members}
+    balances = [graph.parts[i][0] - len(graph.parts[i]) for i in idxs]
+    antenna_d = [min(front[i], rear[i]) for i in idxs]
+    framework_d = [border[i] for i in idxs]
+
+    def spread(xs):
+        return sum(xs) / len(xs), min(xs), max(xs)
+
+    return LocusStats(
+        graph.n,
+        len(idxs),
+        *spread(balances),
+        *spread(antenna_d),
+        *spread(framework_d),
+        axis_fraction=sum(i in axis for i in idxs) / len(idxs),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_locus_statistics_match_a_walk_per_antenna(n):
+    g = build_graph(n)
+    fw = boundary_framework(n)
+    for members in (max_thickness_locus(g, thickness_profile(g)), g.vertices):
+        assert locus_statistics(g, fw, members) == _two_walk_stats(g, fw, members)
 
 
 def test_locus_statistics_rejects_empty():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -326,6 +327,45 @@ def test_cli_steps_build_no_partition_per_vertex(tmp_path, monkeypatch):
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (args, result.output, result.exception)
+
+
+def _record_decompose(monkeypatch):
+    """Wrap ``zones.decompose`` wherever it is bound, as the benchmark's tracer
+    does, and return the list of orders it makes."""
+    for home in ("zones", "atlas", "pipeline"):
+        importlib.import_module(f"partition_atlas.{home}")
+    original = sys.modules["partition_atlas.zones"].decompose
+    orders = []
+
+    def recorded(*args, **kwargs):
+        dec = original(*args, **kwargs)
+        orders.append(dec.r)
+        return dec
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "partition_atlas" and getattr(module, "decompose", None) is original:
+            monkeypatch.setattr(module, "decompose", recorded)
+    return orders
+
+
+def test_decompose_is_one_call_per_order(tmp_path, monkeypatch):
+    # the tracer times and counts the zones layer by its decompose spans,
+    # so each order written must come from a call of its own
+    from partition_atlas.pipeline import compute_artifacts_for_n
+
+    orders = _record_decompose(monkeypatch)
+    for n in range(1, 10):
+        orders.clear()
+        compute_artifacts_for_n(n, tmp_path)
+        tau_max = json.loads((tmp_path / f"n{n:02d}" / "profile.json").read_text())["tau_max"]
+        assert orders == list(range(tau_max, 0, -1)), n
+    # at n=12 tau_max is 4, but the zones atlas needs only orders 3 and 2
+    orders.clear()
+    result = CliRunner().invoke(
+        main, ["atlas", "--n", "12", "--mode", "zones", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert orders == [3, 2]
 
 
 def test_usage_error_exit_code():

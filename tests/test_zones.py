@@ -224,13 +224,15 @@ def _as_reference(dec):
 
 @st.composite
 def _relabelled(draw):
-    # G_n with random thickness values: its zones split into several
-    # components, which merge as the sweep goes down, and some orders are
-    # skipped altogether
+    # G_n with its real thickness values, or with random ones: then its
+    # zones split into several components, which merge as the sweep goes
+    # down, and some orders are skipped altogether
     n = draw(st.integers(1, 12))
     g = build_graph(n)
-    tau = tuple(draw(st.lists(st.integers(0, 5), min_size=len(g.adj), max_size=len(g.adj))))
-    prof = dataclasses.replace(thickness_profile(g), tau=tau, tau_max=max(tau))
+    prof = thickness_profile(g)
+    if draw(st.booleans()):
+        tau = tuple(draw(st.lists(st.integers(0, 5), min_size=len(g.adj), max_size=len(g.adj))))
+        prof = dataclasses.replace(prof, tau=tau, tau_max=max(tau))
     return g, boundary_framework(n), prof
 
 
@@ -238,15 +240,20 @@ def _relabelled(draw):
 @given(_relabelled())
 def test_sweep_matches_a_walk_per_order(case):
     g, fw, prof = case
-    swept = {dec.r: dec for dec in zone_sweep(g, fw, prof, low=0)}
-    assert list(swept) == list(range(prof.tau_max, -1, -1))
-    for r in range(prof.tau_max + 2):
-        expected = _reference(g, fw, prof.tau, r)
-        dec = decompose(g, fw, prof, r)
+    swept = {dec.r: dec for dec in zone_sweep(g, fw, prof)}
+    assert list(swept) == list(range(prof.tau_max, 0, -1))
+    # order 0 is one more step down from the sweep's last order
+    swept[0] = decompose(g, fw, prof, 0, swept.get(1))
+    top = prof.tau_max + 1
+    decs = {r: decompose(g, fw, prof, r) for r in range(top + 1)}
+    for r, dec in decs.items():
         assert (dec.n, dec.r) == (g.n, r)
-        assert _as_reference(dec) == expected, r
+        assert _as_reference(dec) == _reference(g, fw, prof.tau, r), r
         if r in swept:
             assert swept[r] == dec, r
+        # a zone grows from any higher order to the same decomposition
+        for k in range(r + 1, top + 1):
+            assert decompose(g, fw, prof, r, decs[k]) == dec, (r, k)
 
 
 def test_sweep_merges_components():
@@ -279,8 +286,10 @@ def test_decompose_steps_from_the_order_above(small_profiles):
     for r in range(prof.tau_max, 0, -1):
         above = decompose(g, fw, prof, r, above)
         assert above == decompose(g, fw, prof, r)
-    with pytest.raises(ValueError, match="order-3"):
-        decompose(g, fw, prof, 2, decompose(g, fw, prof, 4))
+    assert decompose(g, fw, prof, 2, decompose(g, fw, prof, 4)) == decompose(g, fw, prof, 2)
+    for same_or_lower in (2, 1):
+        with pytest.raises(ValueError, match="order above 2"):
+            decompose(g, fw, prof, 2, decompose(g, fw, prof, same_or_lower))
     g10, prof10, fw10 = small_profiles[10]
     with pytest.raises(ValueError):
         decompose(g10, fw10, prof10, 2, decompose(g, fw, prof, 3))
