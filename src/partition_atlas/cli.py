@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -84,29 +83,21 @@ def main() -> None:
     default=1,
     show_default=True,
     type=int,
-    help="Worker processes; 0 means one per CPU.",
+    help="Worker processes; 0 means one per CPU this process may run on.",
 )
 def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int) -> None:
     """Compute graphs, profiles and zone decompositions for a range of n."""
-    from .pipeline import compute_artifacts_for_n
+    from .pipeline import WorkerDied, compute_artifacts_for_n, cpu_count, map_n
 
     n_min, n_max = _resolve_range(n_min, n_max, allow_beyond)
     if jobs < 0:
         raise click.UsageError(f"invalid worker count {jobs}")
-    ns = list(range(n_min, n_max + 1))
-    workers = jobs if jobs > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(ns) == 1:
-        for n in ns:
-            compute_artifacts_for_n(n, out_dir)
-    else:
-        # largest n first, one n per task: the default chunks hand the two
-        # costliest orders to one worker as the last task. Each n writes only
-        # its own directory, so the order changes no byte.
-        import multiprocessing
-
-        with multiprocessing.Pool(min(workers, len(ns))) as pool:
-            tasks = [(n, out_dir) for n in reversed(ns)]
-            pool.starmap(compute_artifacts_for_n, tasks, chunksize=1)
+    ns = range(n_min, n_max + 1)
+    # each n writes only its own directory, so the worker layout changes no byte
+    try:
+        map_n(compute_artifacts_for_n, ns, jobs or cpu_count(), out_dir)
+    except WorkerDied as exc:
+        raise click.ClickException(str(exc)) from None
     click.echo(f"computed {len(ns)} graphs into {out_dir}")
 
 
@@ -200,12 +191,19 @@ def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
 def verify(n_min: int, n_max: int, allow_beyond: bool) -> None:
     """Run the named invariant and reference-value checks.
 
-    Verdicts go to stdout; the seconds each check took go to stderr.
+    The range is spread over one worker process per CPU this process may
+    run on, one n per task. Verdicts go to stdout, the same for any number
+    of workers. The seconds each check spent, summed over n and across
+    workers, go to stderr.
     """
+    from .pipeline import WorkerDied, cpu_count
     from .verify import run_checks
 
     n_min, n_max = _resolve_range(n_min, n_max, allow_beyond)
-    results = run_checks(n_min=n_min, n_max=n_max)
+    try:
+        results = run_checks(n_min=n_min, n_max=n_max, workers=cpu_count())
+    except WorkerDied as exc:
+        raise click.ClickException(str(exc)) from None
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         suffix = f": {res.detail}" if res.detail else ""

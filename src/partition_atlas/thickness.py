@@ -151,6 +151,9 @@ def brute_force_local_dimension(graph: TransferGraph, p: Partition) -> int:
             extend(size + 1, [w for w in candidates[i + 1 :] if w in nbr[u]])
 
     extend(0, members)
+    # extend reaches itself through its closure cell; unbinding it breaks
+    # that cycle, so the neighbour sets are freed now, not at a later gc
+    del extend
     return best
 
 

@@ -1,11 +1,13 @@
 """Named verification checks over a computed range of n.
 
 Each check covers one documented property of the pipeline and is one
-entry of :data:`CHECKS`. The runner walks the requested range one n at a
+entry of :data:`CHECKS`. The runner takes the requested range one n at a
 time: it builds that n's graph, profile, framework and zones once,
-evaluates every check against them, and drops them before the next n, so
-memory follows the largest n of the range rather than the whole range.
-It reports one result per check.
+evaluates every per-n check against them, and drops them before the next
+n, so memory follows the largest n of the range rather than the whole
+range. The n are independent, so they may be spread over worker
+processes; only each check's outcome and each n's tau_max come back, and
+the outcomes are merged in n order. It reports one result per check.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import time
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from . import REFERENCE_RANGE_MAX
 from .atlas import _cells, atlas_chunks
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
 from .partitions import Partition, _partition_tuples, parse_partition, partition_count
+from .pipeline import map_n
 from .thickness import (
     ThicknessProfile,
     brute_force_local_dimension,
@@ -30,7 +33,7 @@ from .thickness import (
     thickness_profile,
 )
 from .transfer_graph import TransferGraph, bfs_distances, build_graph, induced_components
-from .zones import ZoneDecomposition, first_occurrences, threshold_zone, zone_sweep
+from .zones import ZoneDecomposition, first_occurrence_entries, threshold_zone, zone_sweep
 
 ORACLE_RANGE_MAX = 12
 
@@ -58,15 +61,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class _Range:
-    """What the checks know of the whole range ``n_min..n_max``.
-
-    ``profiles`` holds the profile of every n checked so far, in order;
-    the first-occurrence table is read off them at ``n_max``.
-    """
+    """The range ``n_min..n_max`` being checked."""
 
     n_min: int
     n_max: int
-    profiles: list[ThicknessProfile]
 
 
 @dataclass(frozen=True)
@@ -118,44 +116,65 @@ def _fail_if(condition: bool, message: str, *args: object) -> None:
         raise AssertionError(message.format(*args))
 
 
-def run_checks(n_min: int = 1, n_max: int = 30) -> list[CheckResult]:
+# one check at one n: passed, its detail or failure message, and its seconds
+_Outcome = tuple[bool, str | None, float]
+
+
+def _outcome(check: Callable[[_Range, Any], str | None], run: _Range, arg: Any) -> _Outcome:
+    start = time.perf_counter()
+    try:
+        ok, text = True, check(run, arg)
+    except Exception as exc:  # a crash is a failed check, not a crash of verify
+        ok, text = False, f"raised {type(exc).__name__}: {exc}"
+    return ok, text, time.perf_counter() - start
+
+
+def _check_n(n: int, n_min: int, n_max: int) -> tuple[int, list[_Outcome]]:
+    """Every per-n check on n's bundle: n's tau_max and one outcome per check.
+
+    The bundle is dropped on return, so only these few values outlive it,
+    in this process or back from a worker.
+    """
+    run = _Range(n_min, n_max)
+    b = _bundle(n)
+    outcomes = [_outcome(check, run, b) for name, check in CHECKS if name != RANGE_CHECK]
+    return b.profile.tau_max, outcomes
+
+
+def run_checks(n_min: int = 1, n_max: int = 30, workers: int = 1) -> list[CheckResult]:
     """Evaluate every check of :data:`CHECKS` for the range ``n_min..n_max``.
 
-    Each check is called once per n, in increasing order, with that n's
-    bundle, until it raises; the detail it returns at ``n_max`` is its
-    verdict, and ``None`` there leaves it out of the report. The two
-    golden-table checks need profiles from n=1 upward, so they are left
-    out, rather than passed vacuously, when ``n_min`` is above 1.
+    Each per-n check is called once per n, with that n's bundle. A check
+    that raises at some n fails with the message of the smallest such n;
+    otherwise the detail it returns at ``n_max`` is its verdict, and
+    ``None`` there leaves it out of the report. The first-occurrence table
+    is checked once, from every n's tau_max. The two golden-table checks
+    need profiles from n=1 upward, so they are left out, rather than
+    passed vacuously, when ``n_min`` is above 1.
+
+    With ``workers`` above 1 the n are spread over that many processes
+    (see :func:`pipeline.map_n`); the results are the same, and each
+    check's ``seconds`` is the time it spent summed over n and workers.
     """
     if not (1 <= n_min <= n_max):
         raise ValueError(f"invalid range {n_min}..{n_max}")
 
-    run = _Range(n_min, n_max, [])
-    details: dict[str, str | None] = {}
-    failures: dict[str, str] = {}
-    seconds = dict.fromkeys((name for name, _ in CHECKS), 0.0)
-    for n in range(n_min, n_max + 1):
-        b = _bundle(n)
-        run.profiles.append(b.profile)
-        for name, check in CHECKS:
-            if name in failures:
-                continue
-            start = time.perf_counter()
-            try:
-                details[name] = check(run, b)
-            except Exception as exc:  # a crash is a failed check, not a crash of verify
-                failures[name] = f"raised {type(exc).__name__}: {exc}"
-            seconds[name] += time.perf_counter() - start
-        # dropped here, not when the name is rebound, so no two bundles coexist
-        del b
-
-    results: list[CheckResult] = []
-    for name, _ in CHECKS:
-        if name in failures:
-            results.append(CheckResult(name, False, failures[name], seconds[name]))
-        elif details[name] is not None:
-            results.append(CheckResult(name, True, details[name], seconds[name]))
-    return results
+    run = _Range(n_min, n_max)
+    per_n = map_n(_check_n, range(n_min, n_max + 1), workers, n_min, n_max)
+    # one row per per-n check, its outcomes in increasing n
+    rows = iter(zip(*(outcomes for _, outcomes in per_n)))
+    report: list[CheckResult] = []
+    for name, check in CHECKS:
+        if name == RANGE_CHECK:
+            ok, text, seconds = _outcome(check, run, [tau for tau, _ in per_n])
+        else:
+            over_n = next(rows)
+            failed = [text for ok, text, _ in over_n if not ok]
+            ok, text = not failed, failed[0] if failed else over_n[-1][1]
+            seconds = sum(s for _, _, s in over_n)
+        if not ok or text is not None:
+            report.append(CheckResult(name, ok, text, seconds))
+    return report
 
 
 def _check_partition_counts(run: _Range, b: _Bundle) -> str:
@@ -373,13 +392,13 @@ def _check_antenna_exclusion(run: _Range, b: _Bundle) -> str:
     return "antennas stay outside the triangular regime"
 
 
-def _check_first_occurrence_table(run: _Range, b: _Bundle) -> str | None:
-    # a range-level fact: the table is read once every profile is in
-    if run.n_min > 1 or b.n < run.n_max:
+def _check_first_occurrence_table(run: _Range, tau_maxes: list[int]) -> str | None:
+    # the range check: ``tau_maxes`` holds tau_max at every n of the range, in order
+    if run.n_min > 1:
         return None
-    table = first_occurrences(run.profiles)
-    known = {r: v for r, v in table.entries.items() if v <= REFERENCE_RANGE_MAX}
-    new = {r: v for r, v in table.entries.items() if v > REFERENCE_RANGE_MAX}
+    entries = first_occurrence_entries(tau_maxes)
+    known = {r: v for r, v in entries.items() if v <= REFERENCE_RANGE_MAX}
+    new = {r: v for r, v in entries.items() if v > REFERENCE_RANGE_MAX}
     expected = {r: v for r, v in EXPECTED_FIRST_OCCURRENCES.items() if v <= run.n_max}
     _fail_if(known != expected, "got {}, expected {}", known, expected)
     # by the corner formula, tau = r needs a partition of n - 1 with r
@@ -387,7 +406,7 @@ def _check_first_occurrence_table(run: _Range, b: _Bundle) -> str | None:
     # staircase (r, r-1, ..., 1) reach order r at n = r(r+1)/2 + 1
     off = {r: v for r, v in new.items() if v != r * (r + 1) // 2 + 1}
     _fail_if(bool(off), "new orders {} are not at r(r+1)/2 + 1", off)
-    values = list(table.entries.values())
+    values = list(entries.values())
     _fail_if(values != sorted(set(values)), "first occurrences not strictly increasing")
     detail = f"{expected or 'no order realized in range'}"
     if new:
@@ -467,8 +486,12 @@ def _check_compute_idempotence(run: _Range, b: _Bundle) -> str:
     return f"identical artifacts for n={run.n_min}..{top}"
 
 
+# the one check of the whole range; it is called once, with every n's
+# tau_max, where every other check is called with each n's bundle
+RANGE_CHECK = "first-occurrence table matches expected values"
+
 # every check, in report order; the acceptance suite reads results by name
-CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str | None]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[_Range, Any], str | None]], ...] = (
     ("partition counts match independent recurrence", _check_partition_counts),
     ("canonical enumeration order", _check_enumeration_order),
     ("conjugation is an involution", _check_conjugation_involution),
@@ -489,7 +512,7 @@ CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str | None]], ...] = (
     ("first shell order is trivial", _check_first_shell_trivial),
     ("zone conjugation invariance", _check_zone_conjugation),
     ("antenna exclusion from thick zones", _check_antenna_exclusion),
-    ("first-occurrence table matches expected values", _check_first_occurrence_table),
+    (RANGE_CHECK, _check_first_occurrence_table),
     ("maximal-thickness table matches expected values", _check_max_locus_table),
     ("maximal loci keep away from the antennas", _check_rear_support),
     ("layout conjugation symmetry", _check_layout_symmetry),

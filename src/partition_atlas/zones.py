@@ -225,11 +225,17 @@ def first_occurrences(profiles: Sequence[ThicknessProfile]) -> FirstOccurrenceTa
     for i, prof in enumerate(profiles):
         if prof.n != i + 1:
             raise ValueError("profiles must cover a contiguous range starting at 1")
+    entries = first_occurrence_entries([prof.tau_max for prof in profiles])
+    return FirstOccurrenceTable(entries=entries, range_max=len(profiles))
+
+
+def first_occurrence_entries(tau_maxes: Sequence[int]) -> dict[int, int]:
+    """First n at which each order r >= 2 appears, given tau_max at n = 1, 2, ..."""
     entries: dict[int, int] = {}
-    for prof in profiles:
-        for r in range(2, prof.tau_max + 1):
-            entries.setdefault(r, prof.n)
-    return FirstOccurrenceTable(entries=dict(sorted(entries.items())), range_max=len(profiles))
+    for n, tau_max in enumerate(tau_maxes, 1):
+        for r in range(2, tau_max + 1):
+            entries.setdefault(r, n)
+    return dict(sorted(entries.items()))
 
 
 def first_occurrences_csv(table: FirstOccurrenceTable) -> str:

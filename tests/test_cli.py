@@ -1,5 +1,9 @@
 import importlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,6 +60,84 @@ def test_compute_parallel_matches_serial(tmp_path):
         == 0
     )
     assert _tree(serial) == _tree(parallel)
+
+
+# runs the CLI with the given arguments, with each command's per-n task
+# patched so that a worker process dies without a result as soon as it
+# starts one; the workers are forked, so they find the patched tasks by
+# their names in __main__
+DYING_WORKER = """
+import os, sys
+from partition_atlas import pipeline, verify
+from partition_atlas.cli import main
+
+compute_n, check_n, parent = pipeline.compute_artifacts_for_n, verify._check_n, os.getpid()
+
+def dying_compute(n, out_root):
+    if os.getpid() != parent:
+        os._exit(7)
+    compute_n(n, out_root)
+
+def dying_check(n, n_min, n_max):
+    if os.getpid() != parent:
+        os._exit(7)
+    return check_n(n, n_min, n_max)
+
+pipeline.compute_artifacts_for_n = dying_compute
+verify._check_n = dying_check
+pipeline.cpu_count = lambda: 2
+main(sys.argv[1:], prog_name="partition-atlas")
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs forked workers"
+)
+@pytest.mark.parametrize(
+    "args",
+    [["compute", "--n-max", "20", "--jobs", "2", "--out", "a"], ["verify", "--n-max", "20"]],
+    ids=["compute", "verify"],
+)
+def test_a_dead_worker_ends_the_command(tmp_path, args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", DYING_WORKER, *args],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        # a pool that waits for the dead worker hangs: end the command and its workers
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+    assert proc.returncode == 1, err
+    assert "a worker process died" in err
+    assert "checks passed" not in out
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch, tmp_path):
+    from partition_atlas import pipeline, verify
+
+    if hasattr(os, "sched_getaffinity"):
+        assert pipeline.cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert pipeline.cpu_count() == (os.cpu_count() or 1)
+
+    # both commands read the one helper at call time
+    seen = []
+    monkeypatch.setattr(pipeline, "cpu_count", lambda: 3)
+    monkeypatch.setattr(
+        pipeline, "map_n", lambda task, ns, workers, *args: seen.append(workers) or []
+    )
+    monkeypatch.setattr(
+        verify, "run_checks", lambda n_min, n_max, workers: seen.append(workers) or []
+    )
+    runner = CliRunner()
+    args = ["compute", "--n-max", "4", "--jobs", "0", "--out", str(tmp_path)]
+    assert runner.invoke(main, args).exit_code == 0
+    assert runner.invoke(main, ["verify", "--n-max", "4"]).exit_code == 0
+    assert seen == [3, 3]
 
 
 def test_compute_soft_caps_range(tmp_path):
@@ -272,7 +354,7 @@ def test_verify_reports_failures_with_exit_1(monkeypatch):
     monkeypatch.setattr(
         verify,
         "run_checks",
-        lambda n_min, n_max: [
+        lambda n_min, n_max, workers: [
             CheckResult("good", True, ""),
             CheckResult("bad", False, "some vertices disagree"),
         ],
@@ -291,7 +373,7 @@ def test_verify_prints_check_seconds_to_stderr_only(monkeypatch, capsys):
     monkeypatch.setattr(
         verify,
         "run_checks",
-        lambda n_min, n_max: [
+        lambda n_min, n_max, workers: [
             CheckResult("first", True, "fine", 0.25),
             CheckResult("second", True, "", 1.5),
         ],

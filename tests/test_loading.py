@@ -30,6 +30,10 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+# what a worker pool loads; a run in one process loads neither
+POOL_MODULES = {"multiprocessing", "concurrent.futures"}
+
+
 def _run(code, *args, cwd):
     """Stdout of ``python -c code *args`` in a fresh interpreter on ``src/``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -52,7 +56,7 @@ def test_help_loads_only_the_cli(tmp_path):
         "partition_atlas",
         "partition_atlas.cli",
     }
-    assert "multiprocessing" not in loaded
+    assert not loaded & POOL_MODULES
 
 
 @pytest.mark.parametrize(
@@ -60,14 +64,15 @@ def test_help_loads_only_the_cli(tmp_path):
     [
         (["compute", "--n-max", "3", "--jobs", "1", "--out", "a"], ["verify", "atlas"]),
         (["graph-dump", "--n", "4"], ["thickness", "zones", "atlas", "verify"]),
+        (["verify", "--n-min", "3", "--n-max", "3"], []),
     ],
-    ids=["compute", "graph-dump"],
+    ids=["compute", "graph-dump", "verify-one-n"],
 )
 def test_command_loads_only_its_layers(tmp_path, args, absent):
     loaded = _loaded(*args, cwd=tmp_path)
     assert "partition_atlas.cli" in loaded
     assert not loaded & {f"partition_atlas.{name}" for name in absent}
-    assert "multiprocessing" not in loaded
+    assert not loaded & POOL_MODULES
 
 
 def test_package_import_loads_no_submodule(tmp_path):

@@ -138,6 +138,18 @@ def test_clique_search_leaves_no_garbage():
         gc.enable()
 
 
+def test_oracle_leaves_no_garbage():
+    g = build_graph(12)
+    tau = thickness_profile(g).tau
+    gc.collect()
+    gc.disable()
+    try:
+        assert [brute_force_local_dimension(g, p) for p in g.vertices] == list(tau)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _with_adjacency(graph, edges):
     """``graph`` with its rows replaced by the symmetric, loop-free ``edges``."""
     rows = [set() for _ in graph.adj]

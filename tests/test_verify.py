@@ -275,3 +275,27 @@ def test_verify_stdout_is_pinned(capsys):
 
 def test_run_checks_verdicts_are_pinned():
     assert [(r.name, r.ok, r.detail) for r in verify.run_checks(21, 22)] == RUN_CHECKS_21_22
+
+
+def _verdicts(results):
+    return [(r.name, r.ok, r.detail) for r in results]
+
+
+def test_parallel_run_checks_verdicts_are_pinned():
+    assert _verdicts(verify.run_checks(21, 22, workers=2)) == RUN_CHECKS_21_22
+
+
+def test_parallel_run_checks_matches_one_process():
+    assert _verdicts(verify.run_checks(1, 14, workers=2)) == _verdicts(verify.run_checks(1, 14))
+
+
+def test_parallel_failure_names_the_smallest_failing_n(monkeypatch):
+    # the axis count is off at n=9 and n=12; the pool checks n=12 first
+    real = verify._distinct_odd_part_count
+    monkeypatch.setattr(verify, "_distinct_odd_part_count", lambda n: real(n) + (n in (9, 12)))
+    serial = verify.run_checks(1, 14)
+    parallel = verify.run_checks(1, 14, workers=2)
+    assert _verdicts(parallel) == _verdicts(serial)
+    (check,) = [r for r in parallel if r.name == "self-conjugate axis size"]
+    assert not check.ok
+    assert check.detail == "raised AssertionError: axis size mismatch at n=9"
