@@ -22,14 +22,14 @@ REFERENCE_RANGE_MAX = 30
 _HOME = {
     name: module
     for module, names in {
-        "atlas": "LayoutPoint LocusStats export_tables layout locus_statistics render_atlas",
+        "atlas": "export_tables render_atlas",
         "framework": "AxisSet FrameworkSet antennas boundary_framework framework_json "
         "left_boundary main_chain right_boundary self_conjugate_axis",
         "partitions": "Partition canonical_index enumerate_partitions format_partition "
         "parse_partition partition_count partition_names",
-        "thickness": "ThicknessProfile brute_force_local_dimension local_simplex_dimension "
-        "max_thickness_locus profile_csv profile_from_json profile_json thickness_profile",
-        "transfer_graph": "TransferGraph bfs_distances build_graph induced_components neighbors",
+        "thickness": "ThicknessProfile brute_force_local_dimension max_thickness_locus "
+        "profile_csv profile_from_json profile_json thickness_profile",
+        "transfer_graph": "TransferGraph bfs_distances build_graph induced_components",
         "zones": "FirstOccurrenceTable ZoneComponent ZoneDecomposition decompose exact_regime "
         "first_occurrences first_occurrences_csv threshold_zone zone_json zone_sweep",
     }.items()
@@ -40,8 +40,6 @@ __all__ = [
     "AxisSet",
     "FirstOccurrenceTable",
     "FrameworkSet",
-    "LayoutPoint",
-    "LocusStats",
     "Partition",
     "ThicknessProfile",
     "TransferGraph",
@@ -62,13 +60,9 @@ __all__ = [
     "format_partition",
     "framework_json",
     "induced_components",
-    "layout",
     "left_boundary",
-    "local_simplex_dimension",
-    "locus_statistics",
     "main_chain",
     "max_thickness_locus",
-    "neighbors",
     "parse_partition",
     "partition_count",
     "partition_names",

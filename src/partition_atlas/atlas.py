@@ -1,18 +1,17 @@
-"""Deterministic layout, SVG rendering, table export, locus statistics."""
+"""Deterministic layout, SVG rendering and table export."""
 
 from __future__ import annotations
 
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .framework import FrameworkSet, boundary_framework
-from .partitions import Partition, _conjugate, _partition_tuples
+from .framework import boundary_framework
+from .partitions import Partition, _partition_tuples
 from .thickness import ThicknessProfile
-from .transfer_graph import TransferGraph, bfs_distances
+from .transfer_graph import TransferGraph
 from .zones import decompose, exact_regime, first_occurrences, first_occurrences_csv
 
 # glyph geometry, in SVG user units
@@ -48,35 +47,15 @@ OUTLINE_STROKE = ('#000000', "2.50")
 PLAIN_STROKE = ('#606060', "0.80")
 
 
-@dataclass(frozen=True)
-class LayoutPoint:
-    """Grid placement of one vertex at (largest part, number of parts).
-
-    ``dx``/``dy`` are small ring offsets, nonzero only when several
-    partitions share the same cell.
-    """
-
-    x: int
-    y: int
-    dx: float
-    dy: float
-
-
-def layout(n: int) -> tuple[LayoutPoint, ...]:
-    """One point per partition of ``n``, in canonical order.
-
-    Partitions landing on the same cell are spread on a small circle
-    around it in canonical order, so placement is a pure function of the
-    enumeration. Conjugation transposes the base cell.
-    """
-    return tuple(LayoutPoint(x, y, dx, dy) for x, y, dx, dy in _cells(n))
-
-
 def _cells(n: int) -> tuple[tuple[int, int, float, float], ...]:
-    """:func:`layout` as plain ``(x, y, dx, dy)`` tuples.
+    """One ``(x, y, dx, dy)`` point per partition of ``n``, in canonical order.
 
-    The offsets of a ring of m points are computed once per m and shared
-    by every cell that holds m partitions.
+    A partition sits at the cell (x, y) = (largest part, number of parts).
+    Partitions landing on the same cell are spread on a small circle
+    around it in canonical order, with ring offsets ``dx``/``dy``, so
+    placement is a pure function of the enumeration. Conjugation
+    transposes the base cell. The offsets of a ring of m points are
+    computed once per m and shared by every cell that holds m partitions.
     """
     parts = _partition_tuples(n)
     cells: dict[tuple[int, int], list[int]] = {}
@@ -104,6 +83,7 @@ def _coord(value: float) -> str:
     return f"{value:.2f}"
 
 
+# no pipeline step calls this; kept because perfbench/traced_step.py spans it by name
 def render_atlas(
     graph: TransferGraph,
     profile: ThicknessProfile,
@@ -269,63 +249,3 @@ def export_tables(
     locus_path.write_text(json.dumps(loci, indent=2) + "\n")
 
     return {"first_occurrences": first_path, "summary": summary_path, "max_locus": locus_path}
-
-
-@dataclass(frozen=True)
-class LocusStats:
-    """Descriptive placement statistics of a vertex set.
-
-    Balance is largest part minus number of parts; distances are graph
-    distances to the nearest antenna and to the boundary framework.
-    """
-
-    n: int
-    size: int
-    balance_mean: float
-    balance_min: int
-    balance_max: int
-    antenna_distance_mean: float
-    antenna_distance_min: int
-    antenna_distance_max: int
-    framework_distance_mean: float
-    framework_distance_min: int
-    framework_distance_max: int
-    axis_fraction: float
-
-
-def locus_statistics(
-    graph: TransferGraph,
-    framework: FrameworkSet,
-    members: Iterable[Partition],
-) -> LocusStats:
-    """Placement statistics of ``members`` inside one graph."""
-    if graph.n != framework.n:
-        raise ValueError("graph and framework must describe the same n")
-    idxs = sorted(graph.index_of(p) for p in members)
-    if not idxs:
-        raise ValueError("the vertex set must be nonempty")
-    near = bfs_distances(graph, [graph.index_of(p) for p in framework.antennas])
-    border = bfs_distances(graph, sorted(framework.all_indices))
-    parts = graph.parts
-
-    balances = [parts[i][0] - len(parts[i]) for i in idxs]
-    antenna_d = [near[i] for i in idxs]
-    framework_d = [border[i] for i in idxs]
-
-    def mean(xs: list[int]) -> float:
-        return sum(xs) / len(xs)
-
-    return LocusStats(
-        n=graph.n,
-        size=len(idxs),
-        balance_mean=mean(balances),
-        balance_min=min(balances),
-        balance_max=max(balances),
-        antenna_distance_mean=mean(antenna_d),
-        antenna_distance_min=min(antenna_d),
-        antenna_distance_max=max(antenna_d),
-        framework_distance_mean=mean(framework_d),
-        framework_distance_min=min(framework_d),
-        framework_distance_max=max(framework_d),
-        axis_fraction=sum(_conjugate(parts[i]) == parts[i] for i in idxs) / len(idxs),
-    )

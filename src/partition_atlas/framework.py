@@ -72,7 +72,27 @@ def right_boundary(n: int) -> tuple[Partition, ...]:
 
 
 def boundary_framework(n: int) -> FrameworkSet:
-    """Union of the main chain and the two boundary edges."""
+    """Union of the main chain and the two boundary edges.
+
+    The framework lies below order 3: every member has thickness at most
+    2. By the corner formula (``transfer_graph._corner_thickness``), tau
+    is the number of runs of equal parts plus the best gain over the runs,
+    where a run of value v and length m, followed by the value w (0 after
+    the last run), gains [v > 1 and w != v - 1] - [m = 1]. A gain is at
+    most 1, and it is at most 0 when m = 1, when v = 1, or when w = v - 1.
+    The members take these shapes:
+
+    - (a) and (a, a), and (2^k) and (1^n): one run, so tau <= 1 + 1 = 2.
+    - (a, b) with a > b: two runs, each of length 1, so tau <= 2 + 0.
+    - hooks (a, 1^k) with a > 1: the run of a has length 1 and the run of
+      1s has v = 1, so tau <= 2 + 0.
+    - (2^k, 1^m) with k, m >= 1: the run of 2s is followed by w = 1 = v - 1
+      and the run of 1s has v = 1, so tau <= 2 + 0.
+
+    So no zone of order 3 or more meets the framework: from order 3 up,
+    every component is interior, each shell is empty and each core is
+    the whole zone.
+    """
     ant = antennas(n)
     chain = main_chain(n)
     left = left_boundary(n)

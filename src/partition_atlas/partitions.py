@@ -70,6 +70,7 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# no pipeline step calls this; kept because perfbench/traced_step.py spans it by name
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, in reverse-lexicographic order.

@@ -35,7 +35,8 @@ def map_n(task: Callable[..., T], ns: Sequence[int], workers: int, *args: object
     is one of the workers, and runs each task that no other has started.
     The results come back in the order of ``ns`` either way. A worker that
     dies (killed, or exiting without a result) raises :class:`WorkerDied`
-    instead of leaving the pool waiting for it.
+    instead of leaving the pool waiting for it, and a worker whose parent
+    dies exits too, instead of waiting for a task that never comes.
     """
     if workers <= 1 or len(ns) <= 1:
         return [task(n, *args) for n in ns]
@@ -49,7 +50,12 @@ def map_n(task: Callable[..., T], ns: Sequence[int], workers: int, *args: object
     # submit, before it starts its own thread, so no thread is forked.
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    pool = ProcessPoolExecutor(min(workers, len(ns)) - 1, mp_context=context)
+    pool = ProcessPoolExecutor(
+        min(workers, len(ns)) - 1,
+        mp_context=context,
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
     try:
         futures = {n: pool.submit(task, n, *args) for n in sorted(ns, reverse=True)}
         # a task is cancelled only while no worker has started it
@@ -59,6 +65,25 @@ def map_n(task: Callable[..., T], ns: Sequence[int], workers: int, *args: object
         raise WorkerDied(f"a worker process died: {exc}") from None
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once ``parent`` is no longer its parent.
+
+    A forked worker holds the write end of its own call queue, so it never
+    reads an end of file there; if the command's process dies, the worker
+    would wait for its next task for ever. A daemon thread polls the
+    parent pid instead, and exits the worker when it changes.
+    """
+    import threading
+    import time
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def n_dir(out_root: Path, n: int) -> Path:

@@ -5,13 +5,10 @@ minus one. A largest clique through a partition p of n is all covers of
 one partition of n - 1 below p, so the profile is read off the Young
 diagrams in closed form (proof at ``transfer_graph._corner_thickness``).
 
-The paper's method stays as :func:`local_simplex_dimension`, and as
-:func:`clique_search_profile` for every vertex of a graph. Both read only
-the adjacency rows and enumerate maximal cliques with pivoted
-Bron-Kerbosch on bitmask rows: the first takes the largest maximal clique
-of one neighborhood, the second finds every maximal clique of the graph
-once, from its smallest vertex. They share no code with the closed form
-and cross-check it.
+:func:`clique_search_profile` computes the same values from the
+adjacency rows alone: it finds every maximal clique of the graph once,
+from its smallest vertex, with pivoted Bron-Kerbosch on bitmask rows. It
+shares no code with the closed form and cross-checks it.
 """
 
 from __future__ import annotations
@@ -46,35 +43,19 @@ class ThicknessProfile:
     max_locus: tuple[int, ...]
 
 
-def local_simplex_dimension(graph: TransferGraph, p: Partition) -> int:
-    """Largest clique size through ``p``, minus one; 0 for an isolated vertex.
-
-    The largest maximal clique of the subgraph induced on the neighborhood
-    of ``p``, independent of the closed form that :func:`thickness_profile`
-    uses.
-    """
-    adj = graph.adj
-    members = adj[graph.index_of(p)]
-    if not members:
-        return 0
-    cliques: list[int] = []
-    rows = _local_rows(adj, members, [0] * len(adj))
-    _maximal_cliques(rows, 0, (1 << len(members)) - 1, 0, cliques)
-    return max(c.bit_count() for c in cliques)
-
-
 def clique_search_profile(graph: TransferGraph) -> tuple[int, ...]:
-    """:func:`local_simplex_dimension` of every vertex, in canonical order.
+    """Largest clique size through each vertex, minus one, in canonical order.
 
-    Every clique has a smallest vertex m, and its other members lie in
-    N+(m), the neighbors of m above m. So each maximal clique of the graph
-    is found once, from its smallest vertex, as m plus a maximal clique of
-    the subgraph induced on N+(m) (Eppstein, Loffler & Strash 2010), and
-    its size is credited to m and to every member. A vertex's value is
-    its largest credit, minus one. Only ``graph.adj`` is read, with one
-    scratch list shared by every N+(m) of the graph. Each member's row is
-    summed whole, since its entries at or below m carry no bit; cutting
-    them off with a bisection per row measured no faster.
+    An isolated vertex reads 0. Every clique has a smallest vertex m, and
+    its other members lie in N+(m), the neighbors of m above m. So each
+    maximal clique of the graph is found once, from its smallest vertex,
+    as m plus a maximal clique of the subgraph induced on N+(m) (Eppstein,
+    Loffler & Strash 2010), and its size is credited to m and to every
+    member. A vertex's value is its largest credit, minus one. Only
+    ``graph.adj`` is read, with one scratch list shared by every N+(m) of
+    the graph. Each member's row is summed whole, since its entries at or
+    below m carry no bit; cutting them off with a bisection per row
+    measured no faster.
     """
     adj = graph.adj
     best = [1] * len(adj)
@@ -129,7 +110,9 @@ def max_thickness_locus(graph: TransferGraph, profile: ThicknessProfile) -> tupl
 
 
 def brute_force_local_dimension(graph: TransferGraph, p: Partition) -> int:
-    """Reference value for :func:`local_simplex_dimension`.
+    """Largest clique size through ``p``, minus one, by exhaustive search.
+
+    The reference value for :func:`clique_search_profile` at one vertex.
 
     Grows every clique of the neighborhood subgraph one vertex at a time,
     with no ordering, bounding, or pivoting, and records the largest size

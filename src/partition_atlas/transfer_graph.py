@@ -18,39 +18,6 @@ from .partitions import (
 )
 
 
-def neighbors(p: Partition) -> set[Partition]:
-    """All partitions reachable from ``p`` by moving a single unit.
-
-    A move removes one unit from a source part (deleting the part when it
-    drops to zero) and either adds it to a different existing part or
-    opens a new part of size one; the result is re-sorted. Outcomes equal
-    to ``p`` itself are discarded, and duplicates collapse. These are the
-    upper covers of the lower covers of ``p``, other than ``p`` itself.
-    """
-    parts = p.parts
-    return {Partition(t) for mu in _lower_covers(parts) for t in _upper_covers(mu) if t != parts}
-
-
-def _lower_covers(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """``parts`` with one box taken off a removable corner, each corner once."""
-    last = len(parts) - 1
-    return [
-        parts[:i] + (parts[i] - 1,) + parts[i + 1 :] if parts[i] > 1 else parts[:-1]
-        for i in range(last + 1)
-        if i == last or parts[i] != parts[i + 1]
-    ]
-
-
-def _upper_covers(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """``parts`` with one box put on an addable corner, each corner once."""
-    grown = [
-        parts[:j] + (parts[j] + 1,) + parts[j + 1 :]
-        for j in range(len(parts))
-        if j == 0 or parts[j - 1] != parts[j]
-    ]
-    return [*grown, (*parts, 1)]
-
-
 def _corner_thickness(parts: tuple[int, ...]) -> int:
     """Thickness of the vertex ``parts``, read off its Young diagram.
 
@@ -173,6 +140,7 @@ class TransferGraph:
                 left = names[i] + "\t"
                 yield left + ("\n" + left).join([names[j] for j in row[k:]]) + "\n"
 
+    # no pipeline step calls this; kept because perfbench/traced_step.py spans it by name
     def dump_edges(self) -> str:
         """Edge list, one ``"a<TAB>b"`` line per edge, in canonical order."""
         return "".join(self.edge_chunks())
@@ -199,8 +167,8 @@ def build_graph(n: int) -> TransferGraph:
     for t, c in index.items():
         if t[-1] != 1:
             continue
-        # the covers of mu = t[:-1], as in _upper_covers: one box on each
-        # addable corner, put on and taken off one list in turn
+        # the covers of mu = t[:-1]: one box on each addable corner, put on
+        # and taken off one list in turn
         mu = list(t[:-1])
         clique = [c]
         for j in range(len(mu)):

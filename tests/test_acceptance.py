@@ -13,18 +13,19 @@ import pytest
 from click.testing import CliRunner
 
 from partition_atlas import (
+    bfs_distances,
     boundary_framework,
     build_graph,
     decompose,
     enumerate_partitions,
     exact_regime,
-    locus_statistics,
     max_thickness_locus,
     partition_count,
     render_atlas,
     thickness_profile,
 )
 from partition_atlas.cli import main as cli_main
+from partition_atlas.partitions import _conjugate
 from partition_atlas.verify import EXPECTED_MAX_LOCUS, run_checks
 
 RANGE_MAX = 30
@@ -115,14 +116,19 @@ def test_criterion_6_rear_central_support(verdicts):
         )
         for n in EXPECTED_MAX_LOCUS:
             graph = build_graph(n)
-            locus = max_thickness_locus(graph, thickness_profile(graph))
-            stats = locus_statistics(graph, boundary_framework(n), locus)
+            locus = thickness_profile(graph).max_locus
+            framework = boundary_framework(n)
+            near = bfs_distances(graph, [graph.index_of(p) for p in framework.antennas])
+            border = bfs_distances(graph, sorted(framework.all_indices))
+            parts = [graph.parts[i] for i in locus]
+            balance = sum(t[0] - len(t) for t in parts) / len(parts)
+            axis = sum(t == _conjugate(t) for t in parts) / len(parts)
             print(
-                f"  (informational, n={n}: |M|={stats.size}"
-                f" antenna_dist_min={stats.antenna_distance_min}"
-                f" framework_dist_max={stats.framework_distance_max}"
-                f" balance_mean={stats.balance_mean:+.2f}"
-                f" axis_fraction={stats.axis_fraction:.2f})"
+                f"  (informational, n={n}: |M|={len(locus)}"
+                f" antenna_dist_min={min(near[i] for i in locus)}"
+                f" framework_dist_max={max(border[i] for i in locus)}"
+                f" balance_mean={balance:+.2f}"
+                f" axis_fraction={axis:.2f})"
             )
 
 

@@ -6,23 +6,15 @@ from collections import Counter
 import pytest
 
 from partition_atlas import (
-    LayoutPoint,
-    LocusStats,
     Partition,
-    antennas,
-    bfs_distances,
-    boundary_framework,
     build_graph,
     enumerate_partitions,
     export_tables,
-    layout,
-    locus_statistics,
     max_thickness_locus,
     render_atlas,
-    self_conjugate_axis,
     thickness_profile,
 )
-from partition_atlas.atlas import CELL, EDGE_STYLE, MARGIN, RING_OFFSET, atlas_chunks
+from partition_atlas.atlas import CELL, EDGE_STYLE, MARGIN, RING_OFFSET, _cells, atlas_chunks
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -38,37 +30,38 @@ def _edges(svg_text):
 
 
 def test_layout_base_cells_n4():
-    pts = {str(p): pt for p, pt in zip(enumerate_partitions(4), layout(4))}
-    assert (pts["3,1"].x, pts["3,1"].y) == (3, 2)
-    assert (pts["2,1,1"].x, pts["2,1,1"].y) == (2, 3)
-    assert (pts["4"].x, pts["4"].y) == (4, 1)
+    pts = {str(p): pt for p, pt in zip(enumerate_partitions(4), _cells(4))}
+    assert pts["3,1"][:2] == (3, 2)
+    assert pts["2,1,1"][:2] == (2, 3)
+    assert pts["4"][:2] == (4, 1)
 
 
 def test_layout_no_collisions_n6():
-    cells = Counter((pt.x, pt.y) for pt in layout(6))
+    cells = Counter((x, y) for x, y, _, _ in _cells(6))
     assert max(cells.values()) == 1
-    assert all(pt.dx == pt.dy == 0.0 for pt in layout(6))
+    assert all(dx == dy == 0.0 for _, _, dx, dy in _cells(6))
 
 
 def test_layout_collision_ring_n7():
     # (3,3,1) and (3,2,2) share the cell (3,3); found by scanning
-    pts = {str(p): pt for p, pt in zip(enumerate_partitions(7), layout(7))}
-    a, b = pts["3,3,1"], pts["3,2,2"]
-    assert (a.x, a.y) == (b.x, b.y) == (3, 3)
-    assert (a.dx, a.dy) != (b.dx, b.dy)
-    for pt in (a, b):
-        assert abs(pt.dx) < 0.5 and abs(pt.dy) < 0.5
-    assert layout(7) == layout(7)
+    pts = {str(p): pt for p, pt in zip(enumerate_partitions(7), _cells(7))}
+    (ax, ay, adx, ady), (bx, by, bdx, bdy) = pts["3,3,1"], pts["3,2,2"]
+    assert (ax, ay) == (bx, by) == (3, 3)
+    assert (adx, ady) != (bdx, bdy)
+    for offset in (adx, ady, bdx, bdy):
+        assert abs(offset) < 0.5
+    assert _cells(7) == _cells(7)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_layout_conjugation_transposes_cells(n):
     verts = enumerate_partitions(n)
     index = {p.parts: i for i, p in enumerate(verts)}
-    pts = layout(n)
+    pts = _cells(n)
     for i, p in enumerate(verts):
-        mirror = pts[index[p.conjugate().parts]]
-        assert (pts[i].x, pts[i].y) == (mirror.y, mirror.x)
+        x, y, _, _ = pts[i]
+        mirror_x, mirror_y, _, _ = pts[index[p.conjugate().parts]]
+        assert (x, y) == (mirror_y, mirror_x)
 
 
 def _layout_point_by_point(n):
@@ -87,13 +80,13 @@ def _layout_point_by_point(n):
                 angle = 2.0 * math.pi * k / m
                 dx = round(RING_OFFSET * math.cos(angle), 4)
                 dy = round(RING_OFFSET * math.sin(angle), 4)
-            points[i] = LayoutPoint(x=x, y=y, dx=dx, dy=dy)
+            points[i] = (x, y, dx, dy)
     return tuple(points)
 
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_layout_matches_point_by_point_formula(n):
-    assert layout(n) == _layout_point_by_point(n)
+    assert _cells(n) == _layout_point_by_point(n)
 
 
 @pytest.mark.parametrize("n", range(1, 16))
@@ -101,8 +94,8 @@ def test_render_edge_block_matches_per_line_formatting(n):
     g = build_graph(n)
     prof = thickness_profile(g)
     coords = [
-        (f"{MARGIN + (pt.x - 1 + pt.dx) * CELL:.2f}", f"{MARGIN + (pt.y - 1 + pt.dy) * CELL:.2f}")
-        for pt in layout(n)
+        (f"{MARGIN + (x - 1 + dx) * CELL:.2f}", f"{MARGIN + (y - 1 + dy) * CELL:.2f}")
+        for x, y, dx, dy in _layout_point_by_point(n)
     ]
     lines = [
         f'<line x1="{coords[i][0]}" y1="{coords[i][1]}" '
@@ -234,68 +227,3 @@ def test_export_tables_rejects_gaps(tmp_path):
     profiles, loci = _profiles_and_loci(range(1, 5))
     with pytest.raises(ValueError, match="locus_names"):
         export_tables(profiles, loci[:-1], tmp_path)
-
-
-def test_locus_statistics_antennas():
-    n = 6
-    g = build_graph(n)
-    fw = boundary_framework(n)
-    stats = locus_statistics(g, fw, antennas(n))
-    assert stats.size == 2
-    assert stats.antenna_distance_min == stats.antenna_distance_max == 0
-    assert stats.balance_min == -(n - 1)
-    assert stats.balance_max == n - 1
-    assert stats.balance_mean == 0.0
-    assert stats.framework_distance_max == 0
-
-
-def test_locus_statistics_axis_balance_zero():
-    g = build_graph(8)
-    fw = boundary_framework(8)
-    stats = locus_statistics(g, fw, self_conjugate_axis(8).members)
-    assert stats.balance_mean == 0.0
-    assert stats.axis_fraction == 1.0
-
-
-def test_locus_statistics_m7_avoids_antennas():
-    g = build_graph(7)
-    prof = thickness_profile(g)
-    stats = locus_statistics(g, boundary_framework(7), max_thickness_locus(g, prof))
-    assert stats.antenna_distance_min >= 2
-
-
-def _two_walk_stats(graph, framework, members):
-    """:func:`locus_statistics` with one walk per antenna and the axis set built whole."""
-    idxs = sorted(graph.index_of(p) for p in members)
-    front, rear = (bfs_distances(graph, [graph.index_of(a)]) for a in framework.antennas)
-    border = bfs_distances(graph, sorted(framework.all_indices))
-    axis = {graph.index_of(p) for p in self_conjugate_axis(graph.n).members}
-    balances = [graph.parts[i][0] - len(graph.parts[i]) for i in idxs]
-    antenna_d = [min(front[i], rear[i]) for i in idxs]
-    framework_d = [border[i] for i in idxs]
-
-    def spread(xs):
-        return sum(xs) / len(xs), min(xs), max(xs)
-
-    return LocusStats(
-        graph.n,
-        len(idxs),
-        *spread(balances),
-        *spread(antenna_d),
-        *spread(framework_d),
-        axis_fraction=sum(i in axis for i in idxs) / len(idxs),
-    )
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_locus_statistics_match_a_walk_per_antenna(n):
-    g = build_graph(n)
-    fw = boundary_framework(n)
-    for members in (max_thickness_locus(g, thickness_profile(g)), g.vertices):
-        assert locus_statistics(g, fw, members) == _two_walk_stats(g, fw, members)
-
-
-def test_locus_statistics_rejects_empty():
-    g = build_graph(4)
-    with pytest.raises(ValueError):
-        locus_statistics(g, boundary_framework(4), [])

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import json
 import multiprocessing
@@ -5,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +116,70 @@ def test_a_dead_worker_ends_the_command(tmp_path, args):
     assert proc.returncode == 1, err
     assert "a worker process died" in err
     assert "checks passed" not in out
+
+
+# runs one pool over n = 1..8 with two workers; the worker writes its pid
+# to the file named by argv[1] at each task, and the command's own process,
+# once that file names the worker, dies inside its first task without
+# shutting the pool down
+ORPHANED_WORKER = """
+import os, sys, time
+from partition_atlas import pipeline
+
+parent, marker = os.getpid(), sys.argv[1]
+
+def task(n):
+    if os.getpid() != parent:
+        with open(marker, "a") as f:
+            f.write(f"{os.getpid()}\\n")
+        time.sleep(0.1)
+        return n
+    while not open(marker).read().endswith("\\n"):
+        time.sleep(0.01)
+    os._exit(3)
+
+open(marker, "w").close()
+pipeline.map_n(task, range(1, 9), 2)
+"""
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    # an exited process that no one has reaped yet is gone as well
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs forked workers"
+)
+def test_a_worker_ends_with_the_command(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    marker = tmp_path / "workers"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ORPHANED_WORKER, str(marker)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), start_new_session=True,
+    )
+    stray = True  # until the command and its worker are both seen gone
+    try:
+        assert proc.wait(timeout=60) == 3
+        (worker,) = set(map(int, marker.read_text().split()))
+        deadline = time.monotonic() + 5
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        stray = _alive(worker)
+        assert not stray, f"worker {worker} outlived the command"
+    finally:
+        if stray:
+            # end the command's process group, which holds its worker
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 def test_worker_count_follows_the_affinity_mask(monkeypatch, tmp_path):

@@ -15,6 +15,7 @@ from partition_atlas import (
     right_boundary,
     self_conjugate_axis,
 )
+from partition_atlas.transfer_graph import _corner_thickness
 
 
 def _count_distinct_odd(n):
@@ -145,3 +146,16 @@ def test_framework_json_shape():
 def test_framework_json_rejects_mismatched_axis():
     with pytest.raises(ValueError):
         framework_json(boundary_framework(4), self_conjugate_axis(5))
+
+
+def test_framework_lies_below_order_3():
+    # graph-free, so far past any n whose graph is built: the corner formula
+    # on every member of the three families
+    above = [
+        p
+        for n in range(1, 201)
+        for family in (main_chain(n), left_boundary(n), right_boundary(n))
+        for p in family
+        if _corner_thickness(p.parts) > 2
+    ]
+    assert not above, above[:5]

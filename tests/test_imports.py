@@ -1,13 +1,20 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and every export in the package.
 
-No linter ships with the project, so this scan stands in for an
-unused-import check over ``src/`` and ``tests/``.
+No linter ships with the project, so these scans stand in for an
+unused-import check over ``src/`` and ``tests/``, and for a dead-code
+check over the package's public names.
 """
 
 import ast
 from pathlib import Path
 
+import partition_atlas
+
 ROOT = Path(__file__).resolve().parent.parent
+
+# exports that no pipeline step reads: perfbench/traced_step.py looks each
+# one up by name to span it, so every --trace 1 benchmark pass needs them
+TRACER_BOUND = ("enumerate_partitions", "render_atlas")
 
 
 def _exported(tree):
@@ -49,3 +56,28 @@ def test_no_unused_imports():
         for line, name in _unused_imports(path)
     ]
     assert not found, "imported but never read:\n" + "\n".join(found)
+
+
+def _reads_outside_own_definition(path):
+    """Names read in ``path`` as plain names, each outside any def or class of that name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    spans = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            spans.setdefault(node.name, []).append((node.lineno, node.end_lineno))
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Load)
+        and not any(a <= node.lineno <= b for a, b in spans.get(node.id, ()))
+    }
+
+
+def test_every_export_has_a_reader():
+    read = set().union(*map(_reads_outside_own_definition, (ROOT / "src").rglob("*.py")))
+    exports = set(partition_atlas._HOME)
+    unread = sorted(exports - read - set(TRACER_BOUND))
+    assert not unread, "exported but never read in src/:\n" + "\n".join(unread)
+    # an exemption that is no longer exported, or has gained a reader, goes
+    assert set(TRACER_BOUND) <= exports - read

@@ -11,7 +11,6 @@ from partition_atlas import (
     Partition,
     brute_force_local_dimension,
     build_graph,
-    local_simplex_dimension,
     max_thickness_locus,
     parse_partition,
     profile_csv,
@@ -22,7 +21,7 @@ from partition_atlas import (
 from partition_atlas import partitions
 from partition_atlas.partitions import enumerate_partitions, format_partition, partition_names
 from partition_atlas.thickness import clique_search_profile
-from partition_atlas.transfer_graph import _corner_thickness, _lower_covers, _upper_covers
+from partition_atlas.transfer_graph import _corner_thickness
 from partition_atlas.verify import profile_conjugation_ok
 
 
@@ -37,21 +36,24 @@ def test_profile_n4_frozen():
 
 def test_isolated_vertex():
     g = build_graph(1)
-    assert local_simplex_dimension(g, Partition((1,))) == 0
+    assert clique_search_profile(g) == (0,)
+    assert brute_force_local_dimension(g, Partition((1,))) == 0
     assert thickness_profile(g).tau == (0,)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_antennas_have_thickness_one(n):
     g = build_graph(n)
-    assert local_simplex_dimension(g, Partition((n,))) == 1
-    assert local_simplex_dimension(g, Partition((1,) * n)) == 1
+    tau = clique_search_profile(g)
+    assert tau[g.index_of(Partition((n,)))] == 1
+    assert tau[g.index_of(Partition((1,) * n))] == 1
 
 
 def test_table_values_n7():
     g = build_graph(7)
-    assert local_simplex_dimension(g, parse_partition("4,2,1")) == 3
-    assert local_simplex_dimension(g, parse_partition("3,3,1")) == 3
+    tau = clique_search_profile(g)
+    assert tau[g.index_of(parse_partition("4,2,1"))] == 3
+    assert tau[g.index_of(parse_partition("3,3,1"))] == 3
 
 
 def test_brute_force_examples():
@@ -116,15 +118,13 @@ def test_max_thickness_locus_rejects_mismatch():
 
 def test_local_dimension_rejects_foreign_vertex():
     with pytest.raises(ValueError):
-        local_simplex_dimension(build_graph(4), Partition((5,)))
+        brute_force_local_dimension(build_graph(4), Partition((5,)))
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_profile_matches_clique_search(n):
     g = build_graph(n)
-    prof = thickness_profile(g)
-    assert prof.tau == tuple(local_simplex_dimension(g, p) for p in g.vertices)
-    assert clique_search_profile(g) == prof.tau
+    assert clique_search_profile(g) == thickness_profile(g).tau
 
 
 def test_clique_search_leaves_no_garbage():
@@ -177,7 +177,6 @@ def test_clique_search_matches_oracle_on_any_adjacency(g):
     # formula knows nothing about
     oracle = tuple(brute_force_local_dimension(g, p) for p in g.vertices)
     assert clique_search_profile(g) == oracle
-    assert tuple(local_simplex_dimension(g, p) for p in g.vertices) == oracle
 
 
 def test_clique_search_on_a_dense_adjacency():
@@ -186,7 +185,7 @@ def test_clique_search_on_a_dense_adjacency():
     k = len(g.adj)
     complete = _with_adjacency(g, [(a, b) for a in range(k) for b in range(a)])
     assert clique_search_profile(complete) == (k - 1,) * k
-    assert local_simplex_dimension(complete, g.vertices[3]) == k - 1
+    assert brute_force_local_dimension(complete, g.vertices[3]) == k - 1
 
 
 def test_clique_search_terminates_on_a_self_loop():
@@ -200,7 +199,22 @@ def test_clique_search_terminates_on_a_self_loop():
     for v, p in enumerate(g.vertices):
         # p lies in its own neighborhood now, next to all of it, so it
         # joins every clique there once
-        assert local_simplex_dimension(looped, p) == tau[v] + 1
+        assert brute_force_local_dimension(looped, p) == tau[v] + 1
+
+
+def _sorted_parts(values):
+    return tuple(sorted((x for x in values if x > 0), reverse=True))
+
+
+def _lower_covers(parts):
+    """Every partition one box below ``parts``: one unit off any part, re-sorted."""
+    return {_sorted_parts(parts[:i] + (parts[i] - 1,) + parts[i + 1 :]) for i in range(len(parts))}
+
+
+def _upper_covers(parts):
+    """Every partition one box above ``parts``: one unit on any part, or a new part 1."""
+    grown = (parts[:j] + (parts[j] + 1,) + parts[j + 1 :] for j in range(len(parts)))
+    return {*map(_sorted_parts, grown), (*parts, 1)}
 
 
 def _contains(big, small):
@@ -237,8 +251,10 @@ def test_witness_clique_is_valid():
 
 
 def test_witness_for_isolated_vertex():
-    assert _lower_covers((1,)) == [()]
-    assert _upper_covers(()) == [(1,)]
+    # (1) lies one box above the empty partition only, and is its one cover
+    assert _lower_covers((1,)) == {()}
+    assert _upper_covers(()) == {(1,)}
+    assert clique_search_profile(build_graph(1)) == (len(_upper_covers(())) - 1,)
 
 
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=60))

@@ -1,12 +1,11 @@
-import sys
-import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partition_atlas import Partition, bfs_distances, build_graph, neighbors
-from partition_atlas.partitions import _partition_tuples, canonical_index, format_partition
+from partition_atlas import Partition, bfs_distances, boundary_framework, build_graph
+from partition_atlas.partitions import format_partition
 
 small_partitions_st = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True)))
@@ -19,36 +18,51 @@ def _edge_set(graph):
     }
 
 
+@lru_cache(maxsize=4)
+def _graph(n):
+    return build_graph(n)
+
+
+def _neighbors(p):
+    """The parts tuples of ``p``'s neighbours, read off the rows of ``build_graph``."""
+    g = _graph(p.n)
+    return {g.parts[j] for j in g.adj[g.index_of(p)]}
+
+
 def test_neighbors_of_single_row():
-    assert {p.parts for p in neighbors(Partition((7,)))} == {(6, 1)}
+    assert _neighbors(Partition((7,))) == _reference_neighbors((7,)) == {(6, 1)}
 
 
 def test_neighbors_of_all_ones():
-    assert {p.parts for p in neighbors(Partition((1, 1, 1, 1)))} == {(2, 1, 1)}
+    assert _neighbors(Partition((1, 1, 1, 1))) == _reference_neighbors((1, 1, 1, 1)) == {(2, 1, 1)}
 
 
 def test_neighbors_211_frozen():
-    got = {p.parts for p in neighbors(Partition((2, 1, 1)))}
-    assert got == {(3, 1), (2, 2), (1, 1, 1, 1)}
+    expected = {(3, 1), (2, 2), (1, 1, 1, 1)}
+    assert _neighbors(Partition((2, 1, 1))) == _reference_neighbors((2, 1, 1)) == expected
 
 
 def test_neighbors_exclude_self():
     # moving the unit back and forth between equal parts reproduces the input
-    assert Partition((2, 1)) not in neighbors(Partition((2, 1)))
-    assert Partition((1,)) not in neighbors(Partition((1,)))
-    assert neighbors(Partition((1,))) == set()
+    for parts in ((2, 1), (1,)):
+        assert parts not in _neighbors(Partition(parts))
+        assert parts not in _reference_neighbors(parts)
+    assert _neighbors(Partition((1,))) == _reference_neighbors((1,)) == set()
 
 
 @given(small_partitions_st)
 def test_neighbors_symmetric(p):
-    for q in neighbors(p):
-        assert p in neighbors(q)
+    for q in _neighbors(p):
+        assert p.parts in _neighbors(Partition(q))
+    for q in _reference_neighbors(p.parts):
+        assert p.parts in _reference_neighbors(q)
 
 
 @given(small_partitions_st)
 def test_neighbors_preserve_total(p):
-    for q in neighbors(p):
-        assert q.n == p.n
+    expected = _reference_neighbors(p.parts)
+    assert _neighbors(p) == expected
+    assert all(sum(q) == p.n for q in expected)
 
 
 def test_build_graph_n1():
@@ -163,9 +177,7 @@ def _reference_neighbors(parts):
 def test_adjacency_matches_definition(n):
     g = build_graph(n)
     for i, p in enumerate(g.vertices):
-        expected = _reference_neighbors(p.parts)
-        assert {q.parts for q in neighbors(p)} == expected
-        assert {g.vertices[j].parts for j in g.adj[i]} == expected
+        assert {g.vertices[j].parts for j in g.adj[i]} == _reference_neighbors(p.parts)
 
 
 def test_conjugation_permutation_built_once():
@@ -196,18 +208,28 @@ def test_dump_edges_matches_per_edge_lines(n):
     assert g.dump_edges() == "".join(lines)
 
 
-def test_build_graph_holds_no_transient_copy_of_the_rows():
-    n = 30
-    # enumeration and index warmed, so only the build itself is traced
-    _partition_tuples(n)
-    canonical_index(n)
-    tracemalloc.start()
-    try:
-        g = build_graph(n)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    rows = sum(map(sys.getsizeof, g.adj)) + sys.getsizeof(g.adj)
+# builds the n=30 graph with its enumeration and index warmed, so that
+# only the build itself is traced, and prints what the build left held,
+# its traced peak and the size of the rows
+BUILD_PROBE = """
+import json, sys, tracemalloc
+from partition_atlas import build_graph
+from partition_atlas.partitions import _partition_tuples, canonical_index
+
+n = 30
+_partition_tuples(n)
+canonical_index(n)
+tracemalloc.start()
+g = build_graph(n)
+held, peak = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+rows = sum(map(sys.getsizeof, g.adj)) + sys.getsizeof(g.adj)
+print(json.dumps([held, peak, rows]))
+"""
+
+
+def test_build_graph_holds_no_transient_copy_of_the_rows(fresh_python):
+    held, peak, rows = fresh_python(BUILD_PROBE)
     # a row's list is gone before the next row's tuple is made
     assert peak < 1.8 * held, (peak, held)
     # the rows hold the index's int objects, not fresh copies of them
@@ -219,3 +241,14 @@ def test_bfs_distances():
     dist = bfs_distances(g, (0,))  # from (4)
     by_name = {str(p): dist[i] for i, p in enumerate(g.vertices)}
     assert by_name == {"4": 0, "3,1": 1, "2,2": 2, "2,1,1": 2, "1,1,1,1": 3}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bfs_distances_from_several_sources_is_the_nearest_walk(n):
+    # one walk from every source at once, as verify walks from both
+    # antennas, against a walk per source and the nearest of them
+    g = build_graph(n)
+    fw = boundary_framework(n)
+    for sources in ([g.index_of(a) for a in fw.antennas], sorted(fw.all_indices)):
+        walks = [bfs_distances(g, [s]) for s in sources]
+        assert bfs_distances(g, sources) == [min(d) for d in zip(*walks)], sources

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tracemalloc
 
 import pytest
 
@@ -167,8 +166,16 @@ def test_results_carry_check_seconds():
     assert sum(r.seconds for r in results) > 0
 
 
-def _traced(make):
-    """``make()``, with the bytes it leaves held and its traced peak."""
+# sizes one n=24 bundle, with the enumeration and index warmed, and then
+# runs every check over 1..24; prints the failed checks, the bundle's size
+# and the run's traced peak
+HOLD_PROBE = """
+import json, tracemalloc
+from partition_atlas import verify
+from partition_atlas.partitions import _partition_tuples, canonical_index
+
+
+def traced(make):
     tracemalloc.start()
     try:
         value = make()
@@ -178,14 +185,18 @@ def _traced(make):
     return value, held, peak
 
 
-def test_run_checks_holds_one_n_at_a_time():
-    n = 24
-    # enumeration and index warmed, so the bundle is what one n adds
-    _partition_tuples(n)
-    canonical_index(n)
-    _, bundle, _ = _traced(lambda: verify._bundle(n))
-    results, _, peak = _traced(lambda: verify.run_checks(1, n))
-    assert all(r.ok for r in results), [r for r in results if not r.ok]
+n = 24
+_partition_tuples(n)
+canonical_index(n)
+_, bundle, _ = traced(lambda: verify._bundle(n))
+results, _, peak = traced(lambda: verify.run_checks(1, n))
+print(json.dumps([[r.name for r in results if not r.ok], bundle, peak]))
+"""
+
+
+def test_run_checks_holds_one_n_at_a_time(fresh_python):
+    failed, bundle, peak = fresh_python(HOLD_PROBE)
+    assert not failed, failed
     # a runner that holds every n of the range reads 4.6 bundles here
     assert peak < 2 * bundle, (peak, bundle)
 
