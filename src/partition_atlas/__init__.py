@@ -27,10 +27,10 @@ _HOME = {
         "left_boundary main_chain right_boundary self_conjugate_axis",
         "partitions": "Partition canonical_index enumerate_partitions format_partition "
         "parse_partition partition_count partition_names",
-        "thickness": "ThicknessProfile brute_force_local_dimension max_thickness_locus "
-        "profile_csv profile_from_json profile_json thickness_profile",
+        "thickness": "ThicknessProfile brute_force_local_dimension profile_csv "
+        "profile_from_json profile_json thickness_profile",
         "transfer_graph": "TransferGraph bfs_distances build_graph induced_components",
-        "zones": "FirstOccurrenceTable ZoneComponent ZoneDecomposition decompose exact_regime "
+        "zones": "ZoneComponent ZoneDecomposition decompose exact_regime "
         "first_occurrences first_occurrences_csv threshold_zone zone_json zone_sweep",
     }.items()
     for name in names.split()
@@ -38,7 +38,6 @@ _HOME = {
 
 __all__ = [
     "AxisSet",
-    "FirstOccurrenceTable",
     "FrameworkSet",
     "Partition",
     "ThicknessProfile",
@@ -62,7 +61,6 @@ __all__ = [
     "induced_components",
     "left_boundary",
     "main_chain",
-    "max_thickness_locus",
     "parse_partition",
     "partition_count",
     "partition_names",

@@ -6,10 +6,10 @@ import json
 import math
 from bisect import bisect_right
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .framework import boundary_framework
-from .partitions import Partition, _partition_tuples
+from .partitions import _partition_tuples
 from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph
 from .zones import decompose, exact_regime, first_occurrences, first_occurrences_csv
@@ -84,30 +84,21 @@ def _coord(value: float) -> str:
 
 
 # no pipeline step calls this; kept because perfbench/traced_step.py spans it by name
-def render_atlas(
-    graph: TransferGraph,
-    profile: ThicknessProfile,
-    mode: str,
-    highlight: Optional[Iterable[Partition]] = None,
-) -> str:
+def render_atlas(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> str:
     """SVG drawing of one transfer graph, as one string; see :func:`atlas_chunks`."""
-    return "".join(atlas_chunks(graph, profile, mode, highlight))
+    return "".join(atlas_chunks(graph, profile, mode))
 
 
-def atlas_chunks(
-    graph: TransferGraph,
-    profile: ThicknessProfile,
-    mode: str,
-    highlight: Optional[Iterable[Partition]] = None,
-) -> Iterator[str]:
+def atlas_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> Iterator[str]:
     """SVG drawing of one transfer graph, as text chunks to write in order.
 
     ``mode="thickness"`` fills vertices from the thickness palette.
     ``mode="zones"`` paints the exactly-one-dimensional regime gray, the
     order-2 shell blue and the order-3 core red (red wins where shell and
     core overlap), with the residual tone elsewhere; each glyph's class
-    attribute records every zone it belongs to. Highlighted vertices are
-    outlined in black. Output is byte-deterministic for fixed inputs.
+    attribute records every zone it belongs to. The maximal locus
+    ``profile.max_locus`` is outlined in black in both modes. Output is
+    byte-deterministic for fixed inputs.
 
     Every ``ValueError`` is raised by this call, before the iterator is
     returned, so a rejected drawing never leaves a partial file behind.
@@ -118,16 +109,12 @@ def atlas_chunks(
         raise ValueError(f"unknown atlas mode {mode!r}")
     if graph.n != profile.n:
         raise ValueError("graph and profile must describe the same n")
-    outlined: set[int] = set()
-    if highlight is not None:
-        outlined = {graph.index_of(p) for p in highlight}
-    return _svg_chunks(graph, profile, mode, outlined)
+    return _svg_chunks(graph, profile, mode)
 
 
-def _svg_chunks(
-    graph: TransferGraph, profile: ThicknessProfile, mode: str, outlined: set[int]
-) -> Iterator[str]:
+def _svg_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> Iterator[str]:
     n = graph.n
+    outlined = frozenset(profile.max_locus)
     if mode == "zones":
         exact1 = exact_regime(profile, 1)
         skin2, core3 = _skin_and_core(graph, profile)
@@ -176,14 +163,8 @@ def _svg_chunks(
                 classes.append("core3")
             if len(classes) == 1:
                 classes.append("rest")
-            if "core3" in classes:
-                fill = ZONE_FILLS["core3"]
-            elif "skin2" in classes:
-                fill = ZONE_FILLS["skin2"]
-            elif "exact1" in classes:
-                fill = ZONE_FILLS["exact1"]
-            else:
-                fill = ZONE_FILLS["rest"]
+            # the classes go in by rising precedence, so the last one is painted
+            fill = ZONE_FILLS[classes[-1]]
         if i in outlined:
             classes.append("hl")
             stroke, stroke_width = OUTLINE_STROKE
@@ -232,9 +213,9 @@ def export_tables(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    table = first_occurrences(profiles)
+    entries = first_occurrences([prof.tau_max for prof in profiles])
     first_path = out_dir / "first_occurrences.csv"
-    first_path.write_text(first_occurrences_csv(table))
+    first_path.write_text(first_occurrences_csv(entries, len(profiles)))
 
     lines = ["n,p(n),tau_max,|M_n|"]
     for prof in profiles:
@@ -243,7 +224,7 @@ def export_tables(
     summary_path.write_text("\n".join(lines) + "\n")
 
     loci: dict[str, list[str]] = {}
-    for n_r in table.entries.values():
+    for n_r in entries.values():
         loci[str(n_r)] = list(locus_names[n_r - 1])
     locus_path = out_dir / "max_locus_members.json"
     locus_path.write_text(json.dumps(loci, indent=2) + "\n")

@@ -121,7 +121,7 @@ def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) ->
     """Write the first-occurrence, per-n summary and max-locus tables for 1..n-max."""
     from .atlas import export_tables
     from .pipeline import n_dir
-    from .partitions import Partition, _partition_tuples, format_partition
+    from .partitions import _partition_tuples
     from .thickness import _corner_profile, profile_from_json
 
     _, n_max = _resolve_range(1, n_max, allow_beyond)
@@ -146,7 +146,7 @@ def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) ->
             profiles.append(_corner_profile(n, _partition_tuples(n)))
         # this n's partitions are cached now, so naming its locus enumerates nothing
         parts = _partition_tuples(n)
-        locus_names.append([format_partition(Partition(parts[i])) for i in profiles[-1].max_locus])
+        locus_names.append([",".join(map(str, parts[i])) for i in profiles[-1].max_locus])
     written = export_tables(profiles, locus_names, out_dir)
     for name in sorted(written):
         click.echo(f"wrote {written[name]}")
@@ -171,14 +171,14 @@ def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) ->
 def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
     """Render one atlas figure as SVG, maximal locus outlined."""
     from .atlas import atlas_chunks
-    from .thickness import max_thickness_locus, thickness_profile
+    from .thickness import thickness_profile
     from .transfer_graph import build_graph
 
     _check_single_n(n, allow_beyond)
     graph = build_graph(n)
     profile = thickness_profile(graph)
     # raises before any file is opened, so a rejected drawing leaves none
-    chunks = atlas_chunks(graph, profile, mode, highlight=max_thickness_locus(graph, profile))
+    chunks = atlas_chunks(graph, profile, mode)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"atlas_n{n}_{mode}.svg"
     with open(path, "w", encoding="utf-8") as f:

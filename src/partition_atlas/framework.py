@@ -5,70 +5,62 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .partitions import (
-    Partition,
-    _conjugate,
-    _partition_tuples,
-    canonical_index,
-    format_partition,
-    partition_names,
-)
+from .partitions import _conjugate, canonical_index, partition_names
 
 
 @dataclass(frozen=True)
 class FrameworkSet:
     """The boundary framework of one graph, with its families tagged.
 
-    ``all_indices`` is the deduplicated union of the three families as
-    canonical vertex indices; the families keep their path order.
+    Every field holds canonical vertex indices. The families keep their
+    path order, and ``all_indices`` is the deduplicated union of the main
+    chain and the two boundary edges.
     """
 
     n: int
-    antennas: tuple[Partition, Partition]
-    main_chain: tuple[Partition, ...]
-    left_edge: tuple[Partition, ...]
-    right_edge: tuple[Partition, ...]
+    antennas: tuple[int, int]
+    main_chain: tuple[int, ...]
+    left_edge: tuple[int, ...]
+    right_edge: tuple[int, ...]
     all_indices: frozenset[int]
 
 
 @dataclass(frozen=True)
 class AxisSet:
-    """The self-conjugate partitions of one total, in canonical order."""
+    """The self-conjugate partitions of one total, as canonical indices in increasing order."""
 
     n: int
-    members: tuple[Partition, ...]
+    members: tuple[int, ...]
 
 
-def antennas(n: int) -> tuple[Partition, Partition]:
-    """The extreme vertices ``(n)`` and ``(1^n)``; both are ``(1)`` at n=1."""
+def antennas(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The parts of the extreme vertices ``(n)`` and ``(1^n)``; both are ``(1)`` at n=1."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return (Partition((n,)), Partition((1,) * n))
+    return ((n,), (1,) * n)
 
 
-def main_chain(n: int) -> tuple[Partition, ...]:
-    """The hook path from ``(n)`` down to ``(1^n)``."""
+def main_chain(n: int) -> tuple[tuple[int, ...], ...]:
+    """The parts of the hook path from ``(n)`` down to ``(1^n)``."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if n == 1:
-        return (Partition((1,)),)
-    chain = [Partition((n - k,) + (1,) * k) for k in range(n - 1)]
-    chain.append(Partition((1,) * n))
-    return tuple(chain)
+        return ((1,),)
+    return tuple((n - k,) + (1,) * k for k in range(n - 1)) + ((1,) * n,)
 
 
-def left_boundary(n: int) -> tuple[Partition, ...]:
-    """Two-part partitions ``(n-k, k)`` for k up to ``n // 2``."""
+def left_boundary(n: int) -> tuple[tuple[int, ...], ...]:
+    """The parts of the two-part partitions ``(n-k, k)`` for k up to ``n // 2``."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return tuple(Partition((n - k, k)) for k in range(1, n // 2 + 1))
+    return tuple((n - k, k) for k in range(1, n // 2 + 1))
 
 
-def right_boundary(n: int) -> tuple[Partition, ...]:
+def right_boundary(n: int) -> tuple[tuple[int, ...], ...]:
     """Conjugates of the left boundary: ``(2^k, 1^(n-2k))`` for k up to ``n // 2``."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return tuple(Partition((2,) * k + (1,) * (n - 2 * k)) for k in range(1, n // 2 + 1))
+    return tuple((2,) * k + (1,) * (n - 2 * k) for k in range(1, n // 2 + 1))
 
 
 def boundary_framework(n: int) -> FrameworkSet:
@@ -93,21 +85,17 @@ def boundary_framework(n: int) -> FrameworkSet:
     every component is interior, each shell is empty and each core is
     the whole zone.
     """
-    ant = antennas(n)
-    chain = main_chain(n)
-    left = left_boundary(n)
-    right = right_boundary(n)
-    index = canonical_index(n)
-    members = {index[p.parts] for p in chain}
-    members.update(index[p.parts] for p in left)
-    members.update(index[p.parts] for p in right)
+    at = canonical_index(n).__getitem__
+    chain = tuple(map(at, main_chain(n)))
+    left = tuple(map(at, left_boundary(n)))
+    right = tuple(map(at, right_boundary(n)))
     return FrameworkSet(
         n=n,
-        antennas=ant,
+        antennas=tuple(map(at, antennas(n))),
         main_chain=chain,
         left_edge=left,
         right_edge=right,
-        all_indices=frozenset(members),
+        all_indices=frozenset(chain + left + right),
     )
 
 
@@ -115,7 +103,7 @@ def self_conjugate_axis(n: int) -> AxisSet:
     """Fixpoints of conjugation within the partitions of ``n``."""
     # a self-conjugate partition has as many parts as its largest part
     members = tuple(
-        Partition(t) for t in _partition_tuples(n) if t[0] == len(t) and _conjugate(t) == t
+        i for t, i in canonical_index(n).items() if t[0] == len(t) and _conjugate(t) == t
     )
     return AxisSet(n=n, members=members)
 
@@ -127,11 +115,11 @@ def framework_json(framework: FrameworkSet, axis: AxisSet) -> str:
     names = partition_names(framework.n)
     doc = {
         "n": framework.n,
-        "antennas": [format_partition(p) for p in framework.antennas],
-        "main_chain": [format_partition(p) for p in framework.main_chain],
-        "left_edge": [format_partition(p) for p in framework.left_edge],
-        "right_edge": [format_partition(p) for p in framework.right_edge],
+        "antennas": [names[i] for i in framework.antennas],
+        "main_chain": [names[i] for i in framework.main_chain],
+        "left_edge": [names[i] for i in framework.left_edge],
+        "right_edge": [names[i] for i in framework.right_edge],
         "all_vertices": [names[i] for i in sorted(framework.all_indices)],
-        "self_conjugate_axis": [format_partition(p) for p in axis.members],
+        "self_conjugate_axis": [names[i] for i in axis.members],
     }
     return json.dumps(doc, indent=2) + "\n"

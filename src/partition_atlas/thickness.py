@@ -102,13 +102,6 @@ def _corner_profile(n: int, parts: Sequence[tuple[int, ...]]) -> ThicknessProfil
     return ThicknessProfile(n=n, tau=tau, tau_max=tau_max, max_locus=locus)
 
 
-def max_thickness_locus(graph: TransferGraph, profile: ThicknessProfile) -> tuple[Partition, ...]:
-    """The partitions attaining ``tau_max``, in canonical order."""
-    if graph.n != profile.n:
-        raise ValueError("graph and profile must describe the same n")
-    return tuple(Partition(graph.parts[i]) for i in profile.max_locus)
-
-
 def brute_force_local_dimension(graph: TransferGraph, p: Partition) -> int:
     """Largest clique size through ``p``, minus one, by exhaustive search.
 
@@ -252,6 +245,10 @@ def profile_from_json(text: str) -> ThicknessProfile:
         raise ValueError(f"profile for n={n} lacks vertex {exc.args[0]}") from None
     if not all(type(t) is int for t in tau):
         raise ValueError(f"profile for n={n} has a non-integer thickness")
+    # a largest clique through a vertex is the covers of one partition of
+    # n - 1, and there are at most n of those
+    if not all(0 <= t < n for t in tau):
+        raise ValueError(f"profile for n={n} has a thickness outside 0..{n - 1}")
     tau_max = max(tau)
     locus = tuple(v for v, t in enumerate(tau) if t == tau_max)
     index = canonical_index(n)

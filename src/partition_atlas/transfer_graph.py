@@ -103,9 +103,6 @@ class TransferGraph:
             raise ValueError(f"{format_partition(p)} is not a partition of {self.n}")
         return idx
 
-    def degree(self, p: Partition) -> int:
-        return len(self.adj[self.index_of(p)])
-
     @property
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adj) // 2

@@ -29,11 +29,10 @@ from .thickness import (
     ThicknessProfile,
     brute_force_local_dimension,
     clique_search_profile,
-    max_thickness_locus,
     thickness_profile,
 )
 from .transfer_graph import TransferGraph, bfs_distances, build_graph, induced_components
-from .zones import ZoneDecomposition, first_occurrence_entries, threshold_zone, zone_sweep
+from .zones import ZoneDecomposition, first_occurrences, threshold_zone, zone_sweep
 
 ORACLE_RANGE_MAX = 12
 
@@ -245,17 +244,20 @@ def _check_conjugation_automorphism(run: _Range, b: _Bundle) -> str:
 def _check_left_boundary_path(run: _Range, b: _Bundle) -> str:
     g = b.graph
     for x, y in zip(b.framework.left_edge, b.framework.left_edge[1:]):
-        broken = g.index_of(y) not in g.adj[g.index_of(x)]
-        _fail_if(broken, "left boundary break at n={}: {} / {}", b.n, x, y)
+        if y not in g.adj[x]:
+            pair = f"{g.vertices[x]} / {g.vertices[y]}"
+            raise AssertionError(f"left boundary break at n={b.n}: {pair}")
     return "consecutive two-part partitions are adjacent"
 
 
 def _check_antennas(run: _Range, b: _Bundle) -> str:
     if b.n >= 2:
         g = b.graph
-        for p in b.framework.antennas:
-            _fail_if(g.degree(p) != 1, "degree at n={}, {}", b.n, p)
-            _fail_if(b.profile.tau[g.index_of(p)] != 1, "thickness at n={}, {}", b.n, p)
+        for a in b.framework.antennas:
+            if len(g.adj[a]) != 1:
+                raise AssertionError(f"degree at n={b.n}, {g.vertices[a]}")
+            if b.profile.tau[a] != 1:
+                raise AssertionError(f"thickness at n={b.n}, {g.vertices[a]}")
     return "degree 1 and thickness 1 at both extremes"
 
 
@@ -263,12 +265,12 @@ def _check_framework_shape(run: _Range, b: _Bundle) -> str:
     n = b.n
     g = b.graph
     fw = b.framework
-    for p in fw.antennas:
-        _fail_if(g.index_of(p) not in fw.all_indices, "antenna missing at n={}", n)
+    for a in fw.antennas:
+        _fail_if(a not in fw.all_indices, "antenna missing at n={}", n)
     closed = set_conjugation_invariant(g, fw.all_indices)
     _fail_if(not closed, "framework not conjugation-invariant at n={}", n)
     for x, y in zip(fw.main_chain, fw.main_chain[1:]):
-        _fail_if(g.index_of(y) not in g.adj[g.index_of(x)], "main chain break at n={}", n)
+        _fail_if(y not in g.adj[x], "main chain break at n={}", n)
     if n >= 2:
         pieces = len(induced_components(g, fw.all_indices))
         _fail_if(pieces != 1, "induced framework subgraph disconnected at n={}", n)
@@ -325,8 +327,7 @@ def _check_max_locus(run: _Range, b: _Bundle) -> str:
     closed = set_conjugation_invariant(g, frozenset(prof.max_locus))
     _fail_if(not closed, "max locus not conjugation-invariant at n={}", n)
     if prof.tau_max >= 2:
-        antenna_idxs = {g.index_of(p) for p in b.framework.antennas}
-        inside = bool(antenna_idxs & set(prof.max_locus))
+        inside = not set(b.framework.antennas).isdisjoint(prof.max_locus)
         _fail_if(inside, "antenna inside max locus at n={}", n)
     return "nonempty, conjugation-invariant, antenna-free above thickness 1"
 
@@ -376,8 +377,7 @@ def _check_zone_conjugation(run: _Range, b: _Bundle) -> str:
 def _check_antenna_exclusion(run: _Range, b: _Bundle) -> str:
     n = b.n
     if n >= 2:
-        g = b.graph
-        antenna_idxs = {g.index_of(p) for p in b.framework.antennas}
+        antenna_idxs = set(b.framework.antennas)
         zone2 = threshold_zone(b.profile, 2)
         _fail_if(bool(antenna_idxs & zone2), "antenna in the triangular regime at n={}", n)
         if 2 in b.zones:
@@ -396,7 +396,7 @@ def _check_first_occurrence_table(run: _Range, tau_maxes: list[int]) -> str | No
     # the range check: ``tau_maxes`` holds tau_max at every n of the range, in order
     if run.n_min > 1:
         return None
-    entries = first_occurrence_entries(tau_maxes)
+    entries = first_occurrences(tau_maxes)
     known = {r: v for r, v in entries.items() if v <= REFERENCE_RANGE_MAX}
     new = {r: v for r, v in entries.items() if v > REFERENCE_RANGE_MAX}
     expected = {r: v for r, v in EXPECTED_FIRST_OCCURRENCES.items() if v <= run.n_max}
@@ -423,17 +423,16 @@ def _check_max_locus_table(run: _Range, b: _Bundle) -> str | None:
         prof = b.profile
         _fail_if(prof.tau_max != tau_max, "tau_max at n={}", b.n)
         _fail_if(len(prof.max_locus) != size, "locus size at n={}", b.n)
-        locus = set(max_thickness_locus(b.graph, prof))
+        locus = {b.graph.parts[i] for i in prof.max_locus}
         for text in reps:
-            _fail_if(parse_partition(text) not in locus, "{} missing at n={}", text, b.n)
+            _fail_if(parse_partition(text).parts not in locus, "{} missing at n={}", text, b.n)
     matched = [n for n in EXPECTED_MAX_LOCUS if n <= run.n_max]
     return f"matched at n in {matched}" if matched else "no transition n in range"
 
 
 def _check_rear_support(run: _Range, b: _Bundle) -> str:
     if b.n >= 7:
-        g = b.graph
-        dist = bfs_distances(g, [g.index_of(p) for p in b.framework.antennas])
+        dist = bfs_distances(b.graph, b.framework.antennas)
         nearest = min(dist[i] for i in b.profile.max_locus)
         _fail_if(nearest < 2, "max locus within distance 1 of an antenna at n={}", b.n)
     checked = list(range(max(7, run.n_min), run.n_max + 1))
@@ -455,11 +454,10 @@ def _check_layout_symmetry(run: _Range, b: _Bundle) -> str:
 def _check_render_determinism(run: _Range, b: _Bundle) -> str:
     n = max(run.n_min, min(7, run.n_max))
     if b.n == n:
-        locus = max_thickness_locus(b.graph, b.profile)
         for mode in ("thickness", "zones"):
             # two streams, compared chunk by chunk, so neither drawing is held whole
-            first = atlas_chunks(b.graph, b.profile, mode, highlight=locus)
-            second = atlas_chunks(b.graph, b.profile, mode, highlight=locus)
+            first = atlas_chunks(b.graph, b.profile, mode)
+            second = atlas_chunks(b.graph, b.profile, mode)
             same = all(x == y for x, y in zip_longest(first, second))
             _fail_if(not same, "render differs in {} mode", mode)
     return f"byte-identical repeated renders at n={n}"

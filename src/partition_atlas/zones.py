@@ -206,31 +206,12 @@ def _size(olds: list[ZoneComponent], news: list[int]) -> int:
     return sum(len(comp.vertices) for comp in olds) + len(news)
 
 
-@dataclass(frozen=True)
-class FirstOccurrenceTable:
-    """Smallest n realizing each thickness order within a computed range.
+def first_occurrences(tau_maxes: Sequence[int]) -> dict[int, int]:
+    """First n at which each order r >= 2 appears, given tau_max at n = 1, 2, ...
 
-    Orders not realized by any n up to ``range_max`` are simply absent;
-    absence is a truncation fact, not a value.
+    Orders not realized by any n of the range are simply absent; absence
+    is a truncation fact, not a value.
     """
-
-    entries: dict[int, int]
-    range_max: int
-
-
-def first_occurrences(profiles: Sequence[ThicknessProfile]) -> FirstOccurrenceTable:
-    """First n at which each order r >= 2 appears, over profiles for 1..N."""
-    if not profiles:
-        raise ValueError("at least one profile is required")
-    for i, prof in enumerate(profiles):
-        if prof.n != i + 1:
-            raise ValueError("profiles must cover a contiguous range starting at 1")
-    entries = first_occurrence_entries([prof.tau_max for prof in profiles])
-    return FirstOccurrenceTable(entries=entries, range_max=len(profiles))
-
-
-def first_occurrence_entries(tau_maxes: Sequence[int]) -> dict[int, int]:
-    """First n at which each order r >= 2 appears, given tau_max at n = 1, 2, ..."""
     entries: dict[int, int] = {}
     for n, tau_max in enumerate(tau_maxes, 1):
         for r in range(2, tau_max + 1):
@@ -238,12 +219,15 @@ def first_occurrence_entries(tau_maxes: Sequence[int]) -> dict[int, int]:
     return dict(sorted(entries.items()))
 
 
-def first_occurrences_csv(table: FirstOccurrenceTable) -> str:
-    """CSV export, header ``r,n_r``; explains itself when empty."""
+def first_occurrences_csv(entries: dict[int, int], range_max: int) -> str:
+    """CSV export of :func:`first_occurrences` over n = 1..``range_max``, header ``r,n_r``.
+
+    An empty table explains itself.
+    """
     lines = ["r,n_r"]
-    if not table.entries:
-        lines.append(f"# no vertex reaches thickness 2 for any n <= {table.range_max}")
-    for r, n_r in table.entries.items():
+    if not entries:
+        lines.append(f"# no vertex reaches thickness 2 for any n <= {range_max}")
+    for r, n_r in entries.items():
         lines.append(f"{r},{n_r}")
     return "\n".join(lines) + "\n"
 

@@ -19,7 +19,6 @@ from partition_atlas import (
     decompose,
     enumerate_partitions,
     exact_regime,
-    max_thickness_locus,
     partition_count,
     render_atlas,
     thickness_profile,
@@ -118,7 +117,7 @@ def test_criterion_6_rear_central_support(verdicts):
             graph = build_graph(n)
             locus = thickness_profile(graph).max_locus
             framework = boundary_framework(n)
-            near = bfs_distances(graph, [graph.index_of(p) for p in framework.antennas])
+            near = bfs_distances(graph, framework.antennas)
             border = bfs_distances(graph, sorted(framework.all_indices))
             parts = [graph.parts[i] for i in locus]
             balance = sum(t[0] - len(t) for t in parts) / len(parts)
@@ -180,7 +179,6 @@ def test_criterion_8_atlas_integrity():
             graph = build_graph(n)
             profile = thickness_profile(graph)
             framework = boundary_framework(n)
-            locus = max_thickness_locus(graph, profile)
             p_n = len(enumerate_partitions(n))
 
             exact1 = exact_regime(profile, 1)
@@ -189,7 +187,7 @@ def test_criterion_8_atlas_integrity():
             residual = p_n - len(exact1 | shell2 | core3)
 
             for mode in ("thickness", "zones"):
-                text = render_atlas(graph, profile, mode, highlight=locus)
+                text = render_atlas(graph, profile, mode)
                 root = ET.fromstring(text)
                 circles = root.findall(f".//{svg}g[@id='vertices']/{svg}circle")
                 assert len(circles) == p_n, f"glyph count at n={n}, {mode}"

@@ -6,11 +6,9 @@ from collections import Counter
 import pytest
 
 from partition_atlas import (
-    Partition,
     build_graph,
     enumerate_partitions,
     export_tables,
-    max_thickness_locus,
     render_atlas,
     thickness_profile,
 )
@@ -114,7 +112,7 @@ def test_render_edge_block_matches_per_line_formatting(n):
 def test_render_thickness_n4():
     g = build_graph(4)
     prof = thickness_profile(g)
-    svg = render_atlas(g, prof, "thickness", highlight=max_thickness_locus(g, prof))
+    svg = render_atlas(g, prof, "thickness")
     circles = _circles(svg)
     assert len(circles) == 5
     assert len(_edges(svg)) == 5
@@ -129,7 +127,7 @@ def test_render_thickness_n4():
 def test_render_zones_n7_classes():
     g = build_graph(7)
     prof = thickness_profile(g)
-    svg = render_atlas(g, prof, "zones", highlight=max_thickness_locus(g, prof))
+    svg = render_atlas(g, prof, "zones")
     circles = _circles(svg)
     assert len(circles) == 15
     marks = Counter(cls for c in circles for cls in c.get("class").split())
@@ -154,10 +152,11 @@ def test_render_n1_single_glyph():
 
 
 def test_render_zones_degenerate_n():
-    # n=1 has no one-dimensional regime at all; n=2 is entirely inside it
+    # n=1 has no one-dimensional regime at all, and its lone vertex is the
+    # maximal locus; n=2 is entirely inside the regime
     g1 = build_graph(1)
     classes1 = _circles(render_atlas(g1, thickness_profile(g1), "zones"))[0].get("class")
-    assert classes1.split() == ["v", "rest"]
+    assert classes1.split() == ["v", "rest", "hl"]
     g2 = build_graph(2)
     svg2 = render_atlas(g2, thickness_profile(g2), "zones")
     assert all("exact1" in c.get("class").split() for c in _circles(svg2))
@@ -176,8 +175,6 @@ def test_render_rejects_bad_inputs():
     with pytest.raises(ValueError):
         render_atlas(g, prof, "heatmap")
     with pytest.raises(ValueError):
-        render_atlas(g, prof, "thickness", highlight=[Partition((5,))])
-    with pytest.raises(ValueError):
         render_atlas(g, thickness_profile(build_graph(5)), "thickness")
 
 
@@ -190,8 +187,6 @@ def test_atlas_chunks_rejects_bad_inputs_before_iterating():
         atlas_chunks(g, prof, "heatmap")
     with pytest.raises(ValueError, match="same n"):
         atlas_chunks(g, thickness_profile(build_graph(5)), "zones")
-    with pytest.raises(ValueError, match="not a partition of 4"):
-        atlas_chunks(g, prof, "thickness", highlight=iter([Partition((5,))]))
 
 
 def test_render_titles_name_partitions():
@@ -204,7 +199,7 @@ def test_render_titles_name_partitions():
 def _profiles_and_loci(ns):
     graphs = [build_graph(n) for n in ns]
     profiles = [thickness_profile(g) for g in graphs]
-    loci = [[str(p) for p in max_thickness_locus(g, prof)] for g, prof in zip(graphs, profiles)]
+    loci = [[str(g.vertices[i]) for i in prof.max_locus] for g, prof in zip(graphs, profiles)]
     return profiles, loci
 
 
@@ -224,6 +219,8 @@ def test_export_tables_small_range(tmp_path):
 def test_export_tables_rejects_gaps(tmp_path):
     with pytest.raises(ValueError):
         export_tables(*_profiles_and_loci((1, 2, 4)), tmp_path)
+    with pytest.raises(ValueError):
+        export_tables([], [], tmp_path)
     profiles, loci = _profiles_and_loci(range(1, 5))
     with pytest.raises(ValueError, match="locus_names"):
         export_tables(profiles, loci[:-1], tmp_path)

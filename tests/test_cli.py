@@ -341,6 +341,26 @@ def test_tables_rejects_malformed_profile(tmp_path, replace):
     assert str(bad) in result.output
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "tau_max": 1, "max_locus": ["2"], "tau": {"2": 1, "1,1": -7}},
+        {"n": 1, "tau_max": 99, "max_locus": ["1"], "tau": {"1": 99}},
+    ],
+    ids=["n2-negative", "n1-above-n-1"],
+)
+def test_tables_no_recompute_rejects_impossible_thickness(tmp_path, doc):
+    out = tmp_path / "artifacts"
+    runner = CliRunner()
+    assert runner.invoke(main, ["compute", "--n-max", "2", "--out", str(out)]).exit_code == 0
+    bad = out / f"n{doc['n']:02d}" / "profile.json"
+    bad.write_text(json.dumps(doc))
+    args = ["tables", "--n-max", "2", "--out", str(out), "--no-recompute"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"malformed artifact {bad}: profile for n={doc['n']}" in result.output
+
+
 def test_tables_rejects_unreadable_profile(tmp_path):
     out = tmp_path / "artifacts"
     runner = CliRunner()

@@ -28,32 +28,32 @@ def _count_distinct_odd(n):
 
 
 def test_antennas_examples():
-    assert antennas(5) == (Partition((5,)), Partition((1,) * 5))
-    assert antennas(2) == (Partition((2,)), Partition((1, 1)))
-    assert antennas(1) == (Partition((1,)), Partition((1,)))
+    assert antennas(5) == ((5,), (1,) * 5)
+    assert antennas(2) == ((2,), (1, 1))
+    assert antennas(1) == ((1,), (1,))
 
 
 def test_main_chain_n4():
-    assert [p.parts for p in main_chain(4)] == [(4,), (3, 1), (2, 1, 1), (1, 1, 1, 1)]
+    assert main_chain(4) == ((4,), (3, 1), (2, 1, 1), (1, 1, 1, 1))
 
 
 def test_main_chain_degenerate():
-    assert [p.parts for p in main_chain(2)] == [(2,), (1, 1)]
-    assert [p.parts for p in main_chain(1)] == [(1,)]
+    assert main_chain(2) == ((2,), (1, 1))
+    assert main_chain(1) == ((1,),)
 
 
 @pytest.mark.parametrize("n", range(2, 16))
 def test_main_chain_is_path(n):
     g = build_graph(n)
-    chain = main_chain(n)
+    chain = boundary_framework(n).main_chain
     assert len(chain) == n
     for a, b in zip(chain, chain[1:]):
-        assert g.index_of(b) in g.adj[g.index_of(a)]
+        assert b in g.adj[a]
 
 
 def test_left_boundary_examples():
-    assert [p.parts for p in left_boundary(5)] == [(4, 1), (3, 2)]
-    assert [p.parts for p in right_boundary(4)] == [(2, 1, 1), (2, 2)]
+    assert left_boundary(5) == ((4, 1), (3, 2))
+    assert right_boundary(4) == ((2, 1, 1), (2, 2))
     assert left_boundary(1) == ()
     assert right_boundary(1) == ()
 
@@ -64,7 +64,20 @@ def test_right_boundary_conjugates_left(n):
     right = right_boundary(n)
     assert len(left) == len(right) == n // 2
     for a, b in zip(left, right):
-        assert a.conjugate() == b
+        assert Partition(a).conjugate() == Partition(b)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_framework_families_are_canonical_indices(n):
+    # positions in the Partition enumeration, against the parts each family names
+    position = {p.parts: i for i, p in enumerate(enumerate_partitions(n))}
+    fw = boundary_framework(n)
+    assert fw.antennas == tuple(position[t] for t in antennas(n))
+    assert fw.main_chain == tuple(position[t] for t in main_chain(n))
+    assert fw.left_edge == tuple(position[t] for t in left_boundary(n))
+    assert fw.right_edge == tuple(position[t] for t in right_boundary(n))
+    families = main_chain(n) + left_boundary(n) + right_boundary(n)
+    assert fw.all_indices == {position[t] for t in families}
 
 
 def test_framework_n4_covers_everything():
@@ -81,8 +94,8 @@ def test_framework_n2():
 def test_framework_contains_antennas_and_is_conjugation_closed(n):
     g = build_graph(n)
     fw = boundary_framework(n)
-    for p in fw.antennas:
-        assert g.index_of(p) in fw.all_indices
+    for a in fw.antennas:
+        assert a in fw.all_indices
     for i in fw.all_indices:
         assert g.index_of(g.vertices[i].conjugate()) in fw.all_indices
 
@@ -112,18 +125,23 @@ def test_induced_subgraph_connected_examples():
     assert induced_components(g, frozenset({last, 0})) == [frozenset({0}), frozenset({last})]
 
 
+def _axis_parts(n):
+    return [enumerate_partitions(n)[i].parts for i in self_conjugate_axis(n).members]
+
+
 def test_axis_examples():
-    assert [p.parts for p in self_conjugate_axis(3).members] == [(2, 1)]
-    assert [p.parts for p in self_conjugate_axis(1).members] == [(1,)]
+    assert _axis_parts(3) == [(2, 1)]
+    assert _axis_parts(1) == [(1,)]
     # resolved by the conjugation-fixpoint filter, not by hand
-    assert [p.parts for p in self_conjugate_axis(4).members] == [(2, 2)]
+    assert _axis_parts(4) == [(2, 2)]
+    assert _axis_parts(9) == [(5, 1, 1, 1, 1), (3, 3, 3)]
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_axis_matches_fixpoint_filter(n):
-    axis = {p.parts for p in self_conjugate_axis(n).members}
-    fixpoints = {p.parts for p in enumerate_partitions(n) if p.conjugate() == p}
-    assert axis == fixpoints
+    members = self_conjugate_axis(n).members
+    fixpoints = [i for i, p in enumerate(enumerate_partitions(n)) if p.conjugate() == p]
+    assert list(members) == fixpoints
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -156,6 +174,6 @@ def test_framework_lies_below_order_3():
         for n in range(1, 201)
         for family in (main_chain(n), left_boundary(n), right_boundary(n))
         for p in family
-        if _corner_thickness(p.parts) > 2
+        if _corner_thickness(p) > 2
     ]
     assert not above, above[:5]

@@ -171,3 +171,33 @@ def test_partition_sum_cached():
     assert p.n == 9
     assert p.largest == 5
     assert p.length == 3
+
+
+def test_pipeline_and_atlas_build_no_partition(tmp_path, monkeypatch):
+    # vertices cross every layer as canonical indices; a Partition is built
+    # only where text is parsed or a caller asks for one
+    from partition_atlas.atlas import atlas_chunks
+    from partition_atlas.pipeline import compute_artifacts_for_n
+    from partition_atlas.thickness import thickness_profile
+    from partition_atlas.transfer_graph import build_graph
+
+    graph = build_graph(12)
+    profile = thickness_profile(graph)
+    built = []
+    check = Partition.__post_init__
+
+    def counted(self):
+        built.append(self.parts)
+        check(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counted)
+    for n in range(1, 13):
+        compute_artifacts_for_n(n, tmp_path)
+    assert len(built) == 0, built[:5]
+    for mode in ("thickness", "zones"):
+        for _ in atlas_chunks(graph, profile, mode):
+            pass
+    assert len(built) == 0, built[:5]
+    # the count sees a construction
+    Partition((2, 1))
+    assert built == [(2, 1)]

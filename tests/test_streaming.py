@@ -9,10 +9,10 @@ import tracemalloc
 
 from click.testing import CliRunner
 
-from partition_atlas import Partition, thickness, transfer_graph
+from partition_atlas import thickness, transfer_graph
 from partition_atlas.atlas import render_atlas
 from partition_atlas.cli import main
-from partition_atlas.thickness import max_thickness_locus, thickness_profile
+from partition_atlas.thickness import thickness_profile
 from partition_atlas.transfer_graph import build_graph
 
 # large enough that the artifact dwarfs the per-vertex tables (p(28) = 3718
@@ -38,8 +38,7 @@ def test_streamed_files_match_in_memory_text(tmp_path):
         for mode in ("thickness", "zones"):
             _invoke(["atlas", "--n", str(n), "--mode", mode, "--out", str(out)])
             svg = (out / f"atlas_n{n}_{mode}.svg").read_bytes()
-            locus = max_thickness_locus(graph, profile)
-            assert svg == render_atlas(graph, profile, mode, highlight=locus).encode(), (n, mode)
+            assert svg == render_atlas(graph, profile, mode).encode(), (n, mode)
 
 
 def test_graph_dump_matches_compute_edges(tmp_path):
@@ -54,8 +53,9 @@ def test_graph_dump_matches_compute_edges(tmp_path):
 
 
 def test_rejected_atlas_writes_no_file(tmp_path, monkeypatch):
-    # a highlight that is not a vertex must fail before the SVG is opened
-    monkeypatch.setattr(thickness, "max_thickness_locus", lambda g, p: [Partition((g.n + 1,))])
+    # a profile of another n must fail before the SVG is opened
+    other = thickness_profile(build_graph(5))
+    monkeypatch.setattr(thickness, "thickness_profile", lambda g: other)
     result = CliRunner().invoke(main, ["atlas", "--n", "4", "--out", str(tmp_path)])
     assert isinstance(result.exception, ValueError)
     assert not (tmp_path / "atlas_n4_thickness.svg").exists()

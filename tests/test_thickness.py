@@ -11,7 +11,6 @@ from partition_atlas import (
     Partition,
     brute_force_local_dimension,
     build_graph,
-    max_thickness_locus,
     parse_partition,
     profile_csv,
     profile_from_json,
@@ -99,21 +98,13 @@ def test_conjugation_check_catches_corruption():
 
 def test_max_thickness_locus_examples():
     g2 = build_graph(2)
-    assert {p.parts for p in max_thickness_locus(g2, thickness_profile(g2))} == {
-        (2,),
-        (1, 1),
-    }
+    assert [g2.vertices[i].parts for i in thickness_profile(g2).max_locus] == [(2,), (1, 1)]
     g4 = build_graph(4)
-    assert {p.parts for p in max_thickness_locus(g4, thickness_profile(g4))} == {
+    assert [g4.vertices[i].parts for i in thickness_profile(g4).max_locus] == [
         (3, 1),
         (2, 2),
         (2, 1, 1),
-    }
-
-
-def test_max_thickness_locus_rejects_mismatch():
-    with pytest.raises(ValueError):
-        max_thickness_locus(build_graph(4), thickness_profile(build_graph(5)))
+    ]
 
 
 def test_local_dimension_rejects_foreign_vertex():
@@ -348,6 +339,8 @@ def test_profile_json_matches_json_dumps(n):
         "tau": dict(zip(names, prof.tau)),
     }
     assert profile_json(g, prof) == json.dumps(doc, indent=2) + "\n"
+    # at n = 1 and 2, tau_max = n - 1 is the top of the range the reader allows
+    assert profile_from_json(profile_json(g, prof)) == prof
 
 
 def test_profile_from_json_rejects_inconsistency():
@@ -410,6 +403,20 @@ def test_profile_from_json_rejects_malformed(doc, monkeypatch):
             if getattr(module, original.__name__, None) is original:
                 monkeypatch.setattr(module, original.__name__, small(original))
     with pytest.raises(ValueError):
+        profile_from_json(json.dumps(doc))
+
+
+# consistent in every other way: a thickness below 0 at n=2, above n - 1 at n=1
+IMPOSSIBLE_THICKNESS = [
+    {"n": 2, "tau_max": 1, "max_locus": ["2"], "tau": {"2": 1, "1,1": -7}},
+    {"n": 1, "tau_max": 99, "max_locus": ["1"], "tau": {"1": 99}},
+]
+
+
+@pytest.mark.parametrize("doc", IMPOSSIBLE_THICKNESS, ids=["n2-negative", "n1-above-n-1"])
+def test_profile_from_json_rejects_thickness_out_of_range(doc):
+    n = doc["n"]
+    with pytest.raises(ValueError, match=rf"n={n} has a thickness outside 0\.\.{n - 1}"):
         profile_from_json(json.dumps(doc))
 
 

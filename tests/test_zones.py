@@ -14,7 +14,7 @@ from partition_atlas import (
     first_occurrences,
     first_occurrences_csv,
     induced_components,
-    max_thickness_locus,
+    parse_partition,
     thickness_profile,
     threshold_zone,
     zone_json,
@@ -73,9 +73,9 @@ def test_exact_regime_is_complement_of_triangular(small_profiles):
 
 def test_exact_regime_top_equals_locus_n7(small_profiles):
     g, prof, _ = small_profiles[7]
-    locus = {g.index_of(p) for p in max_thickness_locus(g, prof)}
+    locus = {g.index_of(parse_partition(t)) for t in ("4,2,1", "3,3,1", "3,2,2", "3,2,1,1")}
     assert exact_regime(prof, 3) == frozenset(locus)
-    assert len(locus) == 4
+    assert prof.max_locus == tuple(sorted(locus))
 
 
 def test_negative_r_rejected(small_profiles):
@@ -159,8 +159,7 @@ def test_decompose_n7_r3_core(small_profiles):
     dec = decompose(g, fw, prof, 3)
     assert len(dec.components) == 1
     assert not dec.components[0].boundary_attached
-    locus = {g.index_of(p) for p in max_thickness_locus(g, prof)}
-    assert dec.core == frozenset(locus)
+    assert dec.core == frozenset(prof.max_locus)
     assert dec.shell == frozenset()
 
 
@@ -346,29 +345,20 @@ def test_decompose_rejects_mismatched_inputs(small_profiles):
 
 
 def test_first_occurrences_small_ranges(small_profiles):
-    profiles = [small_profiles[n][1] for n in range(1, 13)]
-    assert first_occurrences(profiles[:6]).entries == {2: 4}
-    assert first_occurrences(profiles[:3]).entries == {}
-    table = first_occurrences(profiles)
-    assert table.entries == {2: 4, 3: 7, 4: 11}
-    assert table.range_max == 12
-    values = list(table.entries.values())
+    tau_maxes = [small_profiles[n][1].tau_max for n in range(1, 13)]
+    assert first_occurrences(tau_maxes[:6]) == {2: 4}
+    assert first_occurrences(tau_maxes[:3]) == {}
+    assert first_occurrences([]) == {}
+    entries = first_occurrences(tau_maxes)
+    assert entries == {2: 4, 3: 7, 4: 11}
+    values = list(entries.values())
     assert values == sorted(set(values))
 
 
-def test_first_occurrences_requires_contiguous_range(small_profiles):
-    profiles = [small_profiles[n][1] for n in (1, 3)]
-    with pytest.raises(ValueError):
-        first_occurrences(profiles)
-    with pytest.raises(ValueError):
-        first_occurrences([])
-
-
 def test_first_occurrences_csv(small_profiles):
-    profiles = [small_profiles[n][1] for n in range(1, 8)]
-    assert first_occurrences_csv(first_occurrences(profiles)) == "r,n_r\n2,4\n3,7\n"
-    empty = first_occurrences(profiles[:3])
-    text = first_occurrences_csv(empty)
+    tau_maxes = [small_profiles[n][1].tau_max for n in range(1, 8)]
+    assert first_occurrences_csv(first_occurrences(tau_maxes), 7) == "r,n_r\n2,4\n3,7\n"
+    text = first_occurrences_csv(first_occurrences(tau_maxes[:3]), 3)
     lines = text.strip().split("\n")
     assert lines[0] == "r,n_r"
     assert lines[1].startswith("#")
