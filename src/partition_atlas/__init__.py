@@ -25,7 +25,7 @@ _HOME = {
         "atlas": "export_tables render_atlas",
         "framework": "AxisSet FrameworkSet antennas boundary_framework framework_json "
         "left_boundary main_chain right_boundary self_conjugate_axis",
-        "partitions": "Partition canonical_index enumerate_partitions format_partition "
+        "partitions": "canonical_index enumerate_partitions format_partition "
         "parse_partition partition_count partition_names",
         "thickness": "ThicknessProfile brute_force_local_dimension profile_csv "
         "profile_from_json profile_json thickness_profile",
@@ -39,7 +39,6 @@ _HOME = {
 __all__ = [
     "AxisSet",
     "FrameworkSet",
-    "Partition",
     "ThicknessProfile",
     "TransferGraph",
     "ZoneComponent",

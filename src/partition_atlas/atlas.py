@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .framework import boundary_framework
-from .partitions import _partition_tuples
+from .partitions import enumerate_partitions
 from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph
 from .zones import decompose, exact_regime, first_occurrences, first_occurrences_csv
@@ -57,7 +57,7 @@ def _cells(n: int) -> tuple[tuple[int, int, float, float], ...]:
     transposes the base cell. The offsets of a ring of m points are
     computed once per m and shared by every cell that holds m partitions.
     """
-    parts = _partition_tuples(n)
+    parts = enumerate_partitions(n)
     cells: dict[tuple[int, int], list[int]] = {}
     for i, t in enumerate(parts):
         cells.setdefault((t[0], len(t)), []).append(i)
@@ -148,7 +148,7 @@ def _svg_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> I
     # each title is formatted where it is written, so no table of p(n)
     # names is held alongside the output
     radius = _coord(RADIUS)
-    for i, parts in enumerate(graph.parts):
+    for i, parts in enumerate(graph.vertices):
         classes = ["v"]
         if mode == "thickness":
             t = profile.tau[i]

@@ -121,13 +121,15 @@ def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) ->
     """Write the first-occurrence, per-n summary and max-locus tables for 1..n-max."""
     from .atlas import export_tables
     from .pipeline import n_dir
-    from .partitions import _partition_tuples
+    from .partitions import enumerate_partitions, format_partition
     from .thickness import _corner_profile, profile_from_json
 
     _, n_max = _resolve_range(1, n_max, allow_beyond)
     profiles = []
     locus_names = []
     for n in range(1, n_max + 1):
+        # enumerated once: profile_from_json and the locus names reuse the cached tuple
+        parts = enumerate_partitions(n)
         path = n_dir(out_dir, n) / "profile.json"
         if path.exists():
             try:
@@ -143,10 +145,8 @@ def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) ->
             )
         else:
             # the profile reads only the vertices, so no graph is built
-            profiles.append(_corner_profile(n, _partition_tuples(n)))
-        # this n's partitions are cached now, so naming its locus enumerates nothing
-        parts = _partition_tuples(n)
-        locus_names.append([",".join(map(str, parts[i])) for i in profiles[-1].max_locus])
+            profiles.append(_corner_profile(n, parts))
+        locus_names.append([format_partition(parts[i]) for i in profiles[-1].max_locus])
     written = export_tables(profiles, locus_names, out_dir)
     for name in sorted(written):
         click.echo(f"wrote {written[name]}")

@@ -1,66 +1,18 @@
-"""Integer partitions: canonical enumeration, conjugation, text format."""
+"""Integer partitions: canonical enumeration, conjugation, text format.
+
+A partition is its parts tuple, positive and weakly decreasing, as in
+``(4, 2, 1)``; text names it as ``"4,2,1"``. Every layer takes a vertex
+of the transfer graph in this form or as its canonical index.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing sequence of positive integers.
-
-    The total ``n`` is computed once at construction. Instances are
-    immutable and hashable, so they can be shared freely across threads
-    and used as dictionary keys.
-    """
-
-    parts: tuple[int, ...]
-    n: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        for p in parts:
-            if type(p) is not int:  # bool, float and str are refused, not coerced
-                raise ValueError(f"parts must be integers, got {p!r}")
-        if not parts:
-            raise ValueError("a partition has at least one part (n >= 1)")
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing, got {a} before {b}")
-        if parts[-1] < 1:
-            raise ValueError(f"parts must be positive, got {parts[-1]}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "n", sum(parts))
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0]
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __str__(self) -> str:
-        return format_partition(self)
-
-    def conjugate(self) -> "Partition":
-        """Reflect the Ferrers diagram: part j of the result counts parts >= j."""
-        return Partition(_conjugate(self.parts))
-
-    def is_self_conjugate(self) -> bool:
-        return _conjugate(self.parts) == self.parts
+from typing import Sequence
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate of a valid parts tuple, without building a ``Partition``."""
+    """Reflect the Ferrers diagram: part j of the result counts parts >= j."""
     out = []
     count = len(parts)
     for j in range(1, parts[0] + 1):
@@ -70,26 +22,16 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-# no pipeline step calls this; kept because perfbench/traced_step.py spans it by name
-@lru_cache(maxsize=None)
-def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of ``n``, in reverse-lexicographic order.
-
-    The first entry is ``(n)`` and the last is ``(1^n)``; the position of
-    a partition in the returned tuple is its canonical vertex index.
-    """
-    return tuple(Partition(t) for t in _partition_tuples(n))
-
-
 @lru_cache(maxsize=1)
-def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """Parts tuples of every partition of ``n``, in canonical order.
+def enumerate_partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Parts tuples of every partition of ``n``, in reverse-lexicographic order.
 
-    The one enumeration of the package. Vertices stay in this form on
-    every hot path, and a ``Partition`` is built only when asked for.
-    Only the latest n is kept, as for :func:`canonical_index` and
-    :func:`partition_names`: every caller works through one n at a time,
-    in order, and a graph holds its own reference to its vertices.
+    The one enumeration of the package. The first entry is ``(n,)`` and
+    the last ``(1,) * n``; the position of a partition in the returned
+    tuple is its canonical vertex index. Only the latest n is kept, as for
+    :func:`canonical_index` and :func:`partition_names`: every caller works
+    through one n at a time, in order, and a graph holds its own reference
+    to its vertices.
     """
     if n < 1:
         # for n < 1 the loop below never reaches (1^n) and grows without bound
@@ -120,7 +62,7 @@ def canonical_index(n: int) -> dict[tuple[int, ...], int]:
     Only the latest n is kept. Its values are the int objects that graph
     rows and zone sets share, so each vertex index is allocated once.
     """
-    parts = _partition_tuples(n)
+    parts = enumerate_partitions(n)
     return dict(zip(parts, range(len(parts))))
 
 
@@ -131,7 +73,7 @@ def partition_names(n: int) -> tuple[str, ...]:
     Only the latest table is kept: callers write one n at a time, and
     keeping every table for n=1..30 costs about 2 MB.
     """
-    return tuple(",".join(map(str, t)) for t in _partition_tuples(n))
+    return tuple(map(format_partition, enumerate_partitions(n)))
 
 
 def _json_list(items: Sequence[str], depth: int) -> str:
@@ -147,16 +89,18 @@ def _json_list(items: Sequence[str], depth: int) -> str:
     return f"[\n{pad}  {inner}\n{pad}]"
 
 
-def format_partition(p: Partition) -> str:
-    """Render as comma-separated parts with no spaces, e.g. ``"4,2,1"``."""
-    return ",".join(str(x) for x in p.parts)
+def format_partition(parts: tuple[int, ...]) -> str:
+    """Render a parts tuple as comma-separated parts with no spaces, e.g. ``"4,2,1"``."""
+    return ",".join(map(str, parts))
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse the ``"4,2,1"`` form; rejects anything not already canonical.
+def parse_partition(text: str) -> tuple[int, ...]:
+    """Parse the ``"4,2,1"`` form into its parts tuple.
 
-    Input that is not weakly decreasing is an error, never silently
-    re-sorted, so caller-side ordering bugs stay visible.
+    Each token must be a positive integer written without sign, spaces or
+    leading zeros, and the parts must be weakly decreasing: anything not
+    already canonical is an error, never silently re-sorted, so
+    caller-side ordering bugs stay visible.
     """
     parts = []
     for token in text.strip().split(","):
@@ -166,7 +110,7 @@ def parse_partition(text: str) -> Partition:
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise ValueError(f"parts not weakly decreasing at token {b!r} in {text!r}")
-    return Partition(tuple(parts))
+    return tuple(parts)
 
 
 def partition_count(n: int) -> int:

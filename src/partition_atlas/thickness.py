@@ -18,14 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .partitions import (
-    Partition,
-    _json_list,
-    canonical_index,
-    parse_partition,
-    partition_count,
-    partition_names,
-)
+from .partitions import _json_list, enumerate_partitions, partition_count, partition_names
 from .transfer_graph import TransferGraph, _corner_thickness
 
 
@@ -85,9 +78,9 @@ def thickness_profile(graph: TransferGraph) -> ThicknessProfile:
     """Thickness of every vertex, from the Young-diagram corner formula.
 
     Each value depends on its own partition alone, so the profile is
-    identical for any evaluation order; only ``graph.parts`` is read.
+    identical for any evaluation order; only ``graph.vertices`` is read.
     """
-    return _corner_profile(graph.n, graph.parts)
+    return _corner_profile(graph.n, graph.vertices)
 
 
 def _corner_profile(n: int, parts: Sequence[tuple[int, ...]]) -> ThicknessProfile:
@@ -102,7 +95,7 @@ def _corner_profile(n: int, parts: Sequence[tuple[int, ...]]) -> ThicknessProfil
     return ThicknessProfile(n=n, tau=tau, tau_max=tau_max, max_locus=locus)
 
 
-def brute_force_local_dimension(graph: TransferGraph, p: Partition) -> int:
+def brute_force_local_dimension(graph: TransferGraph, p: tuple[int, ...]) -> int:
     """Largest clique size through ``p``, minus one, by exhaustive search.
 
     The reference value for :func:`clique_search_profile` at one vertex.
@@ -226,7 +219,10 @@ def profile_json(graph: TransferGraph, profile: ThicknessProfile) -> str:
 def profile_from_json(text: str) -> ThicknessProfile:
     """Rebuild a profile from :func:`profile_json` output, with validation.
 
-    Any malformed, incomplete or inconsistent document raises ``ValueError``.
+    The profile is recomputed from the corner formula and returned only
+    when the document states exactly its thickness map, ``tau_max`` and
+    maximal locus (locus in any order). Any malformed, incomplete, stale
+    or inconsistent document raises ``ValueError``.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -239,27 +235,24 @@ def profile_from_json(text: str) -> ThicknessProfile:
     # anything of size p(n) is computed
     if n > len(tau_map) or len(tau_map) != partition_count(n):
         raise ValueError(f"profile for n={n} lists {len(tau_map)} vertices, not p({n})")
+    names = partition_names(n)
     try:
-        tau = tuple(tau_map[name] for name in partition_names(n))
+        tau = tuple(tau_map[name] for name in names)
     except KeyError as exc:
         raise ValueError(f"profile for n={n} lacks vertex {exc.args[0]}") from None
     if not all(type(t) is int for t in tau):
         raise ValueError(f"profile for n={n} has a non-integer thickness")
-    # a largest clique through a vertex is the covers of one partition of
-    # n - 1, and there are at most n of those
-    if not all(0 <= t < n for t in tau):
-        raise ValueError(f"profile for n={n} has a thickness outside 0..{n - 1}")
-    tau_max = max(tau)
-    locus = tuple(v for v, t in enumerate(tau) if t == tau_max)
-    index = canonical_index(n)
     if not all(isinstance(name, str) for name in stated_names):
         raise ValueError(f"max_locus of the profile for n={n} must list partition strings")
-    stated = [index.get(parse_partition(name).parts) for name in stated_names]
-    if None in stated:
-        raise ValueError(f"max_locus of the profile for n={n} names a foreign partition")
-    if stated_max != tau_max or tuple(sorted(stated)) != locus:
+    # the document must hold exactly what compute writes for n
+    profile = _corner_profile(n, enumerate_partitions(n))
+    if tau != profile.tau:
+        name, t, expected = next(x for x in zip(names, tau, profile.tau) if x[1] != x[2])
+        raise ValueError(f"profile for n={n} gives {name} thickness {t}, not {expected}")
+    locus = sorted([names[i] for i in profile.max_locus])
+    if stated_max != profile.tau_max or sorted(stated_names) != locus:
         raise ValueError(f"inconsistent profile document for n={n}")
-    return ThicknessProfile(n=n, tau=tau, tau_max=tau_max, max_locus=locus)
+    return profile
 
 
 def _typed_field(doc: dict, key: str, kind: type):

@@ -9,10 +9,9 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .partitions import (
-    Partition,
     _conjugate,
-    _partition_tuples,
     canonical_index,
+    enumerate_partitions,
     format_partition,
     partition_names,
 )
@@ -78,29 +77,20 @@ def _corner_thickness(parts: tuple[int, ...]) -> int:
 class TransferGraph:
     """Immutable adjacency structure over all partitions of one total.
 
-    ``parts`` holds the parts tuple of each vertex in the canonical
+    ``vertices`` holds the parts tuple of each vertex in the canonical
     enumeration order, and ``adj`` the sorted neighbor indices of each
-    vertex. ``vertices`` gives the same vertices as ``Partition`` objects.
+    vertex.
     """
 
     n: int
-    parts: tuple[tuple[int, ...], ...]
+    vertices: tuple[tuple[int, ...], ...]
     adj: tuple[tuple[int, ...], ...]
     parts_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
-    @cached_property
-    def vertices(self) -> tuple[Partition, ...]:
-        """Every vertex as a ``Partition``, in canonical order.
-
-        Built on the first access and kept for the life of the graph; the
-        pipeline itself reads ``parts`` and never builds these.
-        """
-        return tuple(map(Partition, self.parts))
-
-    def index_of(self, p: Partition) -> int:
-        idx = self.parts_index.get(p.parts)
+    def index_of(self, parts: tuple[int, ...]) -> int:
+        idx = self.parts_index.get(parts)
         if idx is None:
-            raise ValueError(f"{format_partition(p)} is not a partition of {self.n}")
+            raise ValueError(f"{format_partition(parts)} is not a partition of {self.n}")
         return idx
 
     @property
@@ -121,7 +111,7 @@ class TransferGraph:
     @cached_property
     def _conjugation(self) -> tuple[int, ...]:
         index = self.parts_index
-        return tuple(index[_conjugate(t)] for t in self.parts)
+        return tuple(index[_conjugate(t)] for t in self.vertices)
 
     def edge_chunks(self) -> Iterator[str]:
         """The text of :meth:`dump_edges`, one chunk per row with an edge ``j > i``.
@@ -156,9 +146,9 @@ def build_graph(n: int) -> TransferGraph:
     with a part 1, so the partitions of n - 1 are never enumerated (mu = ()
     at n = 1).
     """
-    parts = _partition_tuples(n)
+    vertices = enumerate_partitions(n)
     index = canonical_index(n)
-    rows: list = [[] for _ in parts]
+    rows: list = [[] for _ in vertices]
     # the loop runs over the index's own keys and values, so the rows hold
     # the index's int objects, not fresh copies of them
     for t, c in index.items():
@@ -183,7 +173,7 @@ def build_graph(n: int) -> TransferGraph:
         at = bisect_left(row, a)
         del row[at : at + row.count(a)]
         rows[a] = tuple(row)
-    return TransferGraph(n=n, parts=parts, adj=tuple(rows), parts_index=index)
+    return TransferGraph(n=n, vertices=vertices, adj=tuple(rows), parts_index=index)
 
 
 def bfs_distances(graph: TransferGraph, sources: Iterable[int]) -> list[int]:

@@ -23,7 +23,7 @@ from typing import Any, Callable
 from . import REFERENCE_RANGE_MAX
 from .atlas import _cells, atlas_chunks
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
-from .partitions import Partition, _partition_tuples, parse_partition, partition_count
+from .partitions import enumerate_partitions, format_partition, parse_partition, partition_count
 from .pipeline import map_n
 from .thickness import (
     ThicknessProfile,
@@ -177,19 +177,19 @@ def run_checks(n_min: int = 1, n_max: int = 30, workers: int = 1) -> list[CheckR
 
 
 def _check_partition_counts(run: _Range, b: _Bundle) -> str:
-    size = len(_partition_tuples(b.n))
+    size = len(enumerate_partitions(b.n))
     _fail_if(size != partition_count(b.n), "enumeration size mismatch at n={}", b.n)
     return f"p(n) agrees with the recurrence for n={run.n_min}..{run.n_max}"
 
 
 def _check_enumeration_order(run: _Range, b: _Bundle) -> str:
     n = b.n
-    parts = _partition_tuples(n)
+    parts = enumerate_partitions(n)
     _fail_if(parts[0] != (n,), "first vertex at n={}", n)
     _fail_if(parts[-1] != (1,) * n, "last vertex at n={}", n)
     for x, y in zip(parts, parts[1:]):
         if x <= y:
-            order = f"{Partition(x)} before {Partition(y)}"
+            order = f"{format_partition(x)} before {format_partition(y)}"
             raise AssertionError(f"order violation at n={n}: {order}")
     return "reverse-lexicographic, extremes at the ends"
 
@@ -197,12 +197,11 @@ def _check_enumeration_order(run: _Range, b: _Bundle) -> str:
 def _check_conjugation_involution(run: _Range, b: _Bundle) -> str:
     g = b.graph
     sigma = g.conjugation_permutation()
-    # vertices are read only to name a failure, so no Partition is built per vertex
-    for i, t in enumerate(g.parts):
+    for i, t in enumerate(g.vertices):
         if sigma[sigma[i]] != i:
-            raise AssertionError(f"involution fails at {g.vertices[i]}")
-        if len(g.parts[sigma[i]]) != t[0]:
-            raise AssertionError(f"largest/length swap fails at {g.vertices[i]}")
+            raise AssertionError(f"involution fails at {format_partition(t)}")
+        if len(g.vertices[sigma[i]]) != t[0]:
+            raise AssertionError(f"largest/length swap fails at {format_partition(t)}")
     return "involution and largest/length swap hold"
 
 
@@ -245,7 +244,7 @@ def _check_left_boundary_path(run: _Range, b: _Bundle) -> str:
     g = b.graph
     for x, y in zip(b.framework.left_edge, b.framework.left_edge[1:]):
         if y not in g.adj[x]:
-            pair = f"{g.vertices[x]} / {g.vertices[y]}"
+            pair = " / ".join(map(format_partition, (g.vertices[x], g.vertices[y])))
             raise AssertionError(f"left boundary break at n={b.n}: {pair}")
     return "consecutive two-part partitions are adjacent"
 
@@ -255,9 +254,9 @@ def _check_antennas(run: _Range, b: _Bundle) -> str:
         g = b.graph
         for a in b.framework.antennas:
             if len(g.adj[a]) != 1:
-                raise AssertionError(f"degree at n={b.n}, {g.vertices[a]}")
+                raise AssertionError(f"degree at n={b.n}, {format_partition(g.vertices[a])}")
             if b.profile.tau[a] != 1:
-                raise AssertionError(f"thickness at n={b.n}, {g.vertices[a]}")
+                raise AssertionError(f"thickness at n={b.n}, {format_partition(g.vertices[a])}")
     return "degree 1 and thickness 1 at both extremes"
 
 
@@ -295,7 +294,8 @@ def _check_clique_search(run: _Range, b: _Bundle) -> str:
     searched = clique_search_profile(b.graph)
     if searched != tau:
         i = next(i for i, t in enumerate(searched) if t != tau[i])
-        raise AssertionError(f"clique search disagrees at n={b.n}, {b.graph.vertices[i]}")
+        name = format_partition(b.graph.vertices[i])
+        raise AssertionError(f"clique search disagrees at n={b.n}, {name}")
     return f"every vertex for n={run.n_min}..{run.n_max}"
 
 
@@ -304,7 +304,8 @@ def _check_oracle_equivalence(run: _Range, b: _Bundle) -> str:
         g = b.graph
         for i, p in enumerate(g.vertices):
             tau = brute_force_local_dimension(g, p)
-            _fail_if(tau != b.profile.tau[i], "oracle disagrees at n={}, {}", b.n, p)
+            if tau != b.profile.tau[i]:
+                raise AssertionError(f"oracle disagrees at n={b.n}, {format_partition(p)}")
     if run.n_min > ORACLE_RANGE_MAX:
         return f"no n <= {ORACLE_RANGE_MAX} in range"
     return f"exhaustive agreement for n={run.n_min}..{min(run.n_max, ORACLE_RANGE_MAX)}"
@@ -423,9 +424,9 @@ def _check_max_locus_table(run: _Range, b: _Bundle) -> str | None:
         prof = b.profile
         _fail_if(prof.tau_max != tau_max, "tau_max at n={}", b.n)
         _fail_if(len(prof.max_locus) != size, "locus size at n={}", b.n)
-        locus = {b.graph.parts[i] for i in prof.max_locus}
+        locus = {b.graph.vertices[i] for i in prof.max_locus}
         for text in reps:
-            _fail_if(parse_partition(text).parts not in locus, "{} missing at n={}", text, b.n)
+            _fail_if(parse_partition(text) not in locus, "{} missing at n={}", text, b.n)
     matched = [n for n in EXPECTED_MAX_LOCUS if n <= run.n_max]
     return f"matched at n in {matched}" if matched else "no transition n in range"
 
@@ -446,7 +447,8 @@ def _check_layout_symmetry(run: _Range, b: _Bundle) -> str:
     for i, (x, y, dx, dy) in enumerate(cells):
         mirror = cells[sigma[i]]
         if (x, y) != (mirror[1], mirror[0]):
-            raise AssertionError(f"layout transpose fails at n={b.n}, {g.vertices[i]}")
+            name = format_partition(g.vertices[i])
+            raise AssertionError(f"layout transpose fails at n={b.n}, {name}")
         _fail_if(abs(dx) >= 0.5 or abs(dy) >= 0.5, "offset too large at n={}", b.n)
     return "conjugation transposes every base cell"
 

@@ -119,7 +119,7 @@ def test_criterion_6_rear_central_support(verdicts):
             framework = boundary_framework(n)
             near = bfs_distances(graph, framework.antennas)
             border = bfs_distances(graph, sorted(framework.all_indices))
-            parts = [graph.parts[i] for i in locus]
+            parts = [graph.vertices[i] for i in locus]
             balance = sum(t[0] - len(t) for t in parts) / len(parts)
             axis = sum(t == _conjugate(t) for t in parts) / len(parts)
             print(

@@ -9,10 +9,13 @@ from partition_atlas import (
     build_graph,
     enumerate_partitions,
     export_tables,
+    format_partition,
+    partition_names,
     render_atlas,
     thickness_profile,
 )
 from partition_atlas.atlas import CELL, EDGE_STYLE, MARGIN, RING_OFFSET, _cells, atlas_chunks
+from partition_atlas.partitions import _conjugate
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -28,7 +31,7 @@ def _edges(svg_text):
 
 
 def test_layout_base_cells_n4():
-    pts = {str(p): pt for p, pt in zip(enumerate_partitions(4), _cells(4))}
+    pts = dict(zip(partition_names(4), _cells(4)))
     assert pts["3,1"][:2] == (3, 2)
     assert pts["2,1,1"][:2] == (2, 3)
     assert pts["4"][:2] == (4, 1)
@@ -42,7 +45,7 @@ def test_layout_no_collisions_n6():
 
 def test_layout_collision_ring_n7():
     # (3,3,1) and (3,2,2) share the cell (3,3); found by scanning
-    pts = {str(p): pt for p, pt in zip(enumerate_partitions(7), _cells(7))}
+    pts = dict(zip(partition_names(7), _cells(7)))
     (ax, ay, adx, ady), (bx, by, bdx, bdy) = pts["3,3,1"], pts["3,2,2"]
     assert (ax, ay) == (bx, by) == (3, 3)
     assert (adx, ady) != (bdx, bdy)
@@ -54,11 +57,11 @@ def test_layout_collision_ring_n7():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_layout_conjugation_transposes_cells(n):
     verts = enumerate_partitions(n)
-    index = {p.parts: i for i, p in enumerate(verts)}
+    index = {p: i for i, p in enumerate(verts)}
     pts = _cells(n)
     for i, p in enumerate(verts):
         x, y, _, _ = pts[i]
-        mirror_x, mirror_y, _, _ = pts[index[p.conjugate().parts]]
+        mirror_x, mirror_y, _, _ = pts[index[_conjugate(p)]]
         assert (x, y) == (mirror_y, mirror_x)
 
 
@@ -67,7 +70,7 @@ def _layout_point_by_point(n):
     verts = enumerate_partitions(n)
     cells = {}
     for i, p in enumerate(verts):
-        cells.setdefault((p.largest, p.length), []).append(i)
+        cells.setdefault((p[0], len(p)), []).append(i)
     points = [None] * len(verts)
     for (x, y), group in cells.items():
         m = len(group)
@@ -199,7 +202,10 @@ def test_render_titles_name_partitions():
 def _profiles_and_loci(ns):
     graphs = [build_graph(n) for n in ns]
     profiles = [thickness_profile(g) for g in graphs]
-    loci = [[str(g.vertices[i]) for i in prof.max_locus] for g, prof in zip(graphs, profiles)]
+    loci = [
+        [format_partition(g.vertices[i]) for i in prof.max_locus]
+        for g, prof in zip(graphs, profiles)
+    ]
     return profiles, loci
 
 

@@ -282,16 +282,16 @@ def test_tables_builds_no_graph(tmp_path, monkeypatch):
 def test_tables_enumerates_each_n_once(tmp_path):
     # the max-locus table names its members while tables walks n, so no
     # first-occurrence n is enumerated a second time afterwards
-    from partition_atlas.partitions import _partition_tuples
+    from partition_atlas.partitions import enumerate_partitions
 
     runner = CliRunner()
     computed = tmp_path / "computed"
     assert runner.invoke(main, ["compute", "--n-max", "12", "--out", str(computed)]).exit_code == 0
     for out, n_max, flags in ((tmp_path / "fresh", 30, []), (computed, 12, ["--no-recompute"])):
-        _partition_tuples.cache_clear()
+        enumerate_partitions.cache_clear()
         result = runner.invoke(main, ["tables", "--n-max", str(n_max), "--out", str(out), *flags])
         assert result.exit_code == 0, result.output
-        assert _partition_tuples.cache_info().misses == n_max, out
+        assert enumerate_partitions.cache_info().misses == n_max, out
     loci = json.loads((tmp_path / "fresh" / "max_locus_members.json").read_text())
     assert list(loci) == ["4", "7", "11", "16", "22", "29"]
     assert len(loci["29"]) == 8
@@ -359,6 +359,24 @@ def test_tables_no_recompute_rejects_impossible_thickness(tmp_path, doc):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert f"malformed artifact {bad}: profile for n={doc['n']}" in result.output
+
+
+def test_tables_no_recompute_rejects_stale_profile(tmp_path):
+    # n=7's thickness 3 moved from 4,2,1 to the antenna 7, tau_max and the
+    # locus restated to match: every value lies in 0..6 and the document
+    # agrees with itself, but it is not what compute writes
+    out = tmp_path / "artifacts"
+    runner = CliRunner()
+    assert runner.invoke(main, ["compute", "--n-max", "7", "--out", str(out)]).exit_code == 0
+    bad = out / "n07" / "profile.json"
+    doc = json.loads(bad.read_text())
+    doc["tau"]["4,2,1"], doc["tau"]["7"] = doc["tau"]["7"], doc["tau"]["4,2,1"]
+    doc["max_locus"] = [name for name, t in doc["tau"].items() if t == doc["tau_max"]]
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["tables", "--n-max", "7", "--out", str(out), "--no-recompute"])
+    assert result.exit_code == 2
+    assert f"malformed artifact {bad}: profile for n=7 gives 7 thickness 3" in result.output
+    assert not (out / "max_locus_members.json").exists()
 
 
 def test_tables_rejects_unreadable_profile(tmp_path):
@@ -468,33 +486,6 @@ def test_verify_prints_check_seconds_to_stderr_only(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "[PASS] first: fine\n[PASS] second\n2/2 checks passed\n"
     assert captured.err == "  0.25 s  first\n  1.50 s  second\n"
-
-
-def test_cli_steps_build_no_partition_per_vertex(tmp_path, monkeypatch):
-    # vertices stay parts tuples on every CLI path: the Partition
-    # enumeration and the graph's Partition view must both go unread
-    from partition_atlas import partitions
-    from partition_atlas.transfer_graph import TransferGraph
-
-    def refuse(*args):
-        raise AssertionError("a CLI step built a Partition per vertex")
-
-    original = partitions.enumerate_partitions
-    holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "partition_atlas"]
-    for module in holders:
-        if getattr(module, "enumerate_partitions", None) is original:
-            monkeypatch.setattr(module, "enumerate_partitions", refuse)
-    monkeypatch.setattr(TransferGraph, "vertices", property(refuse))
-    out = str(tmp_path / "artifacts")
-    runner = CliRunner()
-    for args in (
-        ["compute", "--n-max", "9", "--out", out],
-        ["tables", "--n-max", "9", "--no-recompute", "--out", out],
-        ["atlas", "--n", "9", "--mode", "thickness", "--out", out],
-        ["atlas", "--n", "9", "--mode", "zones", "--out", out],
-    ):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0, (args, result.output, result.exception)
 
 
 def _record_decompose(monkeypatch):

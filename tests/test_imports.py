@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # exports that no pipeline step reads: perfbench/traced_step.py looks each
 # one up by name to span it, so every --trace 1 benchmark pass needs them
-TRACER_BOUND = ("enumerate_partitions", "render_atlas")
+TRACER_BOUND = ("render_atlas",)
 
 
 def _exported(tree):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_atlas import (
-    Partition,
     brute_force_local_dimension,
     build_graph,
     parse_partition,
@@ -18,7 +17,12 @@ from partition_atlas import (
     thickness_profile,
 )
 from partition_atlas import partitions
-from partition_atlas.partitions import enumerate_partitions, format_partition, partition_names
+from partition_atlas.partitions import (
+    _conjugate,
+    enumerate_partitions,
+    format_partition,
+    partition_names,
+)
 from partition_atlas.thickness import clique_search_profile
 from partition_atlas.transfer_graph import _corner_thickness
 from partition_atlas.verify import profile_conjugation_ok
@@ -27,7 +31,7 @@ from partition_atlas.verify import profile_conjugation_ok
 def test_profile_n4_frozen():
     g = build_graph(4)
     prof = thickness_profile(g)
-    by_name = {str(p): prof.tau[i] for i, p in enumerate(g.vertices)}
+    by_name = dict(zip(partition_names(4), prof.tau))
     assert by_name == {"4": 1, "3,1": 2, "2,2": 2, "2,1,1": 2, "1,1,1,1": 1}
     assert prof.tau_max == 2
     assert len(prof.max_locus) == 3
@@ -36,7 +40,7 @@ def test_profile_n4_frozen():
 def test_isolated_vertex():
     g = build_graph(1)
     assert clique_search_profile(g) == (0,)
-    assert brute_force_local_dimension(g, Partition((1,))) == 0
+    assert brute_force_local_dimension(g, (1,)) == 0
     assert thickness_profile(g).tau == (0,)
 
 
@@ -44,8 +48,8 @@ def test_isolated_vertex():
 def test_antennas_have_thickness_one(n):
     g = build_graph(n)
     tau = clique_search_profile(g)
-    assert tau[g.index_of(Partition((n,)))] == 1
-    assert tau[g.index_of(Partition((1,) * n))] == 1
+    assert tau[g.index_of((n,))] == 1
+    assert tau[g.index_of((1,) * n)] == 1
 
 
 def test_table_values_n7():
@@ -56,8 +60,8 @@ def test_table_values_n7():
 
 
 def test_brute_force_examples():
-    assert brute_force_local_dimension(build_graph(4), Partition((3, 1))) == 2
-    assert brute_force_local_dimension(build_graph(2), Partition((2,))) == 1
+    assert brute_force_local_dimension(build_graph(4), (3, 1)) == 2
+    assert brute_force_local_dimension(build_graph(2), (2,)) == 1
     assert brute_force_local_dimension(build_graph(11), parse_partition("5,3,2,1")) == 4
 
 
@@ -82,7 +86,7 @@ def test_thickness_conjugation_invariant(n):
     g = build_graph(n)
     prof = thickness_profile(g)
     for i, p in enumerate(g.vertices):
-        assert prof.tau[i] == prof.tau[g.index_of(p.conjugate())]
+        assert prof.tau[i] == prof.tau[g.index_of(_conjugate(p))]
 
 
 def test_conjugation_check_catches_corruption():
@@ -91,16 +95,16 @@ def test_conjugation_check_catches_corruption():
     assert profile_conjugation_ok(g, prof)
     # (4) and (1,1,1,1) are conjugate; raising one value breaks the symmetry
     corrupted = list(prof.tau)
-    corrupted[g.index_of(Partition((4,)))] = 2
+    corrupted[g.index_of((4,))] = 2
     bad = dataclasses.replace(prof, tau=tuple(corrupted))
     assert not profile_conjugation_ok(g, bad)
 
 
 def test_max_thickness_locus_examples():
     g2 = build_graph(2)
-    assert [g2.vertices[i].parts for i in thickness_profile(g2).max_locus] == [(2,), (1, 1)]
+    assert [g2.vertices[i] for i in thickness_profile(g2).max_locus] == [(2,), (1, 1)]
     g4 = build_graph(4)
-    assert [g4.vertices[i].parts for i in thickness_profile(g4).max_locus] == [
+    assert [g4.vertices[i] for i in thickness_profile(g4).max_locus] == [
         (3, 1),
         (2, 2),
         (2, 1, 1),
@@ -109,7 +113,7 @@ def test_max_thickness_locus_examples():
 
 def test_local_dimension_rejects_foreign_vertex():
     with pytest.raises(ValueError):
-        brute_force_local_dimension(build_graph(4), Partition((5,)))
+        brute_force_local_dimension(build_graph(4), (5,))
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -214,9 +218,9 @@ def _contains(big, small):
 
 def _clique_shapes(n):
     """Every cover family of a mu of n - 1 and lower-cover family of a lam of n + 1."""
-    verts = [p.parts for p in enumerate_partitions(n)]
-    below = [p.parts for p in enumerate_partitions(n - 1)] if n > 1 else [()]
-    above = [p.parts for p in enumerate_partitions(n + 1)]
+    verts = enumerate_partitions(n)
+    below = enumerate_partitions(n - 1) if n > 1 else [()]
+    above = enumerate_partitions(n + 1)
     shapes = {frozenset(q for q in verts if _contains(q, mu)) for mu in below}
     shapes |= {frozenset(q for q in verts if _contains(lam, q)) for lam in above}
     return shapes
@@ -229,9 +233,9 @@ def test_witness_clique_is_valid():
         prof = thickness_profile(g)
         shapes = _clique_shapes(n)
         for i, p in enumerate(g.vertices):
-            families = [_upper_covers(mu) for mu in _lower_covers(p.parts)]
+            families = [_upper_covers(mu) for mu in _lower_covers(p)]
             for family in families:
-                assert p.parts in family
+                assert p in family
                 idxs = [g.parts_index[t] for t in family]
                 for a in idxs:
                     for b in idxs:
@@ -256,8 +260,8 @@ def test_corner_thickness_conjugation_invariant(xs):
         if total + x <= 60:
             parts.append(x)
             total += x
-    p = Partition(tuple(parts))
-    assert _corner_thickness(p.parts) == _corner_thickness(p.conjugate().parts)
+    p = tuple(parts)
+    assert _corner_thickness(p) == _corner_thickness(_conjugate(p))
 
 
 def _corner_thickness_by_values(parts):
@@ -271,7 +275,7 @@ def _corner_thickness_by_values(parts):
 @pytest.mark.parametrize("n", range(1, 26))
 def test_corner_thickness_matches_value_by_value_rule(n):
     for p in enumerate_partitions(n):
-        assert _corner_thickness(p.parts) == _corner_thickness_by_values(p.parts), p
+        assert _corner_thickness(p) == _corner_thickness_by_values(p), p
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 20])
@@ -297,7 +301,7 @@ def test_profile_csv_parses_back():
     prof = thickness_profile(g)
     rows = list(csv.reader(io.StringIO(profile_csv(g, prof))))
     assert rows[0] == ["partition", "tau"]
-    assert [r[0] for r in rows[1:]] == [str(p) for p in g.vertices]
+    assert [r[0] for r in rows[1:]] == list(map(format_partition, g.vertices))
     assert [int(r[1]) for r in rows[1:]] == list(prof.tau)
 
 
@@ -312,7 +316,7 @@ def test_profile_csv_matches_csv_writer(n):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["partition", "tau"])
-    writer.writerows(zip([str(p) for p in g.vertices], prof.tau))
+    writer.writerows(zip(map(format_partition, g.vertices), prof.tau))
     assert profile_csv(g, prof) == buffer.getvalue()
 
 
@@ -322,7 +326,7 @@ def test_profile_json_roundtrip():
     doc = json.loads(profile_json(g, prof))
     assert doc["n"] == 6
     assert doc["tau_max"] == prof.tau_max
-    assert list(doc["tau"]) == [str(p) for p in g.vertices]
+    assert list(doc["tau"]) == list(map(format_partition, g.vertices))
     assert profile_from_json(profile_json(g, prof)) == prof
 
 
@@ -331,7 +335,7 @@ def test_profile_json_matches_json_dumps(n):
     # profile_json writes its text directly; the json module is the reference
     g = build_graph(n)
     prof = thickness_profile(g)
-    names = [str(p) for p in g.vertices]
+    names = list(map(format_partition, g.vertices))
     doc = {
         "n": n,
         "tau_max": prof.tau_max,
@@ -388,20 +392,18 @@ _DOC4 = json.loads(profile_json(_G4, thickness_profile(_G4)))
 def test_profile_from_json_rejects_malformed(doc, monkeypatch):
     # a document is rejected before anything of size p(n) is built for a
     # large n (p(80) is about 15.8 million); every table of the partitions
-    # of n comes from the tuple enumerator, so both enumerators are guarded
-    # in every module that holds them
-    def small(enumerate_n):
-        def guarded(n):
-            assert n <= 30, f"enumerated the partitions of {n}"
-            return enumerate_n(n)
+    # of n comes from the one enumeration, so it is guarded in every module
+    # that holds it
+    original = partitions.enumerate_partitions
 
-        return guarded
+    def guarded(n):
+        assert n <= 30, f"enumerated the partitions of {n}"
+        return original(n)
 
     holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "partition_atlas"]
-    for original in (partitions._partition_tuples, partitions.enumerate_partitions):
-        for module in holders:
-            if getattr(module, original.__name__, None) is original:
-                monkeypatch.setattr(module, original.__name__, small(original))
+    for module in holders:
+        if getattr(module, "enumerate_partitions", None) is original:
+            monkeypatch.setattr(module, "enumerate_partitions", guarded)
     with pytest.raises(ValueError):
         profile_from_json(json.dumps(doc))
 
@@ -415,8 +417,48 @@ IMPOSSIBLE_THICKNESS = [
 
 @pytest.mark.parametrize("doc", IMPOSSIBLE_THICKNESS, ids=["n2-negative", "n1-above-n-1"])
 def test_profile_from_json_rejects_thickness_out_of_range(doc):
+    # every value is compared with the corner formula, which names the vertex
     n = doc["n"]
-    with pytest.raises(ValueError, match=rf"n={n} has a thickness outside 0\.\.{n - 1}"):
+    name, t = next((k, v) for k, v in doc["tau"].items() if not 0 <= v < n)
+    with pytest.raises(ValueError, match=rf"n={n} gives {name} thickness {t}, not "):
+        profile_from_json(json.dumps(doc))
+
+
+def _stale_doc7():
+    # n=7's profile with tau 3 moved from 4,2,1 to the antenna 7, and
+    # tau_max and the locus restated to match: consistent, in 0..n-1, wrong
+    g = build_graph(7)
+    doc = json.loads(profile_json(g, thickness_profile(g)))
+    doc["tau"]["4,2,1"], doc["tau"]["7"] = doc["tau"]["7"], doc["tau"]["4,2,1"]
+    doc["max_locus"] = [name for name, t in doc["tau"].items() if t == doc["tau_max"]]
+    return doc
+
+
+def test_profile_from_json_rejects_stale_values():
+    doc = _stale_doc7()
+    assert doc["max_locus"][0] == "7" and "4,2,1" not in doc["max_locus"]
+    with pytest.raises(ValueError, match="profile for n=7 gives 7 thickness 3, not 1"):
+        profile_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+def test_profile_from_json_rejects_values_equal_to_an_int(value):
+    # True and 1.0 compare equal to the antenna's thickness 1, and are still refused
+    g = build_graph(4)
+    doc = json.loads(profile_json(g, thickness_profile(g)))
+    doc["tau"]["4"] = value
+    with pytest.raises(ValueError, match="n=4 has a non-integer thickness"):
+        profile_from_json(json.dumps(doc))
+
+
+def test_profile_from_json_accepts_the_locus_in_any_order():
+    g = build_graph(11)
+    prof = thickness_profile(g)
+    doc = json.loads(profile_json(g, prof))
+    doc["max_locus"].reverse()
+    assert profile_from_json(json.dumps(doc)) == prof
+    doc["max_locus"].append(doc["max_locus"][0])
+    with pytest.raises(ValueError, match="inconsistent profile document for n=11"):
         profile_from_json(json.dumps(doc))
 
 

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partition_atlas import Partition, bfs_distances, boundary_framework, build_graph
-from partition_atlas.partitions import format_partition
+from partition_atlas import bfs_distances, boundary_framework, build_graph, enumerate_partitions
+from partition_atlas.partitions import _conjugate, format_partition
 
 small_partitions_st = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(
-    lambda xs: Partition(tuple(sorted(xs, reverse=True)))
+    lambda xs: tuple(sorted(xs, reverse=True))
 )
 
 
@@ -25,44 +25,44 @@ def _graph(n):
 
 def _neighbors(p):
     """The parts tuples of ``p``'s neighbours, read off the rows of ``build_graph``."""
-    g = _graph(p.n)
-    return {g.parts[j] for j in g.adj[g.index_of(p)]}
+    g = _graph(sum(p))
+    return {g.vertices[j] for j in g.adj[g.index_of(p)]}
 
 
 def test_neighbors_of_single_row():
-    assert _neighbors(Partition((7,))) == _reference_neighbors((7,)) == {(6, 1)}
+    assert _neighbors((7,)) == _reference_neighbors((7,)) == {(6, 1)}
 
 
 def test_neighbors_of_all_ones():
-    assert _neighbors(Partition((1, 1, 1, 1))) == _reference_neighbors((1, 1, 1, 1)) == {(2, 1, 1)}
+    assert _neighbors((1, 1, 1, 1)) == _reference_neighbors((1, 1, 1, 1)) == {(2, 1, 1)}
 
 
 def test_neighbors_211_frozen():
     expected = {(3, 1), (2, 2), (1, 1, 1, 1)}
-    assert _neighbors(Partition((2, 1, 1))) == _reference_neighbors((2, 1, 1)) == expected
+    assert _neighbors((2, 1, 1)) == _reference_neighbors((2, 1, 1)) == expected
 
 
 def test_neighbors_exclude_self():
     # moving the unit back and forth between equal parts reproduces the input
     for parts in ((2, 1), (1,)):
-        assert parts not in _neighbors(Partition(parts))
+        assert parts not in _neighbors(parts)
         assert parts not in _reference_neighbors(parts)
-    assert _neighbors(Partition((1,))) == _reference_neighbors((1,)) == set()
+    assert _neighbors((1,)) == _reference_neighbors((1,)) == set()
 
 
 @given(small_partitions_st)
 def test_neighbors_symmetric(p):
     for q in _neighbors(p):
-        assert p.parts in _neighbors(Partition(q))
-    for q in _reference_neighbors(p.parts):
-        assert p.parts in _reference_neighbors(q)
+        assert p in _neighbors(q)
+    for q in _reference_neighbors(p):
+        assert p in _reference_neighbors(q)
 
 
 @given(small_partitions_st)
 def test_neighbors_preserve_total(p):
-    expected = _reference_neighbors(p.parts)
+    expected = _reference_neighbors(p)
     assert _neighbors(p) == expected
-    assert all(sum(q) == p.n for q in expected)
+    assert all(sum(q) == sum(p) for q in expected)
 
 
 def test_build_graph_n1():
@@ -74,14 +74,14 @@ def test_build_graph_n1():
 
 def test_build_graph_n2():
     g = build_graph(2)
-    assert [p.parts for p in g.vertices] == [(2,), (1, 1)]
+    assert g.vertices == ((2,), (1, 1))
     assert g.edge_count == 1
     assert g.is_connected()
 
 
 def test_build_graph_n4_edges_frozen():
     g = build_graph(4)
-    names = {i: str(p) for i, p in enumerate(g.vertices)}
+    names = dict(enumerate(map(format_partition, g.vertices)))
     got = {tuple(sorted((names[i], names[j]))) for i, j in _edge_set(g)}
     expected = {
         ("3,1", "4"),
@@ -95,9 +95,9 @@ def test_build_graph_n4_edges_frozen():
 
 def test_vertices_view_is_built_once_from_parts():
     g = build_graph(7)
-    assert g.vertices is g.vertices
-    assert tuple(p.parts for p in g.vertices) == g.parts
-    assert all(type(p) is Partition for p in g.vertices)
+    # the graph holds the enumeration's own tuple, not a copy of it
+    assert g.vertices is enumerate_partitions(7)
+    assert all(type(p) is tuple for p in g.vertices)
 
 
 def test_build_graph_rejects_nonpositive():
@@ -113,23 +113,23 @@ def test_connected_small(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_antenna_degrees(n):
     g = build_graph(n)
-    assert len(g.adj[g.index_of(Partition((n,)))]) == 1
-    assert len(g.adj[g.index_of(Partition((1,) * n))]) == 1
+    assert len(g.adj[g.index_of((n,))]) == 1
+    assert len(g.adj[g.index_of((1,) * n)]) == 1
 
 
 def test_degree_examples():
     g1 = build_graph(1)
-    assert g1.adj[g1.index_of(Partition((1,)))] == ()
+    assert g1.adj[g1.index_of((1,))] == ()
     g4 = build_graph(4)
-    assert len(g4.adj[g4.index_of(Partition((3, 1)))]) == 3
+    assert len(g4.adj[g4.index_of((3, 1))]) == 3
 
 
 def test_index_of_rejects_foreign_partition():
     g = build_graph(4)
     with pytest.raises(ValueError, match="not a partition of 4"):
-        g.index_of(Partition((5,)))
+        g.index_of((5,))
     with pytest.raises(ValueError, match="not a partition of 4"):
-        g.index_of(Partition((3, 2)))
+        g.index_of((3, 2))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -144,8 +144,8 @@ def test_conjugation_is_automorphism(n):
 def test_left_boundary_is_path(n):
     g = build_graph(n)
     for k in range(1, n // 2):
-        a = g.index_of(Partition((n - k, k)))
-        b = g.index_of(Partition((n - k - 1, k + 1)))
+        a = g.index_of((n - k, k))
+        b = g.index_of((n - k - 1, k + 1))
         assert b in g.adj[a]
 
 
@@ -179,7 +179,7 @@ def _reference_neighbors(parts):
 def test_adjacency_matches_definition(n):
     g = build_graph(n)
     for i, p in enumerate(g.vertices):
-        assert {g.vertices[j].parts for j in g.adj[i]} == _reference_neighbors(p.parts)
+        assert {g.vertices[j] for j in g.adj[i]} == _reference_neighbors(p)
 
 
 def test_conjugation_permutation_built_once():
@@ -187,7 +187,7 @@ def test_conjugation_permutation_built_once():
     sigma = g.conjugation_permutation()
     assert g.conjugation_permutation() is sigma
     assert sorted(sigma) == list(range(len(g.vertices)))
-    assert all(g.vertices[sigma[i]] == p.conjugate() for i, p in enumerate(g.vertices))
+    assert all(g.vertices[sigma[i]] == _conjugate(p) for i, p in enumerate(g.vertices))
 
 
 def test_dump_edges_n4():
@@ -216,10 +216,10 @@ def test_dump_edges_matches_per_edge_lines(n):
 BUILD_PROBE = """
 import json, sys, tracemalloc
 from partition_atlas import build_graph
-from partition_atlas.partitions import _partition_tuples, canonical_index
+from partition_atlas.partitions import canonical_index, enumerate_partitions
 
 n = 30
-_partition_tuples(n)
+enumerate_partitions(n)
 canonical_index(n)
 tracemalloc.start()
 g = build_graph(n)
@@ -241,7 +241,7 @@ def test_build_graph_holds_no_transient_copy_of_the_rows(fresh_python):
 def test_bfs_distances():
     g = build_graph(4)
     dist = bfs_distances(g, (0,))  # from (4)
-    by_name = {str(p): dist[i] for i, p in enumerate(g.vertices)}
+    by_name = {format_partition(p): dist[i] for i, p in enumerate(g.vertices)}
     assert by_name == {"4": 0, "3,1": 1, "2,2": 2, "2,1,1": 2, "1,1,1,1": 3}
 
 

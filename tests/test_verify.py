@@ -3,9 +3,9 @@ import re
 
 import pytest
 
-from partition_atlas import Partition, build_graph, pipeline, thickness_profile, verify
+from partition_atlas import build_graph, pipeline, thickness_profile, verify
 from partition_atlas.cli import main
-from partition_atlas.partitions import _partition_tuples, canonical_index
+from partition_atlas.partitions import canonical_index, enumerate_partitions
 
 
 def _first_occurrence_result(n_max):
@@ -114,10 +114,10 @@ def test_details_name_only_the_checked_range():
 
 def test_passing_verify_formats_no_partition(monkeypatch):
     # a failure message is built only when its check fails
-    def refuse(self):
+    def refuse(parts):
         raise RuntimeError("a passing check formatted a partition")
 
-    monkeypatch.setattr(Partition, "__str__", refuse)
+    monkeypatch.setattr(verify, "format_partition", refuse)
     results = verify.run_checks(1, 9)
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
 
@@ -172,7 +172,7 @@ def test_results_carry_check_seconds():
 HOLD_PROBE = """
 import json, tracemalloc
 from partition_atlas import verify
-from partition_atlas.partitions import _partition_tuples, canonical_index
+from partition_atlas.partitions import canonical_index, enumerate_partitions
 
 
 def traced(make):
@@ -186,7 +186,7 @@ def traced(make):
 
 
 n = 24
-_partition_tuples(n)
+enumerate_partitions(n)
 canonical_index(n)
 _, bundle, _ = traced(lambda: verify._bundle(n))
 results, _, peak = traced(lambda: verify.run_checks(1, n))
@@ -213,7 +213,7 @@ def test_run_checks_builds_each_graph_once_in_order(monkeypatch):
     assert all(r.ok for r in results), [r for r in results if not r.ok]
     assert built == list(range(1, 31))
     # only the latest enumeration survives the run
-    for cached in (_partition_tuples, canonical_index):
+    for cached in (enumerate_partitions, canonical_index):
         info = cached.cache_info()
         assert info.currsize == 1, cached
         cached(30)

@@ -13,6 +13,7 @@ from partition_atlas import (
     exact_regime,
     first_occurrences,
     first_occurrences_csv,
+    format_partition,
     induced_components,
     parse_partition,
     thickness_profile,
@@ -20,12 +21,12 @@ from partition_atlas import (
     zone_json,
     zone_sweep,
 )
-from partition_atlas.partitions import _partition_tuples, canonical_index
+from partition_atlas.partitions import canonical_index, enumerate_partitions
 from partition_atlas.thickness import _corner_profile
 
 
 def _named(graph, idxs):
-    return {str(graph.vertices[i]) for i in idxs}
+    return {format_partition(graph.vertices[i]) for i in idxs}
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ def test_threshold_zone_shares_the_index_ints():
     # at n=36 the 17,975 members' own ints would cost as much as the set's
     # table; at n=30 the table is the same 0.5 MB and the ints only 0.15 MB
     n = 36
-    prof = _corner_profile(n, _partition_tuples(n))
+    prof = _corner_profile(n, enumerate_partitions(n))
     index = canonical_index(n)  # warmed, so only the set itself is traced
 
     def held(make):
@@ -383,7 +384,7 @@ def _zone_doc(graph, dec):
     """The document :func:`zone_json` writes, named through ``graph.vertices``."""
 
     def named(idxs):
-        return [str(graph.vertices[i]) for i in sorted(idxs)]
+        return [format_partition(graph.vertices[i]) for i in sorted(idxs)]
 
     return {
         "n": dec.n,
