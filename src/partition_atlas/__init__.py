@@ -23,7 +23,7 @@ _HOME = {
     name: module
     for module, names in {
         "atlas": "export_tables render_atlas",
-        "framework": "AxisSet FrameworkSet antennas boundary_framework framework_json "
+        "framework": "FrameworkSet antennas boundary_framework framework_json "
         "left_boundary main_chain right_boundary self_conjugate_axis",
         "partitions": "canonical_index enumerate_partitions format_partition "
         "parse_partition partition_count partition_names",
@@ -37,7 +37,6 @@ _HOME = {
 }
 
 __all__ = [
-    "AxisSet",
     "FrameworkSet",
     "ThicknessProfile",
     "TransferGraph",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -43,6 +44,18 @@ def _check_single_n(n: int, allow_beyond: bool) -> None:
         raise click.UsageError(
             f"n={n} is beyond the verified range; pass --allow-beyond-verified-range"
         )
+
+
+@contextmanager
+def _writing():
+    """Turn an ``OSError`` raised while writing output into a one-line error, exit 1.
+
+    A worker's error arrives pickled, and keeps the file name it failed on.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
 _allow_beyond = click.option(
@@ -95,7 +108,8 @@ def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int
     ns = range(n_min, n_max + 1)
     # each n writes only its own directory, so the worker layout changes no byte
     try:
-        map_n(compute_artifacts_for_n, ns, jobs or cpu_count(), out_dir)
+        with _writing():
+            map_n(compute_artifacts_for_n, ns, jobs or cpu_count(), out_dir)
     except WorkerDied as exc:
         raise click.ClickException(str(exc)) from None
     click.echo(f"computed {len(ns)} graphs into {out_dir}")
@@ -122,13 +136,13 @@ def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) ->
     from .atlas import export_tables
     from .pipeline import n_dir
     from .partitions import enumerate_partitions, format_partition
-    from .thickness import _corner_profile, profile_from_json
+    from .thickness import profile_from_json, thickness_profile
 
     _, n_max = _resolve_range(1, n_max, allow_beyond)
     profiles = []
     locus_names = []
     for n in range(1, n_max + 1):
-        # enumerated once: profile_from_json and the locus names reuse the cached tuple
+        # enumerated once: the profile and the locus names reuse the cached tuple
         parts = enumerate_partitions(n)
         path = n_dir(out_dir, n) / "profile.json"
         if path.exists():
@@ -144,10 +158,10 @@ def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) ->
                 f"missing artifact {path}; run compute first or drop --no-recompute"
             )
         else:
-            # the profile reads only the vertices, so no graph is built
-            profiles.append(_corner_profile(n, parts))
+            profiles.append(thickness_profile(n))
         locus_names.append([format_partition(parts[i]) for i in profiles[-1].max_locus])
-    written = export_tables(profiles, locus_names, out_dir)
+    with _writing():
+        written = export_tables(profiles, locus_names, out_dir)
     for name in sorted(written):
         click.echo(f"wrote {written[name]}")
 
@@ -176,13 +190,14 @@ def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
 
     _check_single_n(n, allow_beyond)
     graph = build_graph(n)
-    profile = thickness_profile(graph)
+    profile = thickness_profile(n)
     # raises before any file is opened, so a rejected drawing leaves none
     chunks = atlas_chunks(graph, profile, mode)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"atlas_n{n}_{mode}.svg"
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(chunks)
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
     click.echo(f"wrote {path}")
 
 
@@ -235,9 +250,10 @@ def graph_dump(n: int, out_path: Path | None, allow_beyond: bool) -> None:
     if out_path is None:
         sys.stdout.writelines(chunks)
     else:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.writelines(chunks)
+        with _writing():
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            with open(out_path, "w", encoding="utf-8") as f:
+                f.writelines(chunks)
         click.echo(f"wrote {out_path}")
 
 

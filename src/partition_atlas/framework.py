@@ -25,14 +25,6 @@ class FrameworkSet:
     all_indices: frozenset[int]
 
 
-@dataclass(frozen=True)
-class AxisSet:
-    """The self-conjugate partitions of one total, as canonical indices in increasing order."""
-
-    n: int
-    members: tuple[int, ...]
-
-
 def antennas(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The parts of the extreme vertices ``(n)`` and ``(1^n)``; both are ``(1)`` at n=1."""
     if n < 1:
@@ -67,7 +59,7 @@ def boundary_framework(n: int) -> FrameworkSet:
     """Union of the main chain and the two boundary edges.
 
     The framework lies below order 3: every member has thickness at most
-    2. By the corner formula (``transfer_graph._corner_thickness``), tau
+    2. By the corner formula (``thickness._corner_thickness``), tau
     is the number of runs of equal parts plus the best gain over the runs,
     where a run of value v and length m, followed by the value w (0 after
     the last run), gains [v > 1 and w != v - 1] - [m = 1]. A gain is at
@@ -99,19 +91,14 @@ def boundary_framework(n: int) -> FrameworkSet:
     )
 
 
-def self_conjugate_axis(n: int) -> AxisSet:
-    """Fixpoints of conjugation within the partitions of ``n``."""
+def self_conjugate_axis(n: int) -> tuple[int, ...]:
+    """Fixpoints of conjugation within the partitions of ``n``, as increasing indices."""
     # a self-conjugate partition has as many parts as its largest part
-    members = tuple(
-        i for t, i in canonical_index(n).items() if t[0] == len(t) and _conjugate(t) == t
-    )
-    return AxisSet(n=n, members=members)
+    return tuple(i for t, i in canonical_index(n).items() if t[0] == len(t) and _conjugate(t) == t)
 
 
-def framework_json(framework: FrameworkSet, axis: AxisSet) -> str:
-    """JSON dump of the framework families plus the self-conjugate axis."""
-    if framework.n != axis.n:
-        raise ValueError("framework and axis must describe the same n")
+def framework_json(framework: FrameworkSet, axis: tuple[int, ...]) -> str:
+    """JSON dump of the framework families plus the self-conjugate ``axis`` of the same n."""
     names = partition_names(framework.n)
     doc = {
         "n": framework.n,
@@ -120,6 +107,6 @@ def framework_json(framework: FrameworkSet, axis: AxisSet) -> str:
         "left_edge": [names[i] for i in framework.left_edge],
         "right_edge": [names[i] for i in framework.right_edge],
         "all_vertices": [names[i] for i in sorted(framework.all_indices)],
-        "self_conjugate_axis": [names[i] for i in axis.members],
+        "self_conjugate_axis": [names[i] for i in axis],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -97,7 +97,7 @@ def compute_artifacts_for_n(n: int, out_root: Path) -> None:
     identical bytes regardless of worker layout.
     """
     graph = build_graph(n)
-    profile = thickness_profile(graph)
+    profile = thickness_profile(n)
     framework = boundary_framework(n)
     axis = self_conjugate_axis(n)
     target = n_dir(out_root, n)
@@ -105,9 +105,9 @@ def compute_artifacts_for_n(n: int, out_root: Path) -> None:
     with open(target / "edges.txt", "w", encoding="utf-8") as f:
         f.writelines(graph.edge_chunks())
     (target / "framework.json").write_text(framework_json(framework, axis))
-    (target / "profile.csv").write_text(profile_csv(graph, profile))
-    (target / "profile.json").write_text(profile_json(graph, profile))
+    (target / "profile.csv").write_text(profile_csv(profile))
+    (target / "profile.json").write_text(profile_json(profile))
     # each order is written as the sweep makes it, from tau_max down, and
     # dropped once the next is grown from it
     for decomposition in zone_sweep(graph, framework, profile):
-        (target / f"zones_r{decomposition.r}.json").write_text(zone_json(graph, decomposition))
+        (target / f"zones_r{decomposition.r}.json").write_text(zone_json(decomposition))

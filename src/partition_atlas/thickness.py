@@ -1,9 +1,11 @@
-"""Exact per-vertex clique thickness of a transfer graph.
+"""Exact per-vertex clique thickness of the transfer graph on the partitions of n.
 
 The thickness of a vertex is the size of the largest clique through it,
 minus one. A largest clique through a partition p of n is all covers of
-one partition of n - 1 below p, so the profile is read off the Young
-diagrams in closed form (proof at ``transfer_graph._corner_thickness``).
+one partition of n - 1 below p, so tau(p) is read off the Young diagram
+of p in closed form (proof at :func:`_corner_thickness`). The profile is
+thus a function of n alone: :func:`thickness_profile` builds no graph,
+and the writers read only the profile.
 
 :func:`clique_search_profile` computes the same values from the
 adjacency rows alone: it finds every maximal clique of the graph once,
@@ -19,12 +21,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .partitions import _json_list, enumerate_partitions, partition_count, partition_names
-from .transfer_graph import TransferGraph, _corner_thickness
+from .transfer_graph import TransferGraph
 
 
 @dataclass(frozen=True)
 class ThicknessProfile:
-    """Thickness of every vertex of one transfer graph.
+    """Thickness of every partition of ``n``, indexed as the vertices of its graph.
 
     ``tau[i]`` is one less than the largest clique size through vertex
     ``i``; ``max_locus`` lists the indices attaining ``tau_max``.
@@ -34,6 +36,75 @@ class ThicknessProfile:
     tau: tuple[int, ...]
     tau_max: int
     max_locus: tuple[int, ...]
+
+
+def thickness_profile(n: int) -> ThicknessProfile:
+    """Thickness of every partition of ``n``, from the Young-diagram corner formula.
+
+    Each value depends on its own partition alone, so no graph is built.
+    The partitions come from :func:`enumerate_partitions`, so a caller
+    that has just built the graph of ``n`` reuses its cached tuple.
+    """
+    tau = tuple(map(_corner_thickness, enumerate_partitions(n)))
+    tau_max = max(tau)
+    locus = tuple(v for v, t in enumerate(tau) if t == tau_max)
+    return ThicknessProfile(n=n, tau=tau, tau_max=tau_max, max_locus=locus)
+
+
+def _corner_thickness(parts: tuple[int, ...]) -> int:
+    """Thickness of the vertex ``parts``, read off its Young diagram.
+
+    Write d(x) for the number of distinct parts of x: x has d(x) removable
+    and d(x) + 1 addable corners. For p of n, with mu over the lower covers
+    of p (partitions of n - 1; mu = () with d = 0 when n = 1) and lam over
+    its upper covers (partitions of n + 1),
+
+        tau(p) + 1 = max(max_mu d(mu) + 1, max_lam d(lam)) = max_mu d(mu) + 1.
+
+    Cliques. Read a partition of n as its set of n diagram cells; unions
+    and intersections of diagrams are diagrams. Two vertices are adjacent
+    exactly when they share n - 1 cells (see :func:`build_graph`), so
+    the graph is an induced subgraph of a Johnson graph. Take adjacent A, B
+    with M = A & B and L = A | B, of n - 1 and n + 1 cells. A vertex C
+    adjacent to both misses one cell of A and one of B. If it misses a cell
+    m of M, it holds (A | B) - {m}, which has n cells, so C = L - {m};
+    otherwise C contains M. Two vertices M | {x} with x outside L and
+    L - {m} with m in M share only n - 2 cells, so every clique of two or
+    more members either has all members above one mu = M, the covers of
+    mu, or all below one lam = L, the lower covers of lam (Godsil & Royle,
+    Algebraic Graph Theory, 1.6; Stanley, EC1, 7.2). Conversely the
+    d(mu) + 1 covers of mu, and the d(lam) lower covers of lam, are
+    pairwise adjacent. For n = 1 the lone vertex is the one cover of
+    mu = (). A largest clique through p is one of these families.
+
+    The lam term never wins. One box changes one row, so d(lam) <= d(p) + 1.
+    Unless p is the staircase (k, k-1, ..., 1), some part value v occurs
+    twice, or is above 1 with no part v - 1; taking the box off the last
+    row of value v then gives d(mu) >= d(p). The staircase has d(mu) = k - 1
+    for every mu and d(lam) <= k for every lam.
+
+    Counting: d(p) is the number of runs of equal parts. Take the box off
+    the last row of a run of value v and length m, followed by the value w
+    (w = 0 after the last run). The run disappears when m = 1, and a new
+    value v - 1 appears unless v = 1 or w = v - 1, so d(mu) = d(p) + gain
+    with gain = [v > 1 and w != v - 1] - [m = 1], and tau(p) is the number
+    of runs plus the largest gain. One pass over the parts reads both.
+    """
+    runs = 0
+    best = -1
+    v = parts[0]
+    m = 0
+    for w in (*parts, 0):
+        if w == v:
+            m += 1
+            continue
+        runs += 1
+        gain = (v > 1 and w != v - 1) - (m == 1)
+        if gain > best:
+            best = gain
+        v = w
+        m = 1
+    return runs + best
 
 
 def clique_search_profile(graph: TransferGraph) -> tuple[int, ...]:
@@ -72,27 +143,6 @@ def clique_search_profile(graph: TransferGraph) -> tuple[int, ...]:
                     best[w] = size
         cliques.clear()
     return tuple(size - 1 for size in best)
-
-
-def thickness_profile(graph: TransferGraph) -> ThicknessProfile:
-    """Thickness of every vertex, from the Young-diagram corner formula.
-
-    Each value depends on its own partition alone, so the profile is
-    identical for any evaluation order; only ``graph.vertices`` is read.
-    """
-    return _corner_profile(graph.n, graph.vertices)
-
-
-def _corner_profile(n: int, parts: Sequence[tuple[int, ...]]) -> ThicknessProfile:
-    """:func:`thickness_profile` from the vertices alone, with no graph built.
-
-    ``parts`` are the parts tuples of every partition of ``n``, in
-    canonical order.
-    """
-    tau = tuple(map(_corner_thickness, parts))
-    tau_max = max(tau)
-    locus = tuple(v for v, t in enumerate(tau) if t == tau_max)
-    return ThicknessProfile(n=n, tau=tau, tau_max=tau_max, max_locus=locus)
 
 
 def brute_force_local_dimension(graph: TransferGraph, p: tuple[int, ...]) -> int:
@@ -183,31 +233,27 @@ def _maximal_cliques(rows: list[int], clique: int, p: int, x: int, out: list[int
         x |= b
 
 
-def profile_csv(graph: TransferGraph, profile: ThicknessProfile) -> str:
+def profile_csv(profile: ThicknessProfile) -> str:
     """CSV export, header ``partition,tau``, rows in canonical order.
 
     Written directly, as :func:`profile_json` is. Partition text carries
     commas, so a name is quoted exactly when the partition has more than one
     part, as ``csv.writer`` quotes it.
     """
-    if graph.n != profile.n:
-        raise ValueError("graph and profile must describe the same n")
     rows = [
         f'"{name}",{t}\n' if "," in name else f"{name},{t}\n"
-        for name, t in zip(partition_names(graph.n), profile.tau)
+        for name, t in zip(partition_names(profile.n), profile.tau)
     ]
     return "partition,tau\n" + "".join(rows)
 
 
-def profile_json(graph: TransferGraph, profile: ThicknessProfile) -> str:
+def profile_json(profile: ThicknessProfile) -> str:
     """JSON export with the full map plus ``tau_max`` and the maximal locus.
 
     Written directly, as :func:`zones.zone_json` is, with the bytes
     ``json.dumps(doc, indent=2)`` gives plus a newline.
     """
-    if graph.n != profile.n:
-        raise ValueError("graph and profile must describe the same n")
-    names = partition_names(graph.n)
+    names = partition_names(profile.n)
     locus = _json_list([f'"{names[i]}"' for i in profile.max_locus], 1)
     tau = ",\n    ".join([f'"{name}": {t}' for name, t in zip(names, profile.tau)])
     return (
@@ -245,7 +291,7 @@ def profile_from_json(text: str) -> ThicknessProfile:
     if not all(isinstance(name, str) for name in stated_names):
         raise ValueError(f"max_locus of the profile for n={n} must list partition strings")
     # the document must hold exactly what compute writes for n
-    profile = _corner_profile(n, enumerate_partitions(n))
+    profile = thickness_profile(n)
     if tau != profile.tau:
         name, t, expected = next(x for x in zip(names, tau, profile.tau) if x[1] != x[2])
         raise ValueError(f"profile for n={n} gives {name} thickness {t}, not {expected}")

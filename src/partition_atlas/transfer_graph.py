@@ -17,62 +17,6 @@ from .partitions import (
 )
 
 
-def _corner_thickness(parts: tuple[int, ...]) -> int:
-    """Thickness of the vertex ``parts``, read off its Young diagram.
-
-    Write d(x) for the number of distinct parts of x: x has d(x) removable
-    and d(x) + 1 addable corners. For p of n, with mu over the lower covers
-    of p (partitions of n - 1; mu = () with d = 0 when n = 1) and lam over
-    its upper covers (partitions of n + 1),
-
-        tau(p) + 1 = max(max_mu d(mu) + 1, max_lam d(lam)) = max_mu d(mu) + 1.
-
-    Cliques. Read a partition of n as its set of n diagram cells; unions
-    and intersections of diagrams are diagrams. Two vertices are adjacent
-    exactly when they share n - 1 cells (see :func:`build_graph`), so
-    the graph is an induced subgraph of a Johnson graph. Take adjacent A, B
-    with M = A & B and L = A | B, of n - 1 and n + 1 cells. A vertex C
-    adjacent to both misses one cell of A and one of B. If it misses a cell
-    m of M, it holds (A | B) - {m}, which has n cells, so C = L - {m};
-    otherwise C contains M. Two vertices M | {x} with x outside L and
-    L - {m} with m in M share only n - 2 cells, so every clique of two or
-    more members either has all members above one mu = M, the covers of
-    mu, or all below one lam = L, the lower covers of lam (Godsil & Royle,
-    Algebraic Graph Theory, 1.6; Stanley, EC1, 7.2). Conversely the
-    d(mu) + 1 covers of mu, and the d(lam) lower covers of lam, are
-    pairwise adjacent. For n = 1 the lone vertex is the one cover of
-    mu = (). A largest clique through p is one of these families.
-
-    The lam term never wins. One box changes one row, so d(lam) <= d(p) + 1.
-    Unless p is the staircase (k, k-1, ..., 1), some part value v occurs
-    twice, or is above 1 with no part v - 1; taking the box off the last
-    row of value v then gives d(mu) >= d(p). The staircase has d(mu) = k - 1
-    for every mu and d(lam) <= k for every lam.
-
-    Counting: d(p) is the number of runs of equal parts. Take the box off
-    the last row of a run of value v and length m, followed by the value w
-    (w = 0 after the last run). The run disappears when m = 1, and a new
-    value v - 1 appears unless v = 1 or w = v - 1, so d(mu) = d(p) + gain
-    with gain = [v > 1 and w != v - 1] - [m = 1], and tau(p) is the number
-    of runs plus the largest gain. One pass over the parts reads both.
-    """
-    runs = 0
-    best = -1
-    v = parts[0]
-    m = 0
-    for w in (*parts, 0):
-        if w == v:
-            m += 1
-            continue
-        runs += 1
-        gain = (v > 1 and w != v - 1) - (m == 1)
-        if gain > best:
-            best = gain
-        v = w
-        m = 1
-    return runs + best
-
-
 @dataclass(frozen=True)
 class TransferGraph:
     """Immutable adjacency structure over all partitions of one total.

@@ -82,7 +82,7 @@ class _Bundle:
 
 def _bundle(n: int) -> _Bundle:
     graph = build_graph(n)
-    profile = thickness_profile(graph)
+    profile = thickness_profile(n)
     framework = boundary_framework(n)
     # the sweep runs from tau_max down; the checks read the orders upward
     zones = {dec.r: dec for dec in reversed(list(zone_sweep(graph, framework, profile)))}
@@ -279,7 +279,7 @@ def _check_framework_shape(run: _Range, b: _Bundle) -> str:
 def _check_axis_count(run: _Range, b: _Bundle) -> str:
     n = b.n
     axis = self_conjugate_axis(n)
-    _fail_if(len(axis.members) != _distinct_odd_part_count(n), "axis size mismatch at n={}", n)
+    _fail_if(len(axis) != _distinct_odd_part_count(n), "axis size mismatch at n={}", n)
     return "axis size equals the distinct-odd-parts count"
 
 

@@ -232,17 +232,14 @@ def first_occurrences_csv(entries: dict[int, int], range_max: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def zone_json(graph: TransferGraph, decomposition: ZoneDecomposition) -> str:
+def zone_json(decomposition: ZoneDecomposition) -> str:
     """JSON export of one decomposition, partitions in canonical text form.
 
     The text is written directly, with the bytes ``json.dumps(doc,
     indent=2)`` gives plus a newline; names are digits and commas, so
     nothing needs escaping.
     """
-    if graph.n != decomposition.n:
-        raise ValueError("graph and decomposition must describe the same n")
-
-    table = partition_names(graph.n)
+    table = partition_names(decomposition.n)
     components = [
         f'{{\n      "vertices": {_name_list(table, c.vertices, 3)},\n'
         f'      "boundary_attached": {"true" if c.boundary_attached else "false"}\n    }}'

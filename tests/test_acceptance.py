@@ -115,7 +115,7 @@ def test_criterion_6_rear_central_support(verdicts):
         )
         for n in EXPECTED_MAX_LOCUS:
             graph = build_graph(n)
-            locus = thickness_profile(graph).max_locus
+            locus = thickness_profile(n).max_locus
             framework = boundary_framework(n)
             near = bfs_distances(graph, framework.antennas)
             border = bfs_distances(graph, sorted(framework.all_indices))
@@ -177,7 +177,7 @@ def test_criterion_8_atlas_integrity():
     with criterion("8 atlas integrity"):
         for n in ATLAS_NS:
             graph = build_graph(n)
-            profile = thickness_profile(graph)
+            profile = thickness_profile(n)
             framework = boundary_framework(n)
             p_n = len(enumerate_partitions(n))
 

@@ -9,7 +9,6 @@ from partition_atlas import (
     build_graph,
     enumerate_partitions,
     export_tables,
-    format_partition,
     partition_names,
     render_atlas,
     thickness_profile,
@@ -93,7 +92,7 @@ def test_layout_matches_point_by_point_formula(n):
 @pytest.mark.parametrize("n", range(1, 16))
 def test_render_edge_block_matches_per_line_formatting(n):
     g = build_graph(n)
-    prof = thickness_profile(g)
+    prof = thickness_profile(n)
     coords = [
         (f"{MARGIN + (x - 1 + dx) * CELL:.2f}", f"{MARGIN + (y - 1 + dy) * CELL:.2f}")
         for x, y, dx, dy in _layout_point_by_point(n)
@@ -114,7 +113,7 @@ def test_render_edge_block_matches_per_line_formatting(n):
 
 def test_render_thickness_n4():
     g = build_graph(4)
-    prof = thickness_profile(g)
+    prof = thickness_profile(4)
     svg = render_atlas(g, prof, "thickness")
     circles = _circles(svg)
     assert len(circles) == 5
@@ -129,7 +128,7 @@ def test_render_thickness_n4():
 
 def test_render_zones_n7_classes():
     g = build_graph(7)
-    prof = thickness_profile(g)
+    prof = thickness_profile(7)
     svg = render_atlas(g, prof, "zones")
     circles = _circles(svg)
     assert len(circles) == 15
@@ -149,7 +148,7 @@ def test_render_zones_n7_classes():
 
 def test_render_n1_single_glyph():
     g = build_graph(1)
-    svg = render_atlas(g, thickness_profile(g), "thickness")
+    svg = render_atlas(g, thickness_profile(1), "thickness")
     assert len(_circles(svg)) == 1
     assert len(_edges(svg)) == 0
 
@@ -158,54 +157,50 @@ def test_render_zones_degenerate_n():
     # n=1 has no one-dimensional regime at all, and its lone vertex is the
     # maximal locus; n=2 is entirely inside the regime
     g1 = build_graph(1)
-    classes1 = _circles(render_atlas(g1, thickness_profile(g1), "zones"))[0].get("class")
+    classes1 = _circles(render_atlas(g1, thickness_profile(1), "zones"))[0].get("class")
     assert classes1.split() == ["v", "rest", "hl"]
     g2 = build_graph(2)
-    svg2 = render_atlas(g2, thickness_profile(g2), "zones")
+    svg2 = render_atlas(g2, thickness_profile(2), "zones")
     assert all("exact1" in c.get("class").split() for c in _circles(svg2))
 
 
 def test_render_is_deterministic():
     g = build_graph(6)
-    prof = thickness_profile(g)
+    prof = thickness_profile(6)
     for mode in ("thickness", "zones"):
         assert render_atlas(g, prof, mode) == render_atlas(g, prof, mode)
 
 
 def test_render_rejects_bad_inputs():
     g = build_graph(4)
-    prof = thickness_profile(g)
+    prof = thickness_profile(4)
     with pytest.raises(ValueError):
         render_atlas(g, prof, "heatmap")
     with pytest.raises(ValueError):
-        render_atlas(g, thickness_profile(build_graph(5)), "thickness")
+        render_atlas(g, thickness_profile(5), "thickness")
 
 
 def test_atlas_chunks_rejects_bad_inputs_before_iterating():
     # every check runs on the call itself, so a writer that opens its file
     # after the call never leaves a partial drawing behind
     g = build_graph(4)
-    prof = thickness_profile(g)
+    prof = thickness_profile(4)
     with pytest.raises(ValueError, match="mode"):
         atlas_chunks(g, prof, "heatmap")
     with pytest.raises(ValueError, match="same n"):
-        atlas_chunks(g, thickness_profile(build_graph(5)), "zones")
+        atlas_chunks(g, thickness_profile(5), "zones")
 
 
 def test_render_titles_name_partitions():
     g = build_graph(4)
-    svg = render_atlas(g, thickness_profile(g), "thickness")
+    svg = render_atlas(g, thickness_profile(4), "thickness")
     titles = [c.find(f"{SVG}title").text for c in _circles(svg)]
     assert titles == ["4", "3,1", "2,2", "2,1,1", "1,1,1,1"]
 
 
 def _profiles_and_loci(ns):
-    graphs = [build_graph(n) for n in ns]
-    profiles = [thickness_profile(g) for g in graphs]
-    loci = [
-        [format_partition(g.vertices[i]) for i in prof.max_locus]
-        for g, prof in zip(graphs, profiles)
-    ]
+    profiles = [thickness_profile(n) for n in ns]
+    loci = [[partition_names(prof.n)[i] for i in prof.max_locus] for prof in profiles]
     return profiles, loci
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import json
 import multiprocessing
@@ -433,6 +434,44 @@ def test_graph_dump_to_file(tmp_path):
     assert result.exit_code == 0
     assert path.exists()
     assert all("\t" in line for line in path.read_text().strip().split("\n"))
+
+
+def _cannot_write(result, path, code):
+    # one line naming the path, exit 1, and no traceback
+    assert result.exit_code == 1, (result.output, result.exception)
+    assert result.output.endswith(f"Error: cannot write {path}: {os.strerror(code)}\n")
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_compute_reports_an_unwritable_output(tmp_path, jobs):
+    # at --jobs 2 the error may come from a worker, pickled with its file name
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "n01").touch()
+    result = CliRunner().invoke(
+        main, ["compute", "--n-max", "2", "--out", str(out), "--jobs", jobs]
+    )
+    _cannot_write(result, out / "n01", errno.EEXIST)
+
+
+def test_tables_reports_an_unwritable_output(tmp_path):
+    (tmp_path / "first_occurrences.csv").mkdir()
+    result = CliRunner().invoke(main, ["tables", "--n-max", "3", "--out", str(tmp_path)])
+    _cannot_write(result, tmp_path / "first_occurrences.csv", errno.EISDIR)
+
+
+def test_atlas_reports_an_unwritable_output(tmp_path):
+    (tmp_path / "atlas_n3_thickness.svg").mkdir()
+    result = CliRunner().invoke(main, ["atlas", "--n", "3", "--out", str(tmp_path)])
+    _cannot_write(result, tmp_path / "atlas_n3_thickness.svg", errno.EISDIR)
+
+
+def test_graph_dump_reports_an_unwritable_output(tmp_path):
+    parent = tmp_path / "file"
+    parent.touch()
+    result = CliRunner().invoke(main, ["graph-dump", "--n", "3", "--out", str(parent / "e.txt")])
+    _cannot_write(result, parent, errno.EEXIST)
 
 
 def test_compute_n1_trivial_profile(tmp_path):

@@ -2,13 +2,18 @@
 
 No linter ships with the project, so these scans stand in for an
 unused-import check over ``src/`` and ``tests/``, and for a dead-code
-check over the package's public names.
+check over the package's public names. The last test holds the names the
+benchmark's tracer looks up to the package.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import partition_atlas
+from partition_atlas.transfer_graph import TransferGraph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +86,28 @@ def test_every_export_has_a_reader():
     assert not unread, "exported but never read in src/:\n" + "\n".join(unread)
     # an exemption that is no longer exported, or has gained a reader, goes
     assert set(TRACER_BOUND) <= exports - read
+
+
+def _tracer():
+    """``perfbench/traced_step.py``, loaded by path; it imports the standard library only."""
+    spec = importlib.util.spec_from_file_location(
+        "traced_step", ROOT / "perfbench" / "traced_step.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_tracer_spans_resolves():
+    # the tracer wraps each layer function it finds by name, so a renamed or
+    # re-homed one would otherwise fail only in a traced benchmark pass
+    tracer = _tracer()
+    for module_name, names in tracer.SPANNED.items():
+        home = f"partition_atlas.{module_name}"
+        module = importlib.import_module(home)
+        for name in names:
+            fn = getattr(module, name, None)
+            assert callable(fn) and fn.__module__ == home, f"{home}.{name}"
+    for name in tracer.SPANNED_METHODS:
+        # a plain function: the tracer replaces it with a wrapper taking self
+        assert inspect.isfunction(TransferGraph.__dict__.get(name)), f"TransferGraph.{name}"

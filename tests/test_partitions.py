@@ -9,6 +9,7 @@ from partition_atlas import (
     parse_partition,
     partition_count,
     partition_names,
+    thickness_profile,
 )
 from partition_atlas.partitions import _conjugate
 
@@ -78,7 +79,7 @@ def test_enumerate_rejects_nonpositive():
 
 def test_partition_tuples_rejects_nonpositive():
     # every table built from the partition tuples inherits the enumeration's guard
-    for table in (canonical_index, partition_names):
+    for table in (canonical_index, partition_names, thickness_profile):
         for n in (0, -3):
             with pytest.raises(ValueError, match=f"got {n}"):
                 table(n)

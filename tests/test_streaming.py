@@ -32,7 +32,7 @@ def test_streamed_files_match_in_memory_text(tmp_path):
     _invoke(["compute", "--n-max", "12", "--out", str(out)])
     for n in range(1, 13):
         graph = build_graph(n)
-        profile = thickness_profile(graph)
+        profile = thickness_profile(n)
         edges = (out / f"n{n:02d}" / "edges.txt").read_bytes()
         assert edges == graph.dump_edges().encode(), n
         for mode in ("thickness", "zones"):
@@ -54,8 +54,8 @@ def test_graph_dump_matches_compute_edges(tmp_path):
 
 def test_rejected_atlas_writes_no_file(tmp_path, monkeypatch):
     # a profile of another n must fail before the SVG is opened
-    other = thickness_profile(build_graph(5))
-    monkeypatch.setattr(thickness, "thickness_profile", lambda g: other)
+    other = thickness_profile(5)
+    monkeypatch.setattr(thickness, "thickness_profile", lambda n: other)
     result = CliRunner().invoke(main, ["atlas", "--n", "4", "--out", str(tmp_path)])
     assert isinstance(result.exception, ValueError)
     assert not (tmp_path / "atlas_n4_thickness.svg").exists()
@@ -82,9 +82,9 @@ def test_edges_write_holds_less_than_half_the_file(tmp_path, monkeypatch):
 
 def test_zones_atlas_write_holds_less_than_the_file(tmp_path, monkeypatch):
     graph = build_graph(MEMORY_N)
-    profile = thickness_profile(graph)
+    profile = thickness_profile(MEMORY_N)
     monkeypatch.setattr(transfer_graph, "build_graph", lambda n: graph)
-    monkeypatch.setattr(thickness, "thickness_profile", lambda g: profile)
+    monkeypatch.setattr(thickness, "thickness_profile", lambda n: profile)
     peak = _traced_peak(["atlas", "--n", str(MEMORY_N), "--mode", "zones", "--out", str(tmp_path)])
     size = (tmp_path / f"atlas_n{MEMORY_N}_zones.svg").stat().st_size
     assert size > 3_000_000

@@ -23,14 +23,12 @@ from partition_atlas.partitions import (
     format_partition,
     partition_names,
 )
-from partition_atlas.thickness import clique_search_profile
-from partition_atlas.transfer_graph import _corner_thickness
+from partition_atlas.thickness import _corner_thickness, clique_search_profile
 from partition_atlas.verify import profile_conjugation_ok
 
 
 def test_profile_n4_frozen():
-    g = build_graph(4)
-    prof = thickness_profile(g)
+    prof = thickness_profile(4)
     by_name = dict(zip(partition_names(4), prof.tau))
     assert by_name == {"4": 1, "3,1": 2, "2,2": 2, "2,1,1": 2, "1,1,1,1": 1}
     assert prof.tau_max == 2
@@ -41,7 +39,7 @@ def test_isolated_vertex():
     g = build_graph(1)
     assert clique_search_profile(g) == (0,)
     assert brute_force_local_dimension(g, (1,)) == 0
-    assert thickness_profile(g).tau == (0,)
+    assert thickness_profile(1).tau == (0,)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -68,7 +66,7 @@ def test_brute_force_examples():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_oracle_agreement_small(n):
     g = build_graph(n)
-    prof = thickness_profile(g)
+    prof = thickness_profile(n)
     for i, p in enumerate(g.vertices):
         assert brute_force_local_dimension(g, p) == prof.tau[i]
 
@@ -76,7 +74,7 @@ def test_oracle_agreement_small(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_thickness_bounded_by_degree(n):
     g = build_graph(n)
-    prof = thickness_profile(g)
+    prof = thickness_profile(n)
     for i, row in enumerate(g.adj):
         assert prof.tau[i] <= len(row)
 
@@ -84,14 +82,14 @@ def test_thickness_bounded_by_degree(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_thickness_conjugation_invariant(n):
     g = build_graph(n)
-    prof = thickness_profile(g)
+    prof = thickness_profile(n)
     for i, p in enumerate(g.vertices):
         assert prof.tau[i] == prof.tau[g.index_of(_conjugate(p))]
 
 
 def test_conjugation_check_catches_corruption():
     g = build_graph(4)
-    prof = thickness_profile(g)
+    prof = thickness_profile(4)
     assert profile_conjugation_ok(g, prof)
     # (4) and (1,1,1,1) are conjugate; raising one value breaks the symmetry
     corrupted = list(prof.tau)
@@ -101,10 +99,10 @@ def test_conjugation_check_catches_corruption():
 
 
 def test_max_thickness_locus_examples():
-    g2 = build_graph(2)
-    assert [g2.vertices[i] for i in thickness_profile(g2).max_locus] == [(2,), (1, 1)]
-    g4 = build_graph(4)
-    assert [g4.vertices[i] for i in thickness_profile(g4).max_locus] == [
+    parts2 = enumerate_partitions(2)
+    assert [parts2[i] for i in thickness_profile(2).max_locus] == [(2,), (1, 1)]
+    parts4 = enumerate_partitions(4)
+    assert [parts4[i] for i in thickness_profile(4).max_locus] == [
         (3, 1),
         (2, 2),
         (2, 1, 1),
@@ -119,7 +117,7 @@ def test_local_dimension_rejects_foreign_vertex():
 @pytest.mark.parametrize("n", range(1, 21))
 def test_profile_matches_clique_search(n):
     g = build_graph(n)
-    assert clique_search_profile(g) == thickness_profile(g).tau
+    assert clique_search_profile(g) == thickness_profile(n).tau
 
 
 def test_clique_search_leaves_no_garbage():
@@ -127,7 +125,7 @@ def test_clique_search_leaves_no_garbage():
     gc.collect()
     gc.disable()
     try:
-        assert clique_search_profile(g) == thickness_profile(g).tau
+        assert clique_search_profile(g) == thickness_profile(12).tau
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -135,7 +133,7 @@ def test_clique_search_leaves_no_garbage():
 
 def test_oracle_leaves_no_garbage():
     g = build_graph(12)
-    tau = thickness_profile(g).tau
+    tau = thickness_profile(12).tau
     gc.collect()
     gc.disable()
     try:
@@ -187,7 +185,7 @@ def test_clique_search_terminates_on_a_self_loop():
     # a vertex listed in its own row is masked out of every local row, so
     # the search neither recurses forever nor counts the loop as a member
     g = build_graph(9)
-    tau = thickness_profile(g).tau
+    tau = thickness_profile(9).tau
     rows = tuple(tuple(sorted({*row, v})) for v, row in enumerate(g.adj))
     looped = dataclasses.replace(g, adj=rows)
     assert clique_search_profile(looped) == tau
@@ -230,7 +228,7 @@ def test_witness_clique_is_valid():
     """The largest cover family through p is a clique of tau(p) + 1 members."""
     for n in range(1, 13):
         g = build_graph(n)
-        prof = thickness_profile(g)
+        prof = thickness_profile(n)
         shapes = _clique_shapes(n)
         for i, p in enumerate(g.vertices):
             families = [_upper_covers(mu) for mu in _lower_covers(p)]
@@ -288,8 +286,7 @@ def test_partition_names_match_format(n):
 
 
 def test_profile_csv_n4():
-    g = build_graph(4)
-    text = profile_csv(g, thickness_profile(g))
+    text = profile_csv(thickness_profile(4))
     assert text == 'partition,tau\n4,1\n"3,1",2\n"2,2",2\n"2,1,1",2\n"1,1,1,1",1\n'
 
 
@@ -297,11 +294,10 @@ def test_profile_csv_parses_back():
     import csv
     import io
 
-    g = build_graph(5)
-    prof = thickness_profile(g)
-    rows = list(csv.reader(io.StringIO(profile_csv(g, prof))))
+    prof = thickness_profile(5)
+    rows = list(csv.reader(io.StringIO(profile_csv(prof))))
     assert rows[0] == ["partition", "tau"]
-    assert [r[0] for r in rows[1:]] == list(map(format_partition, g.vertices))
+    assert [r[0] for r in rows[1:]] == list(map(format_partition, enumerate_partitions(5)))
     assert [int(r[1]) for r in rows[1:]] == list(prof.tau)
 
 
@@ -311,45 +307,41 @@ def test_profile_csv_matches_csv_writer(n):
     import csv
     import io
 
-    g = build_graph(n)
-    prof = thickness_profile(g)
+    prof = thickness_profile(n)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["partition", "tau"])
-    writer.writerows(zip(map(format_partition, g.vertices), prof.tau))
-    assert profile_csv(g, prof) == buffer.getvalue()
+    writer.writerows(zip(map(format_partition, enumerate_partitions(n)), prof.tau))
+    assert profile_csv(prof) == buffer.getvalue()
 
 
 def test_profile_json_roundtrip():
-    g = build_graph(6)
-    prof = thickness_profile(g)
-    doc = json.loads(profile_json(g, prof))
+    prof = thickness_profile(6)
+    doc = json.loads(profile_json(prof))
     assert doc["n"] == 6
     assert doc["tau_max"] == prof.tau_max
-    assert list(doc["tau"]) == list(map(format_partition, g.vertices))
-    assert profile_from_json(profile_json(g, prof)) == prof
+    assert list(doc["tau"]) == list(map(format_partition, enumerate_partitions(6)))
+    assert profile_from_json(profile_json(prof)) == prof
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_profile_json_matches_json_dumps(n):
     # profile_json writes its text directly; the json module is the reference
-    g = build_graph(n)
-    prof = thickness_profile(g)
-    names = list(map(format_partition, g.vertices))
+    prof = thickness_profile(n)
+    names = list(map(format_partition, enumerate_partitions(n)))
     doc = {
         "n": n,
         "tau_max": prof.tau_max,
         "max_locus": [names[i] for i in prof.max_locus],
         "tau": dict(zip(names, prof.tau)),
     }
-    assert profile_json(g, prof) == json.dumps(doc, indent=2) + "\n"
+    assert profile_json(prof) == json.dumps(doc, indent=2) + "\n"
     # at n = 1 and 2, tau_max = n - 1 is the top of the range the reader allows
-    assert profile_from_json(profile_json(g, prof)) == prof
+    assert profile_from_json(profile_json(prof)) == prof
 
 
 def test_profile_from_json_rejects_inconsistency():
-    g = build_graph(4)
-    doc = json.loads(profile_json(g, thickness_profile(g)))
+    doc = json.loads(profile_json(thickness_profile(4)))
     doc["tau_max"] = 9
     with pytest.raises(ValueError):
         profile_from_json(json.dumps(doc))
@@ -359,8 +351,7 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
-_G4 = build_graph(4)
-_DOC4 = json.loads(profile_json(_G4, thickness_profile(_G4)))
+_DOC4 = json.loads(profile_json(thickness_profile(4)))
 
 
 @pytest.mark.parametrize(
@@ -372,21 +363,24 @@ _DOC4 = json.loads(profile_json(_G4, thickness_profile(_G4)))
         "profile",
         _without(_DOC4, "max_locus"),
         _without(_DOC4, "tau_max"),
-        _without(_DOC4, "tau"),
+        pytest.param(_without(_DOC4, "tau"), id="no-tau"),
         {**_DOC4, "n": "4"},
         {**_DOC4, "n": True},
-        {**_DOC4, "tau": ["4", "3,1"]},
+        pytest.param({**_DOC4, "tau": ["4", "3,1"]}, id="tau-not-a-map"),
         {**_DOC4, "max_locus": "3,1"},
         {**_DOC4, "max_locus": [31]},
         {**_DOC4, "max_locus": ["5"]},
         {**_DOC4, "tau_max": 2.0},
-        {**_DOC4, "tau": {**_DOC4["tau"], "3,1": "2"}},
-        {**_DOC4, "tau": {**_without(_DOC4["tau"], "2,2"), "9": 2}},
+        pytest.param({**_DOC4, "tau": {**_DOC4["tau"], "3,1": "2"}}, id="tau-value-string"),
+        pytest.param(
+            {**_DOC4, "tau": {**_without(_DOC4["tau"], "2,2"), "9": 2}}, id="tau-foreign-vertex"
+        ),
         {**_DOC4, "n": 80},
         {**_DOC4, "n": 5},
         {**_DOC4, "n": 0},
         {**_DOC4, "n": -1},
     ],
+    # a case whose first 40 characters repeat another's has an explicit id
     ids=lambda doc: json.dumps(doc)[:40],
 )
 def test_profile_from_json_rejects_malformed(doc, monkeypatch):
@@ -427,8 +421,7 @@ def test_profile_from_json_rejects_thickness_out_of_range(doc):
 def _stale_doc7():
     # n=7's profile with tau 3 moved from 4,2,1 to the antenna 7, and
     # tau_max and the locus restated to match: consistent, in 0..n-1, wrong
-    g = build_graph(7)
-    doc = json.loads(profile_json(g, thickness_profile(g)))
+    doc = json.loads(profile_json(thickness_profile(7)))
     doc["tau"]["4,2,1"], doc["tau"]["7"] = doc["tau"]["7"], doc["tau"]["4,2,1"]
     doc["max_locus"] = [name for name, t in doc["tau"].items() if t == doc["tau_max"]]
     return doc
@@ -444,17 +437,15 @@ def test_profile_from_json_rejects_stale_values():
 @pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
 def test_profile_from_json_rejects_values_equal_to_an_int(value):
     # True and 1.0 compare equal to the antenna's thickness 1, and are still refused
-    g = build_graph(4)
-    doc = json.loads(profile_json(g, thickness_profile(g)))
+    doc = json.loads(profile_json(thickness_profile(4)))
     doc["tau"]["4"] = value
     with pytest.raises(ValueError, match="n=4 has a non-integer thickness"):
         profile_from_json(json.dumps(doc))
 
 
 def test_profile_from_json_accepts_the_locus_in_any_order():
-    g = build_graph(11)
-    prof = thickness_profile(g)
-    doc = json.loads(profile_json(g, prof))
+    prof = thickness_profile(11)
+    doc = json.loads(profile_json(prof))
     doc["max_locus"].reverse()
     assert profile_from_json(json.dumps(doc)) == prof
     doc["max_locus"].append(doc["max_locus"][0])

@@ -41,9 +41,9 @@ def test_first_occurrences_beyond_reference_follow_the_formula(monkeypatch):
 
 def test_first_occurrence_off_the_formula_fails(monkeypatch):
     # a profile that reaches order 4 at n=10, one n before the formula
-    def early(graph):
-        prof = thickness_profile(graph)
-        if graph.n != 10:
+    def early(n):
+        prof = thickness_profile(n)
+        if n != 10:
             return prof
         tau = (4, *prof.tau[1:])
         return dataclasses.replace(prof, tau=tau, tau_max=4, max_locus=(0,))
@@ -57,9 +57,9 @@ def test_first_occurrence_off_the_formula_fails(monkeypatch):
 
 
 def test_clique_search_check_catches_a_wrong_profile(monkeypatch):
-    def raised(graph):
-        prof = thickness_profile(graph)
-        if graph.n != 6:
+    def raised(n):
+        prof = thickness_profile(n)
+        if n != 6:
             return prof
         return dataclasses.replace(prof, tau=(prof.tau[0] + 1, *prof.tau[1:]))
 
@@ -72,9 +72,9 @@ def test_clique_search_check_catches_a_wrong_profile(monkeypatch):
 
 
 def test_thickness_conjugation_is_checked_past_n_20(monkeypatch):
-    def skewed(graph):
-        prof = thickness_profile(graph)
-        if graph.n != 23:
+    def skewed(n):
+        prof = thickness_profile(n)
+        if n != 23:
             return prof
         # (23) now disagrees with its conjugate (1^23); tau_max and the locus stay
         return dataclasses.replace(prof, tau=(prof.tau[0] + 1, *prof.tau[1:]))

@@ -21,8 +21,7 @@ from partition_atlas import (
     zone_json,
     zone_sweep,
 )
-from partition_atlas.partitions import canonical_index, enumerate_partitions
-from partition_atlas.thickness import _corner_profile
+from partition_atlas.partitions import canonical_index
 
 
 def _named(graph, idxs):
@@ -34,7 +33,7 @@ def small_profiles():
     data = {}
     for n in range(1, 13):
         g = build_graph(n)
-        data[n] = (g, thickness_profile(g), boundary_framework(n))
+        data[n] = (g, thickness_profile(n), boundary_framework(n))
     return data
 
 
@@ -100,7 +99,7 @@ def test_threshold_zone_shares_the_index_ints():
     # at n=36 the 17,975 members' own ints would cost as much as the set's
     # table; at n=30 the table is the same 0.5 MB and the ints only 0.15 MB
     n = 36
-    prof = _corner_profile(n, enumerate_partitions(n))
+    prof = thickness_profile(n)
     index = canonical_index(n)  # warmed, so only the set itself is traced
 
     def held(make):
@@ -229,7 +228,7 @@ def _relabelled(draw):
     # down, and some orders are skipped altogether
     n = draw(st.integers(1, 12))
     g = build_graph(n)
-    prof = thickness_profile(g)
+    prof = thickness_profile(n)
     if draw(st.booleans()):
         tau = tuple(draw(st.lists(st.integers(0, 5), min_size=len(g.adj), max_size=len(g.adj))))
         prof = dataclasses.replace(prof, tau=tau, tau_max=max(tau))
@@ -264,7 +263,7 @@ def test_sweep_merges_components():
     g5 = build_graph(5)
     path = dataclasses.replace(g5, adj=((1,), (0, 2), (1, 3), (2, 4), (3,), (), ()))
     fw = dataclasses.replace(boundary_framework(5), all_indices=frozenset({0}))
-    prof = dataclasses.replace(thickness_profile(g5), tau=(2, 1, 2, 1, 2, 0, 2), tau_max=2)
+    prof = dataclasses.replace(thickness_profile(5), tau=(2, 1, 2, 1, 2, 0, 2), tau_max=2)
     top, low = zone_sweep(path, fw, prof)
     assert [sorted(c.vertices) for c in top.components] == [[0], [2], [4], [6]]
     assert [c.boundary_attached for c in top.components] == [True, False, False, False]
@@ -368,7 +367,7 @@ def test_first_occurrences_csv(small_profiles):
 
 def test_zone_json_n4(small_profiles):
     g, prof, fw = small_profiles[4]
-    doc = json.loads(zone_json(g, decompose(g, fw, prof, 2)))
+    doc = json.loads(zone_json(decompose(g, fw, prof, 2)))
     assert doc["n"] == 4
     assert doc["r"] == 2
     assert doc["threshold"] == ["3,1", "2,2", "2,1,1"]
@@ -407,7 +406,7 @@ def test_zone_json_matches_json_dumps(small_profiles):
         for r in range(prof.tau_max + 2):
             dec = decompose(g, fw, prof, r)
             doc = _zone_doc(g, dec)
-            assert zone_json(g, dec) == json.dumps(doc, indent=2) + "\n", (n, r)
+            assert zone_json(dec) == json.dumps(doc, indent=2) + "\n", (n, r)
             seen.update(key for key in ("exact", "core", "components") if not doc[key])
             seen.update(c["boundary_attached"] for c in doc["components"])
     # the layouts of empty lists and of both flags were all compared
