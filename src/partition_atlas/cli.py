@@ -1,12 +1,23 @@
-"""Command-line front door for the partition-atlas pipeline."""
+"""Command-line front door for the partition-atlas pipeline.
+
+The parser is the standard library's ``argparse``. :func:`main` always
+ends in ``SystemExit`` with one of three codes:
+
+- 0 on success;
+- 1 when a check fails, the run is interrupted, or a worker dies or an
+  output cannot be written; the last two print one ``Error: <message>``
+  line on stderr;
+- 2 on a usage error, which prints a ``usage:`` and an ``error:`` line on
+  stderr.
+"""
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-
-import click
 
 from . import REFERENCE_RANGE_MAX
 
@@ -14,21 +25,34 @@ from . import REFERENCE_RANGE_MAX
 # loads only those, and reads each function off its home module per call
 
 
+class UsageError(Exception):
+    """Arguments the parser accepted but the command cannot run with; exit 2."""
+
+
+class CommandError(Exception):
+    """A command that could not finish; ``Error: <message>`` on stderr, exit 1."""
+
+
+def _echo(message: str, err: bool = False) -> None:
+    # flushed per line, so the two streams keep their order when merged
+    print(message, file=sys.stderr if err else sys.stdout, flush=True)
+
+
 def _resolve_range(n_min: int, n_max: int, allow_beyond: bool) -> tuple[int, int]:
     """The range to process, capped at the verified range unless allowed past it."""
     if n_min < 1 or n_max < n_min:
-        raise click.UsageError(f"invalid range {n_min}..{n_max}")
+        raise UsageError(f"invalid range {n_min}..{n_max}")
     # only the top of a range is capped; one that starts past the cap is refused
     _check_single_n(n_min, allow_beyond)
     if n_max > REFERENCE_RANGE_MAX:
         if allow_beyond:
-            click.echo(
+            _echo(
                 f"note: n > {REFERENCE_RANGE_MAX} is beyond the verified range; "
                 "results there are extrapolation",
                 err=True,
             )
         else:
-            click.echo(
+            _echo(
                 f"warning: capping n at {REFERENCE_RANGE_MAX} (the verified range); "
                 "pass --allow-beyond-verified-range to go further",
                 err=True,
@@ -39,9 +63,9 @@ def _resolve_range(n_min: int, n_max: int, allow_beyond: bool) -> tuple[int, int
 
 def _check_single_n(n: int, allow_beyond: bool) -> None:
     if n < 1:
-        raise click.UsageError(f"invalid n {n}")
+        raise UsageError(f"invalid n {n}")
     if n > REFERENCE_RANGE_MAX and not allow_beyond:
-        raise click.UsageError(
+        raise UsageError(
             f"n={n} is beyond the verified range; pass --allow-beyond-verified-range"
         )
 
@@ -55,48 +79,70 @@ def _writing():
     try:
         yield
     except OSError as exc:
-        raise click.ClickException(f"cannot write {exc.filename}: {exc.strerror}") from None
+        raise CommandError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
-_allow_beyond = click.option(
+def _directory(value: str) -> Path:
+    if Path(value).is_file():
+        raise argparse.ArgumentTypeError(f"{value!r} is a file, not a directory")
+    return Path(value)
+
+
+def _file(value: str) -> Path:
+    if Path(value).is_dir():
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory, not a file")
+    return Path(value)
+
+
+def _option(*flags: str, **settings) -> tuple:
+    """The arguments of one ``add_argument`` call, made when the parser is built."""
+    return flags, settings
+
+
+_allow_beyond = _option(
     "--allow-beyond-verified-range",
-    "allow_beyond",
-    is_flag=True,
+    dest="allow_beyond",
+    action="store_true",
     help=f"Permit n above {REFERENCE_RANGE_MAX}; such results are extrapolation.",
 )
-_n_min = click.option(
-    "--n-min", default=1, show_default=True, type=int, help="Smallest n to process."
+_n_min = _option(
+    "--n-min", default=1, type=int, help="Smallest n to process (default: %(default)s)."
 )
-_n_max = click.option(
-    "--n-max", default=30, show_default=True, type=int, help="Largest n to process."
+_n_max = _option(
+    "--n-max", default=30, type=int, help="Largest n to process (default: %(default)s)."
 )
 
-
-def _range_options(command):
-    return _allow_beyond(_n_max(_n_min(command)))
-
-
-@click.group()
-def main() -> None:
-    """Exact thickness atlases of the unit-transfer graph on partitions."""
+# name -> (function, options), in the order the help lists them
+_COMMANDS: dict = {}
 
 
-@main.command()
-@_range_options
-@click.option(
-    "--out",
-    "out_dir",
-    default="artifacts",
-    show_default=True,
-    type=click.Path(file_okay=False, path_type=Path),
-    help="Output directory; one subdirectory per n.",
-)
-@click.option(
-    "--jobs",
-    default=1,
-    show_default=True,
-    type=int,
-    help="Worker processes; 0 means one per CPU this process may run on.",
+def _command(name: str, *options: tuple):
+    def register(function):
+        _COMMANDS[name] = (function, options)
+        return function
+
+    return register
+
+
+@_command(
+    "compute",
+    _n_min,
+    _n_max,
+    _allow_beyond,
+    _option(
+        "--out",
+        dest="out_dir",
+        default="artifacts",
+        type=_directory,
+        help="Output directory; one subdirectory per n (default: %(default)s).",
+    ),
+    _option(
+        "--jobs",
+        default=1,
+        type=int,
+        help="Worker processes; 0 means one per CPU this process may run on "
+        "(default: %(default)s).",
+    ),
 )
 def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int) -> None:
     """Compute graphs, profiles and zone decompositions for a range of n."""
@@ -104,32 +150,34 @@ def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int
 
     n_min, n_max = _resolve_range(n_min, n_max, allow_beyond)
     if jobs < 0:
-        raise click.UsageError(f"invalid worker count {jobs}")
+        raise UsageError(f"invalid worker count {jobs}")
     ns = range(n_min, n_max + 1)
     # each n writes only its own directory, so the worker layout changes no byte
     try:
         with _writing():
             map_n(compute_artifacts_for_n, ns, jobs or cpu_count(), out_dir)
     except WorkerDied as exc:
-        raise click.ClickException(str(exc)) from None
-    click.echo(f"computed {len(ns)} graphs into {out_dir}")
+        raise CommandError(str(exc)) from None
+    _echo(f"computed {len(ns)} graphs into {out_dir}")
 
 
-@main.command()
-@_allow_beyond
-@_n_max
-@click.option(
-    "--out",
-    "out_dir",
-    default="artifacts",
-    show_default=True,
-    type=click.Path(file_okay=False, path_type=Path),
-    help="Directory holding per-n artifacts; tables are written here too.",
-)
-@click.option(
-    "--no-recompute",
-    is_flag=True,
-    help="Fail instead of computing profiles missing from the output directory.",
+@_command(
+    "tables",
+    _allow_beyond,
+    _n_max,
+    _option(
+        "--out",
+        dest="out_dir",
+        default="artifacts",
+        type=_directory,
+        help="Directory holding per-n artifacts; tables are written here too "
+        "(default: %(default)s).",
+    ),
+    _option(
+        "--no-recompute",
+        action="store_true",
+        help="Fail instead of computing profiles missing from the output directory.",
+    ),
 )
 def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) -> None:
     """Write the first-occurrence, per-n summary and max-locus tables for 1..n-max."""
@@ -151,10 +199,10 @@ def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) ->
                 if profile.n != n:
                     raise ValueError(f"it holds the profile for n={profile.n}")
             except (OSError, ValueError) as exc:
-                raise click.UsageError(f"malformed artifact {path}: {exc}") from None
+                raise UsageError(f"malformed artifact {path}: {exc}") from None
             profiles.append(profile)
         elif no_recompute:
-            raise click.UsageError(
+            raise UsageError(
                 f"missing artifact {path}; run compute first or drop --no-recompute"
             )
         else:
@@ -163,25 +211,27 @@ def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) ->
     with _writing():
         written = export_tables(profiles, locus_names, out_dir)
     for name in sorted(written):
-        click.echo(f"wrote {written[name]}")
+        _echo(f"wrote {written[name]}")
 
 
-@main.command("atlas")
-@click.option("--n", "n", required=True, type=int, help="Which graph to draw.")
-@click.option(
-    "--mode",
-    type=click.Choice(["thickness", "zones"]),
-    default="thickness",
-    show_default=True,
+@_command(
+    "atlas",
+    _option("--n", required=True, type=int, help="Which graph to draw."),
+    _option(
+        "--mode",
+        default="thickness",
+        choices=["thickness", "zones"],
+        help="Color by thickness, or by zone (default: %(default)s).",
+    ),
+    _option(
+        "--out",
+        dest="out_dir",
+        default="artifacts",
+        type=_directory,
+        help="Output directory (default: %(default)s).",
+    ),
+    _allow_beyond,
 )
-@click.option(
-    "--out",
-    "out_dir",
-    default="artifacts",
-    show_default=True,
-    type=click.Path(file_okay=False, path_type=Path),
-)
-@_allow_beyond
 def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
     """Render one atlas figure as SVG, maximal locus outlined."""
     from .atlas import atlas_chunks
@@ -198,12 +248,11 @@ def atlas_cmd(n: int, mode: str, out_dir: Path, allow_beyond: bool) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as f:
             f.writelines(chunks)
-    click.echo(f"wrote {path}")
+    _echo(f"wrote {path}")
 
 
-@main.command()
-@_range_options
-def verify(n_min: int, n_max: int, allow_beyond: bool) -> None:
+@_command("verify", _n_min, _n_max, _allow_beyond)
+def verify(n_min: int, n_max: int, allow_beyond: bool) -> int:
     """Run the named invariant and reference-value checks.
 
     The range is spread over one worker process per CPU this process may
@@ -218,29 +267,30 @@ def verify(n_min: int, n_max: int, allow_beyond: bool) -> None:
     try:
         results = run_checks(n_min=n_min, n_max=n_max, workers=cpu_count())
     except WorkerDied as exc:
-        raise click.ClickException(str(exc)) from None
+        raise CommandError(str(exc)) from None
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         suffix = f": {res.detail}" if res.detail else ""
-        click.echo(f"[{status}] {res.name}{suffix}")
+        _echo(f"[{status}] {res.name}{suffix}")
         # stderr, so stdout stays the verdicts alone
-        click.echo(f"{res.seconds:6.2f} s  {res.name}", err=True)
+        _echo(f"{res.seconds:6.2f} s  {res.name}", err=True)
     passed = sum(1 for r in results if r.ok)
-    click.echo(f"{passed}/{len(results)} checks passed")
-    if passed != len(results):
-        sys.exit(1)
+    _echo(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
-@main.command("graph-dump")
-@click.option("--n", "n", required=True, type=int, help="Which graph to dump.")
-@click.option(
-    "--out",
-    "out_path",
-    default=None,
-    type=click.Path(dir_okay=False, path_type=Path),
-    help="Output file; stdout when omitted.",
+@_command(
+    "graph-dump",
+    _option("--n", required=True, type=int, help="Which graph to dump."),
+    _option(
+        "--out",
+        dest="out_path",
+        default=None,
+        type=_file,
+        help="Output file; stdout when omitted.",
+    ),
+    _allow_beyond,
 )
-@_allow_beyond
 def graph_dump(n: int, out_path: Path | None, allow_beyond: bool) -> None:
     """Write the edge list of one graph as tab-separated partition pairs."""
     from .transfer_graph import build_graph
@@ -254,7 +304,49 @@ def graph_dump(n: int, out_path: Path | None, allow_beyond: bool) -> None:
             out_path.parent.mkdir(parents=True, exist_ok=True)
             with open(out_path, "w", encoding="utf-8") as f:
                 f.writelines(chunks)
-        click.echo(f"wrote {out_path}")
+        _echo(f"wrote {out_path}")
+
+
+def _parser(prog: str | None) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each command's own parser by name."""
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Exact thickness atlases of the unit-transfer graph on partitions.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (function, options) in _COMMANDS.items():
+        doc = function.__doc__
+        command = commands.add_parser(
+            name, help=doc.split("\n", 1)[0], description=doc, allow_abbrev=False
+        )
+        for flags, settings in options:
+            command.add_argument(*flags, **settings)
+    return parser, commands.choices
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run the command that ``args`` (default ``sys.argv[1:]``) names, then exit."""
+    parser, commands = _parser(prog_name)
+    options = vars(parser.parse_args(args))
+    name = options.pop("command")
+    try:
+        code = _COMMANDS[name][0](**options)
+        sys.stdout.flush()
+    except UsageError as exc:
+        commands[name].error(str(exc))
+    except CommandError as exc:
+        _echo(f"Error: {exc}", err=True)
+        code = 1
+    except KeyboardInterrupt:
+        _echo("\nAborted!", err=True)
+        code = 1
+    except BrokenPipeError:
+        # the reader left early, as `| head` does; stdout goes to devnull so
+        # that the flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code or 0)
 
 
 if __name__ == "__main__":

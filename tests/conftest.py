@@ -1,14 +1,43 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+from partition_atlas.cli import main
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class Invocation(NamedTuple):
+    exit_code: int
+    output: str
+    exception: Exception | None
+
+
+def invoke(args: list[str]) -> Invocation:
+    """Run the CLI on ``args`` in this process, stdout and stderr captured together.
+
+    ``main`` always ends in ``SystemExit``; any other exception it lets
+    through is returned, with exit code 1, as the interpreter would give.
+    """
+    out = io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            main(args, prog_name="partition-atlas")
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code, exception = 1, exc
+    return Invocation(code, out.getvalue(), exception)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 from partition_atlas import (
     bfs_distances,
@@ -23,7 +23,6 @@ from partition_atlas import (
     render_atlas,
     thickness_profile,
 )
-from partition_atlas.cli import main as cli_main
 from partition_atlas.partitions import _conjugate
 from partition_atlas.verify import EXPECTED_MAX_LOCUS, run_checks
 
@@ -140,19 +139,13 @@ def _tree(root: Path) -> dict[str, bytes]:
 
 
 def _run_full_pipeline(out: Path, jobs: int) -> None:
-    runner = CliRunner()
-    result = runner.invoke(
-        cli_main,
-        ["compute", "--n-max", str(RANGE_MAX), "--out", str(out), "--jobs", str(jobs)],
-    )
+    result = invoke(["compute", "--n-max", str(RANGE_MAX), "--out", str(out), "--jobs", str(jobs)])
     assert result.exit_code == 0, result.output
-    result = runner.invoke(cli_main, ["tables", "--n-max", str(RANGE_MAX), "--out", str(out)])
+    result = invoke(["tables", "--n-max", str(RANGE_MAX), "--out", str(out)])
     assert result.exit_code == 0, result.output
     for n in ATLAS_NS:
         for mode in ("thickness", "zones"):
-            result = runner.invoke(
-                cli_main, ["atlas", "--n", str(n), "--mode", mode, "--out", str(out)]
-            )
+            result = invoke(["atlas", "--n", str(n), "--mode", mode, "--out", str(out)])
             assert result.exit_code == 0, result.output
 
 

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 from partition_atlas.cli import main
 
@@ -26,9 +26,7 @@ def _tree(root: Path) -> dict[str, bytes]:
 
 def test_compute_small_range(tmp_path):
     out = tmp_path / "artifacts"
-    result = CliRunner().invoke(
-        main, ["compute", "--n-min", "1", "--n-max", "7", "--out", str(out)]
-    )
+    result = invoke(["compute", "--n-min", "1", "--n-max", "7", "--out", str(out)])
     assert result.exit_code == 0, result.output
     for n in range(1, 8):
         d = out / f"n{n:02d}"
@@ -44,24 +42,17 @@ def test_compute_small_range(tmp_path):
 
 def test_compute_is_idempotent(tmp_path):
     out = tmp_path / "artifacts"
-    runner = CliRunner()
-    assert runner.invoke(main, ["compute", "--n-max", "6", "--out", str(out)]).exit_code == 0
+    assert invoke(["compute", "--n-max", "6", "--out", str(out)]).exit_code == 0
     before = _tree(out)
-    assert runner.invoke(main, ["compute", "--n-max", "6", "--out", str(out)]).exit_code == 0
+    assert invoke(["compute", "--n-max", "6", "--out", str(out)]).exit_code == 0
     assert _tree(out) == before
 
 
 def test_compute_parallel_matches_serial(tmp_path):
-    runner = CliRunner()
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    assert runner.invoke(main, ["compute", "--n-max", "6", "--out", str(serial)]).exit_code == 0
-    assert (
-        runner.invoke(
-            main, ["compute", "--n-max", "6", "--out", str(parallel), "--jobs", "2"]
-        ).exit_code
-        == 0
-    )
+    assert invoke(["compute", "--n-max", "6", "--out", str(serial)]).exit_code == 0
+    assert invoke(["compute", "--n-max", "6", "--out", str(parallel), "--jobs", "2"]).exit_code == 0
     assert _tree(serial) == _tree(parallel)
 
 
@@ -200,19 +191,15 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch, tmp_path):
     monkeypatch.setattr(
         verify, "run_checks", lambda n_min, n_max, workers: seen.append(workers) or []
     )
-    runner = CliRunner()
     args = ["compute", "--n-max", "4", "--jobs", "0", "--out", str(tmp_path)]
-    assert runner.invoke(main, args).exit_code == 0
-    assert runner.invoke(main, ["verify", "--n-max", "4"]).exit_code == 0
+    assert invoke(args).exit_code == 0
+    assert invoke(["verify", "--n-max", "4"]).exit_code == 0
     assert seen == [3, 3]
 
 
 def test_compute_soft_caps_range(tmp_path):
     out = tmp_path / "artifacts"
-    result = CliRunner().invoke(
-        main,
-        ["compute", "--n-min", "29", "--n-max", "32", "--out", str(out)],
-    )
+    result = invoke(["compute", "--n-min", "29", "--n-max", "32", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert "capping" in result.output
     assert (out / "n30").exists()
@@ -221,32 +208,26 @@ def test_compute_soft_caps_range(tmp_path):
 
 def test_compute_refuses_range_starting_past_cap(tmp_path):
     out = tmp_path / "artifacts"
-    result = CliRunner().invoke(
-        main, ["compute", "--n-min", "35", "--n-max", "36", "--out", str(out)]
-    )
+    result = invoke(["compute", "--n-min", "35", "--n-max", "36", "--out", str(out)])
     assert result.exit_code == 2
     assert "--allow-beyond-verified-range" in result.output
     assert not out.exists()
 
 
 def test_verify_refuses_range_starting_past_cap():
-    result = CliRunner().invoke(main, ["verify", "--n-min", "40", "--n-max", "41"])
+    result = invoke(["verify", "--n-min", "40", "--n-max", "41"])
     assert result.exit_code == 2
     assert "--allow-beyond-verified-range" in result.output
     assert "checks passed" not in result.output
 
 
 def test_compute_rejects_bad_range(tmp_path):
-    result = CliRunner().invoke(
-        main, ["compute", "--n-min", "5", "--n-max", "2", "--out", str(tmp_path)]
-    )
+    result = invoke(["compute", "--n-min", "5", "--n-max", "2", "--out", str(tmp_path)])
     assert result.exit_code == 2
 
 
 def test_compute_rejects_negative_jobs(tmp_path):
-    result = CliRunner().invoke(
-        main, ["compute", "--n-max", "3", "--out", str(tmp_path), "--jobs", "-1"]
-    )
+    result = invoke(["compute", "--n-max", "3", "--out", str(tmp_path), "--jobs", "-1"])
     assert result.exit_code == 2
     assert "invalid worker count -1" in result.output
     assert not list(tmp_path.iterdir())
@@ -254,9 +235,8 @@ def test_compute_rejects_negative_jobs(tmp_path):
 
 def test_tables_reuses_compute_artifacts(tmp_path):
     out = tmp_path / "artifacts"
-    runner = CliRunner()
-    assert runner.invoke(main, ["compute", "--n-max", "7", "--out", str(out)]).exit_code == 0
-    result = runner.invoke(main, ["tables", "--n-max", "7", "--out", str(out)])
+    assert invoke(["compute", "--n-max", "7", "--out", str(out)]).exit_code == 0
+    result = invoke(["tables", "--n-max", "7", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert (out / "first_occurrences.csv").read_text() == "r,n_r\n2,4\n3,7\n"
 
@@ -264,17 +244,16 @@ def test_tables_reuses_compute_artifacts(tmp_path):
 def test_tables_builds_no_graph(tmp_path, monkeypatch):
     from partition_atlas import transfer_graph
 
-    runner = CliRunner()
     computed = tmp_path / "computed"
-    assert runner.invoke(main, ["compute", "--n-max", "12", "--out", str(computed)]).exit_code == 0
-    assert runner.invoke(main, ["tables", "--n-max", "12", "--out", str(computed)]).exit_code == 0
+    assert invoke(["compute", "--n-max", "12", "--out", str(computed)]).exit_code == 0
+    assert invoke(["tables", "--n-max", "12", "--out", str(computed)]).exit_code == 0
 
     def refuse(n):
         raise AssertionError(f"tables built the graph for n={n}")
 
     monkeypatch.setattr(transfer_graph, "build_graph", refuse)
     fresh = tmp_path / "fresh"
-    result = runner.invoke(main, ["tables", "--n-max", "12", "--out", str(fresh)])
+    result = invoke(["tables", "--n-max", "12", "--out", str(fresh)])
     assert result.exit_code == 0, (result.output, result.exception)
     for name in ("first_occurrences.csv", "summary.csv", "max_locus_members.json"):
         assert (fresh / name).read_bytes() == (computed / name).read_bytes(), name
@@ -285,12 +264,11 @@ def test_tables_enumerates_each_n_once(tmp_path):
     # first-occurrence n is enumerated a second time afterwards
     from partition_atlas.partitions import enumerate_partitions
 
-    runner = CliRunner()
     computed = tmp_path / "computed"
-    assert runner.invoke(main, ["compute", "--n-max", "12", "--out", str(computed)]).exit_code == 0
+    assert invoke(["compute", "--n-max", "12", "--out", str(computed)]).exit_code == 0
     for out, n_max, flags in ((tmp_path / "fresh", 30, []), (computed, 12, ["--no-recompute"])):
         enumerate_partitions.cache_clear()
-        result = runner.invoke(main, ["tables", "--n-max", str(n_max), "--out", str(out), *flags])
+        result = invoke(["tables", "--n-max", str(n_max), "--out", str(out), *flags])
         assert result.exit_code == 0, result.output
         assert enumerate_partitions.cache_info().misses == n_max, out
     loci = json.loads((tmp_path / "fresh" / "max_locus_members.json").read_text())
@@ -300,22 +278,18 @@ def test_tables_enumerates_each_n_once(tmp_path):
 
 
 def test_tables_small_ranges(tmp_path):
-    runner = CliRunner()
     out = tmp_path / "a"
-    assert runner.invoke(main, ["tables", "--n-max", "6", "--out", str(out)]).exit_code == 0
+    assert invoke(["tables", "--n-max", "6", "--out", str(out)]).exit_code == 0
     assert (out / "first_occurrences.csv").read_text() == "r,n_r\n2,4\n"
     out2 = tmp_path / "b"
-    assert runner.invoke(main, ["tables", "--n-max", "3", "--out", str(out2)]).exit_code == 0
+    assert invoke(["tables", "--n-max", "3", "--out", str(out2)]).exit_code == 0
     lines = (out2 / "first_occurrences.csv").read_text().strip().split("\n")
     assert lines[0] == "r,n_r"
     assert lines[1].startswith("#")
 
 
 def test_tables_no_recompute_needs_artifacts(tmp_path):
-    result = CliRunner().invoke(
-        main,
-        ["tables", "--n-max", "5", "--out", str(tmp_path / "x"), "--no-recompute"],
-    )
+    result = invoke(["tables", "--n-max", "5", "--out", str(tmp_path / "x"), "--no-recompute"])
     assert result.exit_code == 2
     assert "missing artifact" in result.output
 
@@ -332,11 +306,10 @@ def test_tables_no_recompute_needs_artifacts(tmp_path):
 )
 def test_tables_rejects_malformed_profile(tmp_path, replace):
     out = tmp_path / "artifacts"
-    runner = CliRunner()
-    assert runner.invoke(main, ["compute", "--n-max", "4", "--out", str(out)]).exit_code == 0
+    assert invoke(["compute", "--n-max", "4", "--out", str(out)]).exit_code == 0
     bad = out / "n03" / "profile.json"
     bad.write_text(replace(out))
-    result = runner.invoke(main, ["tables", "--n-max", "4", "--out", str(out)])
+    result = invoke(["tables", "--n-max", "4", "--out", str(out)])
     assert result.exit_code == 2
     assert "malformed artifact" in result.output
     assert str(bad) in result.output
@@ -352,12 +325,11 @@ def test_tables_rejects_malformed_profile(tmp_path, replace):
 )
 def test_tables_no_recompute_rejects_impossible_thickness(tmp_path, doc):
     out = tmp_path / "artifacts"
-    runner = CliRunner()
-    assert runner.invoke(main, ["compute", "--n-max", "2", "--out", str(out)]).exit_code == 0
+    assert invoke(["compute", "--n-max", "2", "--out", str(out)]).exit_code == 0
     bad = out / f"n{doc['n']:02d}" / "profile.json"
     bad.write_text(json.dumps(doc))
     args = ["tables", "--n-max", "2", "--out", str(out), "--no-recompute"]
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 2
     assert f"malformed artifact {bad}: profile for n={doc['n']}" in result.output
 
@@ -367,14 +339,13 @@ def test_tables_no_recompute_rejects_stale_profile(tmp_path):
     # locus restated to match: every value lies in 0..6 and the document
     # agrees with itself, but it is not what compute writes
     out = tmp_path / "artifacts"
-    runner = CliRunner()
-    assert runner.invoke(main, ["compute", "--n-max", "7", "--out", str(out)]).exit_code == 0
+    assert invoke(["compute", "--n-max", "7", "--out", str(out)]).exit_code == 0
     bad = out / "n07" / "profile.json"
     doc = json.loads(bad.read_text())
     doc["tau"]["4,2,1"], doc["tau"]["7"] = doc["tau"]["7"], doc["tau"]["4,2,1"]
     doc["max_locus"] = [name for name, t in doc["tau"].items() if t == doc["tau_max"]]
     bad.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["tables", "--n-max", "7", "--out", str(out), "--no-recompute"])
+    result = invoke(["tables", "--n-max", "7", "--out", str(out), "--no-recompute"])
     assert result.exit_code == 2
     assert f"malformed artifact {bad}: profile for n=7 gives 7 thickness 3" in result.output
     assert not (out / "max_locus_members.json").exists()
@@ -382,28 +353,23 @@ def test_tables_no_recompute_rejects_stale_profile(tmp_path):
 
 def test_tables_rejects_unreadable_profile(tmp_path):
     out = tmp_path / "artifacts"
-    runner = CliRunner()
-    assert runner.invoke(main, ["compute", "--n-max", "4", "--out", str(out)]).exit_code == 0
+    assert invoke(["compute", "--n-max", "4", "--out", str(out)]).exit_code == 0
     bad = out / "n03" / "profile.json"
     bad.unlink()
     bad.mkdir()
-    result = runner.invoke(main, ["tables", "--n-max", "4", "--out", str(out)])
+    result = invoke(["tables", "--n-max", "4", "--out", str(out)])
     assert result.exit_code == 2
     assert "malformed artifact" in result.output
     assert str(bad) in result.output
 
 
 def test_tables_rejects_partial_start(tmp_path):
-    result = CliRunner().invoke(
-        main, ["tables", "--n-min", "3", "--n-max", "6", "--out", str(tmp_path)]
-    )
+    result = invoke(["tables", "--n-min", "3", "--n-max", "6", "--out", str(tmp_path)])
     assert result.exit_code == 2
 
 
 def test_atlas_writes_svg(tmp_path):
-    result = CliRunner().invoke(
-        main, ["atlas", "--n", "4", "--mode", "thickness", "--out", str(tmp_path)]
-    )
+    result = invoke(["atlas", "--n", "4", "--mode", "thickness", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     path = tmp_path / "atlas_n4_thickness.svg"
     assert path.exists()
@@ -411,26 +377,24 @@ def test_atlas_writes_svg(tmp_path):
 
 
 def test_atlas_rejects_unverified_n(tmp_path):
-    result = CliRunner().invoke(main, ["atlas", "--n", "31", "--out", str(tmp_path)])
+    result = invoke(["atlas", "--n", "31", "--out", str(tmp_path)])
     assert result.exit_code == 2
 
 
 def test_atlas_mode_validation(tmp_path):
-    result = CliRunner().invoke(
-        main, ["atlas", "--n", "4", "--mode", "heatmap", "--out", str(tmp_path)]
-    )
+    result = invoke(["atlas", "--n", "4", "--mode", "heatmap", "--out", str(tmp_path)])
     assert result.exit_code == 2
 
 
 def test_graph_dump_stdout():
-    result = CliRunner().invoke(main, ["graph-dump", "--n", "4"])
+    result = invoke(["graph-dump", "--n", "4"])
     assert result.exit_code == 0
     assert result.output == "4\t3,1\n3,1\t2,2\n3,1\t2,1,1\n2,2\t2,1,1\n2,1,1\t1,1,1,1\n"
 
 
 def test_graph_dump_to_file(tmp_path):
     path = tmp_path / "edges.txt"
-    result = CliRunner().invoke(main, ["graph-dump", "--n", "5", "--out", str(path)])
+    result = invoke(["graph-dump", "--n", "5", "--out", str(path)])
     assert result.exit_code == 0
     assert path.exists()
     assert all("\t" in line for line in path.read_text().strip().split("\n"))
@@ -449,41 +413,39 @@ def test_compute_reports_an_unwritable_output(tmp_path, jobs):
     out = tmp_path / "out"
     out.mkdir()
     (out / "n01").touch()
-    result = CliRunner().invoke(
-        main, ["compute", "--n-max", "2", "--out", str(out), "--jobs", jobs]
-    )
+    result = invoke(["compute", "--n-max", "2", "--out", str(out), "--jobs", jobs])
     _cannot_write(result, out / "n01", errno.EEXIST)
 
 
 def test_tables_reports_an_unwritable_output(tmp_path):
     (tmp_path / "first_occurrences.csv").mkdir()
-    result = CliRunner().invoke(main, ["tables", "--n-max", "3", "--out", str(tmp_path)])
+    result = invoke(["tables", "--n-max", "3", "--out", str(tmp_path)])
     _cannot_write(result, tmp_path / "first_occurrences.csv", errno.EISDIR)
 
 
 def test_atlas_reports_an_unwritable_output(tmp_path):
     (tmp_path / "atlas_n3_thickness.svg").mkdir()
-    result = CliRunner().invoke(main, ["atlas", "--n", "3", "--out", str(tmp_path)])
+    result = invoke(["atlas", "--n", "3", "--out", str(tmp_path)])
     _cannot_write(result, tmp_path / "atlas_n3_thickness.svg", errno.EISDIR)
 
 
 def test_graph_dump_reports_an_unwritable_output(tmp_path):
     parent = tmp_path / "file"
     parent.touch()
-    result = CliRunner().invoke(main, ["graph-dump", "--n", "3", "--out", str(parent / "e.txt")])
+    result = invoke(["graph-dump", "--n", "3", "--out", str(parent / "e.txt")])
     _cannot_write(result, parent, errno.EEXIST)
 
 
 def test_compute_n1_trivial_profile(tmp_path):
     out = tmp_path / "artifacts"
-    result = CliRunner().invoke(main, ["compute", "--n-max", "1", "--out", str(out)])
+    result = invoke(["compute", "--n-max", "1", "--out", str(out)])
     assert result.exit_code == 0, result.output
     doc = json.loads((out / "n01" / "profile.json").read_text())
     assert doc == {"n": 1, "tau_max": 0, "max_locus": ["1"], "tau": {"1": 0}}
 
 
 def test_verify_small_range_passes():
-    result = CliRunner().invoke(main, ["verify", "--n-max", "8"])
+    result = invoke(["verify", "--n-max", "8"])
     assert result.exit_code == 0, result.output
     assert "[FAIL]" not in result.output
     assert "checks passed" in result.output
@@ -502,10 +464,24 @@ def test_verify_reports_failures_with_exit_1(monkeypatch):
             CheckResult("bad", False, "some vertices disagree"),
         ],
     )
-    result = CliRunner().invoke(main, ["verify", "--n-max", "4"])
+    result = invoke(["verify", "--n-max", "4"])
     assert result.exit_code == 1
     assert "[FAIL] bad" in result.output
     assert "1/2 checks passed" in result.output
+
+
+def test_interrupt_exits_1_without_a_traceback(monkeypatch):
+    from partition_atlas import verify
+
+    def interrupted(n_min, n_max, workers):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "run_checks", interrupted)
+    try:
+        result = invoke(["verify", "--n-max", "4"])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    assert (result.exit_code, result.output, result.exception) == (1, "\nAborted!\n", None)
 
 
 def test_verify_prints_check_seconds_to_stderr_only(monkeypatch, capsys):
@@ -521,7 +497,9 @@ def test_verify_prints_check_seconds_to_stderr_only(monkeypatch, capsys):
             CheckResult("second", True, "", 1.5),
         ],
     )
-    main(["verify", "--n-max", "4"], standalone_mode=False)
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--n-max", "4"])
+    assert exit_.value.code == 0
     captured = capsys.readouterr()
     assert captured.out == "[PASS] first: fine\n[PASS] second\n2/2 checks passed\n"
     assert captured.err == "  0.25 s  first\n  1.50 s  second\n"
@@ -559,13 +537,75 @@ def test_decompose_is_one_call_per_order(tmp_path, monkeypatch):
         assert orders == list(range(tau_max, 0, -1)), n
     # at n=12 tau_max is 4, but the zones atlas needs only orders 3 and 2
     orders.clear()
-    result = CliRunner().invoke(
-        main, ["atlas", "--n", "12", "--mode", "zones", "--out", str(tmp_path)]
-    )
+    result = invoke(["atlas", "--n", "12", "--mode", "zones", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert orders == [3, 2]
 
 
 def test_usage_error_exit_code():
-    result = CliRunner().invoke(main, ["compute", "--n-min", "0"])
+    result = invoke(["compute", "--n-min", "0"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, problem",
+    [
+        ([], "the following arguments are required: COMMAND"),
+        (["compute", "--n-ma", "2"], "unrecognized arguments: --n-ma 2"),
+    ],
+    ids=["no-command", "abbreviated-option"],
+)
+def test_usage_error_names_the_problem(tmp_path, monkeypatch, args, problem):
+    # an abbreviation is not taken for the option it begins, so nothing runs
+    monkeypatch.chdir(tmp_path)
+    result = invoke(args)
+    assert result.exit_code == 2
+    assert result.output.startswith("usage: partition-atlas")
+    assert f"partition-atlas: error: {problem}\n" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args, existing",
+    [
+        (["compute", "--n-max", "2"], "file"),
+        (["tables", "--n-max", "2"], "file"),
+        (["atlas", "--n", "2"], "file"),
+        (["graph-dump", "--n", "2"], "directory"),
+    ],
+    ids=["compute", "tables", "atlas", "graph-dump"],
+)
+def test_out_of_the_wrong_kind_is_a_usage_error(tmp_path, args, existing):
+    # refused while parsing, before the command writes anything
+    out = tmp_path / "out"
+    if existing == "file":
+        out.write_text("kept")
+    else:
+        out.mkdir()
+    result = invoke([*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"error: argument --out: '{out}' is a {existing}, not a" in result.output
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "kept" if existing == "file" else not list(out.iterdir())
+
+
+def test_graph_dump_into_a_closed_pipe_exits_1_quietly(tmp_path):
+    # as `graph-dump --n 25 | head -1`: the reader leaves after one line,
+    # with most of the 480 kB edge list, far more than a pipe holds, unwritten
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [sys.executable, "-c", "from partition_atlas.cli import main; main()",
+         "graph-dump", "--n", "25"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+    assert first == b"25\t24,1\n"
+    assert code == 1, err
+    assert err == b""

@@ -47,6 +47,8 @@ def _run(code, *args, cwd):
 def _loaded(*args, cwd):
     code, modules = json.loads(_run(PROBE, *args, cwd=cwd).splitlines()[-1])
     assert code in (0, None)
+    # the parser is the standard library's: no case loads click
+    assert not [m for m in modules if m.split(".")[0] == "click"]
     return set(modules)
 
 
@@ -57,6 +59,9 @@ def test_help_loads_only_the_cli(tmp_path):
         "partition_atlas.cli",
     }
     assert not loaded & POOL_MODULES
+    # click loaded inspect, as the layers' dataclasses do; a run that
+    # loads no layer now skips both
+    assert not loaded & {"inspect", "dataclasses"}
 
 
 @pytest.mark.parametrize(

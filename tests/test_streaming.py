@@ -7,11 +7,10 @@ memory than the file they produce.
 
 import tracemalloc
 
-from click.testing import CliRunner
+from conftest import invoke
 
 from partition_atlas import thickness, transfer_graph
 from partition_atlas.atlas import render_atlas
-from partition_atlas.cli import main
 from partition_atlas.thickness import thickness_profile
 from partition_atlas.transfer_graph import build_graph
 
@@ -22,7 +21,7 @@ MEMORY_N = 28
 
 
 def _invoke(args):
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 0, (args, result.output, result.exception)
     return result
 
@@ -46,7 +45,7 @@ def test_graph_dump_matches_compute_edges(tmp_path):
     _invoke(["compute", "--n-max", "12", "--out", str(out)])
     for n in range(1, 13):
         edges = (out / f"n{n:02d}" / "edges.txt").read_bytes()
-        assert _invoke(["graph-dump", "--n", str(n)]).stdout_bytes == edges, n
+        assert _invoke(["graph-dump", "--n", str(n)]).output.encode() == edges, n
         path = tmp_path / "dump" / f"{n}.txt"
         _invoke(["graph-dump", "--n", str(n), "--out", str(path)])
         assert path.read_bytes() == edges, n
@@ -56,7 +55,7 @@ def test_rejected_atlas_writes_no_file(tmp_path, monkeypatch):
     # a profile of another n must fail before the SVG is opened
     other = thickness_profile(5)
     monkeypatch.setattr(thickness, "thickness_profile", lambda n: other)
-    result = CliRunner().invoke(main, ["atlas", "--n", "4", "--out", str(tmp_path)])
+    result = invoke(["atlas", "--n", "4", "--out", str(tmp_path)])
     assert isinstance(result.exception, ValueError)
     assert not (tmp_path / "atlas_n4_thickness.svg").exists()
 

@@ -280,7 +280,9 @@ RUN_CHECKS_21_22 = [
 
 
 def test_verify_stdout_is_pinned(capsys):
-    main(["verify", "--n-max", "12"], standalone_mode=False)
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--n-max", "12"])
+    assert exit_.value.code == 0
     assert capsys.readouterr().out == VERIFY_12_STDOUT
 
 
