@@ -29,61 +29,179 @@ def cpu_count() -> int:
 def map_n(task: Callable[..., T], ns: Sequence[int], workers: int, *args: object) -> list[T]:
     """``[task(n, *args) for n in ns]``, spread over up to ``workers`` processes.
 
-    With one worker or one n, every task runs in this process, in the
-    order of ``ns``. Otherwise each n is one task, taken largest n first,
-    so the costliest is not left to one worker at the end; this process
-    is one of the workers, and runs each task that no other has started.
-    The results come back in the order of ``ns`` either way. A worker that
-    dies (killed, or exiting without a result) raises :class:`WorkerDied`
-    instead of leaving the pool waiting for it, and a worker whose parent
-    dies exits too, instead of waiting for a task that never comes.
+    With one worker, one n, or no ``os.fork``, every task runs in this
+    process, in the order of ``ns``. Otherwise this process forks the
+    other workers and is one of them. A task pipe holds the index of each
+    n, largest n first, so the costliest is not left to one worker at the
+    end; each process reads the next index whenever it is free. A child
+    sends every result it made as one pickle down a result pipe, which
+    this process reads to its end once its own tasks are done. The results
+    come back in the order of ``ns`` either way. A task's exception is
+    raised here as it was raised (an ``OSError`` keeps its file name): at
+    once from a task of this process, else once every child has ended,
+    that of the earliest n in ``ns``. A child that dies (killed, or
+    exiting without its results) raises :class:`WorkerDied` instead of
+    leaving the pool waiting for it; a child whose parent dies starts no
+    further task; and on any exception here, Ctrl-C included, every child
+    is killed and reaped.
     """
-    if workers <= 1 or len(ns) <= 1:
+    workers = min(workers, len(ns))
+    if workers <= 1 or not hasattr(os, "fork"):
         return [task(n, *args) for n in ns]
     # imported here, so a run in one process loads no pool module
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import pickle
 
-    # fork, where the OS has it: the workers start with every module this
-    # process has loaded. The executor forks all of them at the first
-    # submit, before it starts its own thread, so no thread is forked.
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    pool = ProcessPoolExecutor(
-        min(workers, len(ns)) - 1,
-        mp_context=context,
-        initializer=_exit_with_parent,
-        initargs=(os.getpid(),),
-    )
+    # one record of four bytes per index; a write of at most PIPE_BUF bytes
+    # is never split, so records are always whole in the pipe
+    order = sorted(range(len(ns)), key=ns.__getitem__, reverse=True)
+    tasks = b"".join(i.to_bytes(4, "little") for i in order)
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    pipe_buf = os.fpathconf(task_w, "PC_PIPE_BUF")
+    piece = pipe_buf // 4 * 4
+    open_fds = {task_r, task_w, result_r, result_w}
+    parent = os.getpid()
+    children: list[int] = []
+
+    def close(fd: int) -> None:
+        open_fds.discard(fd)
+        os.close(fd)
+
     try:
-        futures = {n: pool.submit(task, n, *args) for n in sorted(ns, reverse=True)}
-        # a task is cancelled only while no worker has started it
-        here = {n: task(n, *args) for n, future in futures.items() if future.cancel()}
-        return [here[n] if n in here else futures[n].result() for n in ns]
-    except BrokenProcessPool as exc:
-        raise WorkerDied(f"a worker process died: {exc}") from None
+        # only this process writes tasks, and never waits for room: what
+        # does not fit now is written as readers make room
+        os.set_blocking(task_w, False)
+        end = len(tasks)
+        sent = _send(task_w, tasks, 0, end, piece)
+        for slot in range(workers - 1):
+            pid = os.fork()
+            if pid == 0:
+                os.close(task_w)
+                os.close(result_r)
+                _child(slot, task, ns, args, task_r, result_w, parent, pipe_buf)
+            children.append(pid)
+        close(result_w)
+        here = {}
+        while True:
+            sent = _send(task_w, tasks, sent, end, piece)
+            if sent < end:
+                # the pipe is full, and may be emptied before this process
+                # reads it: take the last unsent task instead
+                end -= 4
+                record = tasks[end : end + 4]
+            else:
+                if task_w in open_fds:
+                    close(task_w)
+                record = os.read(task_r, 4)
+                if not record:
+                    break
+            i = int.from_bytes(record, "little")
+            here[i] = task(ns[i], *args)
+        sent_back = bytearray()
+        while chunk := os.read(result_r, 1 << 16):
+            sent_back += chunk
+        while children:
+            # every child has closed its end of the result pipe, so each
+            # has ended or is ending; off the list first, so none is reaped twice
+            pid = children.pop()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                how = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise WorkerDied(f"a worker process died: pid {pid} {how}")
+        errors = {}
+        for payload in _frames(sent_back).values():
+            results, failed = pickle.loads(payload)
+            here.update(results)
+            errors.update(failed)
+        if errors:
+            raise errors[min(errors)]
+        return [here[i] for i in range(len(ns))]
+    except BaseException:
+        import signal
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for fd in list(open_fds):
+            close(fd)
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker once ``parent`` is no longer its parent.
+def _send(fd: int, tasks: bytes, sent: int, end: int, piece: int) -> int:
+    """Write ``tasks[sent:end]`` to ``fd`` as far as the pipe has room; the new ``sent``.
 
-    A forked worker holds the write end of its own call queue, so it never
-    reads an end of file there; if the command's process dies, the worker
-    would wait for its next task for ever. A daemon thread polls the
-    parent pid instead, and exits the worker when it changes.
+    Each write is at most ``piece`` bytes, so it is written whole or not
+    at all.
     """
-    import threading
-    import time
+    while sent < end:
+        try:
+            sent += os.write(fd, tasks[sent : min(sent + piece, end)])
+        except BlockingIOError:
+            break
+    return sent
 
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.25)
-        os._exit(1)
 
-    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+def _child(
+    slot: int,
+    task: Callable[..., object],
+    ns: Sequence[int],
+    args: tuple,
+    task_r: int,
+    result_w: int,
+    parent: int,
+    pipe_buf: int,
+) -> None:
+    """A forked worker: run tasks until the task pipe ends, send the results, exit.
+
+    The results go as ``(results by index, exception by index)``,
+    in frames of at most ``pipe_buf`` bytes, each headed by ``slot`` and
+    its length, so frames of several children never interleave. A task
+    exception ends the loop. The process ends with ``os._exit``, so no
+    handler or buffer of the parent's runs twice; anything unexpected,
+    Ctrl-C included, ends it with code 1.
+    """
+    import pickle
+
+    code = 1
+    try:
+        results = {}
+        failed = {}
+        while True:
+            if os.getppid() != parent:
+                # the command is gone: start no further task
+                os._exit(1)
+            record = os.read(task_r, 4)
+            if not record:
+                break
+            i = int.from_bytes(record, "little")
+            try:
+                results[i] = task(ns[i], *args)
+            except Exception as exc:
+                failed[i] = exc
+                break
+        payload = pickle.dumps((results, failed))
+        head = slot.to_bytes(4, "little")
+        step = pipe_buf - 8
+        for at in range(0, len(payload), step):
+            chunk = payload[at : at + step]
+            os.write(result_w, head + len(chunk).to_bytes(4, "little") + chunk)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _frames(data: bytearray) -> dict[int, bytearray]:
+    """The payload of each slot, joined from the frames :func:`_child` wrote."""
+    payloads: dict[int, bytearray] = {}
+    at = 0
+    while at < len(data):
+        slot = int.from_bytes(data[at : at + 4], "little")
+        size = int.from_bytes(data[at + 4 : at + 8], "little")
+        payloads.setdefault(slot, bytearray()).extend(data[at + 8 : at + 8 + size])
+        at += 8 + size
+    return payloads
 
 
 def n_dir(out_root: Path, n: int) -> Path:

@@ -42,8 +42,8 @@ class TransferGraph:
         return sum(len(row) for row in self.adj) // 2
 
     def is_connected(self) -> bool:
-        """True when the whole graph is one component."""
-        return len(induced_components(self, range(len(self.adj)))) == 1
+        """True when one walk from vertex 0 reaches every vertex; no vertex set is built."""
+        return -1 not in bfs_distances(self, [0])
 
     def conjugation_permutation(self) -> tuple[int, ...]:
         """Vertex permutation induced by conjugating every partition.

@@ -32,7 +32,7 @@ from .thickness import (
     thickness_profile,
 )
 from .transfer_graph import TransferGraph, bfs_distances, build_graph, induced_components
-from .zones import ZoneDecomposition, first_occurrences, threshold_zone, zone_sweep
+from .zones import ZoneDecomposition, first_occurrences, zone_sweep
 
 ORACLE_RANGE_MAX = 12
 
@@ -333,12 +333,25 @@ def _check_max_locus(run: _Range, b: _Bundle) -> str:
     return "nonempty, conjugation-invariant, antenna-free above thickness 1"
 
 
+def _splits(whole: frozenset[int], parts: list[frozenset[int]]) -> bool:
+    """True when ``parts`` are disjoint and together make up ``whole``.
+
+    Their sizes must add up to ``len(whole)``. Then one nonempty part that
+    is ``whole`` itself settles it; otherwise their union, built only now,
+    must equal ``whole``.
+    """
+    parts = [part for part in parts if part]
+    if sum(map(len, parts)) != len(whole):
+        return False
+    return (len(parts) == 1 and parts[0] is whole) or frozenset().union(*parts) == whole
+
+
 def _check_zone_partition(run: _Range, b: _Bundle) -> str:
     for r, dec in b.zones.items():
-        _fail_if(dec.shell | dec.core != dec.threshold, "shell/core at n={}, r={}", b.n, r)
-        _fail_if(bool(dec.shell & dec.core), "shell meets core at n={}, r={}", b.n, r)
-        union = frozenset().union(*(c.vertices for c in dec.components))
-        _fail_if(union != dec.threshold, "components at n={}, r={}", b.n, r)
+        halves = [dec.shell, dec.core]
+        _fail_if(not _splits(dec.threshold, halves), "shell/core at n={}, r={}", b.n, r)
+        components = [c.vertices for c in dec.components]
+        _fail_if(not _splits(dec.threshold, components), "components at n={}, r={}", b.n, r)
     return "shell and core split every zone exactly"
 
 
@@ -379,8 +392,8 @@ def _check_antenna_exclusion(run: _Range, b: _Bundle) -> str:
     n = b.n
     if n >= 2:
         antenna_idxs = set(b.framework.antennas)
-        zone2 = threshold_zone(b.profile, 2)
-        _fail_if(bool(antenna_idxs & zone2), "antenna in the triangular regime at n={}", n)
+        inside = any(b.profile.tau[a] >= 2 for a in antenna_idxs)
+        _fail_if(inside, "antenna in the triangular regime at n={}", n)
         if 2 in b.zones:
             for comp in b.zones[2].components:
                 if comp.boundary_attached:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq, le
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .framework import FrameworkSet
 from .partitions import _json_list, canonical_index, partition_names
@@ -34,6 +34,11 @@ class ZoneDecomposition:
     the zone, ordered by smallest member; a component is boundary-attached
     when it intersects the framework vertex set. The shell collects the
     attached components, the core everything else.
+
+    Fields that hold the same vertex set may be one object: a component
+    that is the whole zone holds ``threshold`` itself, as does ``shell``
+    when every component is attached (``core`` when none is), and the
+    other side is one shared empty set.
     """
 
     n: int
@@ -43,6 +48,10 @@ class ZoneDecomposition:
     components: tuple[ZoneComponent, ...]
     shell: frozenset[int]
     core: frozenset[int]
+
+
+# the one empty side of every zone whose components all fall on the other
+_EMPTY: frozenset[int] = frozenset()
 
 
 def threshold_zone(profile: ThicknessProfile, r: int) -> frozenset[int]:
@@ -138,7 +147,11 @@ def _grow(
     exact = exact_regime(profile, r)
     if above.r == r + 1:
         added = exact
-        threshold = above.threshold | exact
+        if above.threshold and exact:
+            threshold = above.threshold | exact
+        else:
+            # one side is empty: the zone is the other set itself, not a copy
+            threshold = above.threshold or exact
     else:
         # above.threshold is T_{>=above.r}, so the rest has r <= tau < above.r;
         # from the empty zone, every member is added and no copy is made
@@ -181,24 +194,35 @@ def _grow(
     for group, new in zip(olds, news):
         if group is None:
             continue
-        if not new:
+        if _size(group, new) == len(threshold):
+            # the whole zone: its one component holds the zone's own set
+            members = threshold
+        elif not new:
             components.append(group[0])
             continue
-        members = frozenset().union(*[comp.vertices for comp in group], new)
+        else:
+            members = frozenset().union(*[comp.vertices for comp in group], new)
         attached = any(c.boundary_attached for c in group) or not border.isdisjoint(new)
         components.append(ZoneComponent(vertices=members, boundary_attached=attached))
     if len(components) > 1:
         components.sort(key=lambda c: min(c.vertices))
     shell = [c.vertices for c in components if c.boundary_attached]
     core = [c.vertices for c in components if not c.boundary_attached]
+    # a side that takes every component is the zone itself, the other empty
+    if not core:
+        shell, core = threshold, _EMPTY
+    elif not shell:
+        shell, core = _EMPTY, threshold
+    else:
+        shell, core = frozenset().union(*shell), frozenset().union(*core)
     return ZoneDecomposition(
         n=graph.n,
         r=r,
         threshold=threshold,
         exact=exact,
         components=tuple(components),
-        shell=frozenset().union(*shell),
-        core=frozenset().union(*core),
+        shell=shell,
+        core=core,
     )
 
 
@@ -240,21 +264,25 @@ def zone_json(decomposition: ZoneDecomposition) -> str:
     nothing needs escaping.
     """
     table = partition_names(decomposition.n)
+    # fields that share one set share its sorted, quoted names too
+    names: dict[int, list[str]] = {}
+
+    def name_list(idxs: frozenset[int], depth: int) -> str:
+        quoted = names.get(id(idxs))
+        if quoted is None:
+            quoted = names[id(idxs)] = [f'"{table[i]}"' for i in sorted(idxs)]
+        return _json_list(quoted, depth)
+
     components = [
-        f'{{\n      "vertices": {_name_list(table, c.vertices, 3)},\n'
+        f'{{\n      "vertices": {name_list(c.vertices, 3)},\n'
         f'      "boundary_attached": {"true" if c.boundary_attached else "false"}\n    }}'
         for c in decomposition.components
     ]
     return (
         f'{{\n  "n": {decomposition.n},\n  "r": {decomposition.r},\n'
-        f'  "threshold": {_name_list(table, decomposition.threshold, 1)},\n'
-        f'  "exact": {_name_list(table, decomposition.exact, 1)},\n'
-        f'  "shell": {_name_list(table, decomposition.shell, 1)},\n'
-        f'  "core": {_name_list(table, decomposition.core, 1)},\n'
+        f'  "threshold": {name_list(decomposition.threshold, 1)},\n'
+        f'  "exact": {name_list(decomposition.exact, 1)},\n'
+        f'  "shell": {name_list(decomposition.shell, 1)},\n'
+        f'  "core": {name_list(decomposition.core, 1)},\n'
         f'  "components": {_json_list(components, 1)}\n}}\n'
     )
-
-
-def _name_list(table: Sequence[str], idxs: Iterable[int], depth: int) -> str:
-    """JSON list of the names at ``idxs`` in index order, nested ``depth`` deep."""
-    return _json_list([f'"{table[i]}"' for i in sorted(idxs)], depth)

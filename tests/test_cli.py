@@ -2,7 +2,6 @@ import contextlib
 import errno
 import importlib
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -84,36 +83,155 @@ main(sys.argv[1:], prog_name="partition-atlas")
 """
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs forked workers"
-)
+# runs the CLI with the given arguments as if on two CPUs, so verify pools
+POOLED = """
+import sys
+from partition_atlas import pipeline
+from partition_atlas.cli import main
+
+pipeline.cpu_count = lambda: 2
+main(sys.argv[1:], prog_name="partition-atlas")
+"""
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+
+
+def _session(sid):
+    """Pids of the live processes in session ``sid``, read from /proc."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # after the command name: state, ppid, pgrp, session, ...
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # the process ended while the list was read
+        if int(fields[3]) == sid and fields[0] != "Z":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def _run_in_session(code, args, cwd):
+    """Run ``python -c code *args`` in a session of its own; (exit code, stdout, stderr).
+
+    Once the command has exited, no process of its session may be left.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        # a pool that waits for a dead worker hangs: end the command and its workers
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+    if Path("/proc/self/stat").exists():
+        left = _session(proc.pid)
+        if left:
+            os.killpg(proc.pid, signal.SIGKILL)
+        assert not left, f"processes {left} outlived the command"
+    return proc.returncode, out, err
+
+
+@needs_fork
 @pytest.mark.parametrize(
     "args",
     [["compute", "--n-max", "20", "--jobs", "2", "--out", "a"], ["verify", "--n-max", "20"]],
     ids=["compute", "verify"],
 )
 def test_a_dead_worker_ends_the_command(tmp_path, args):
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.Popen(
-        [sys.executable, "-c", DYING_WORKER, *args],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        # a pool that waits for the dead worker hangs: end the command and its workers
-        os.killpg(proc.pid, signal.SIGKILL)
-        out, err = proc.communicate()
-    assert proc.returncode == 1, err
+    code, out, err = _run_in_session(DYING_WORKER, args, tmp_path)
+    assert code == 1, err
     assert "a worker process died" in err
     assert "checks passed" not in out
 
 
+@needs_fork
+@pytest.mark.parametrize(
+    "args, last",
+    [
+        (["compute", "--n-max", "12", "--jobs", "2", "--out", "a"], "computed 12 graphs into a"),
+        (["verify", "--n-max", "12"], "26/26 checks passed"),
+    ],
+    ids=["compute", "verify"],
+)
+def test_a_pooled_command_leaves_no_process(tmp_path, args, last):
+    code, out, err = _run_in_session(POOLED, args, tmp_path)
+    assert code == 0, err
+    assert out.splitlines()[-1] == last
+
+
+def _twice(n):
+    return 2 * n
+
+
+def test_map_n_outlasts_a_full_task_pipe():
+    from partition_atlas.pipeline import map_n
+
+    # four bytes a task: far more than one 64 KiB pipe buffer holds, in an
+    # order that is neither increasing nor decreasing
+    ns = [(i * 7919) % 100_000 for i in range(100_000)]
+    assert map_n(_twice, ns, 2) == [2 * n for n in ns]
+
+
+def test_map_n_raises_a_worker_exception_unchanged():
+    from partition_atlas.pipeline import map_n
+
+    parent = os.getpid()
+
+    def task(n):
+        if os.getpid() != parent:
+            raise ValueError("raised in a worker", n)
+        time.sleep(0.05)
+        return n
+
+    with pytest.raises(ValueError) as caught:
+        map_n(task, range(1, 9), 2)
+    assert type(caught.value) is ValueError
+    message, n = caught.value.args
+    assert message == "raised in a worker" and n in range(1, 9)
+
+
+@needs_fork
+def test_map_n_kills_its_workers_on_an_interrupt(tmp_path):
+    from partition_atlas.pipeline import map_n
+
+    parent, marker = os.getpid(), tmp_path / "workers"
+    marker.touch()
+
+    def task(n):
+        if os.getpid() != parent:
+            with open(marker, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            time.sleep(60)
+        while not marker.read_text().endswith("\n"):
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        map_n(task, range(1, 9), 3)
+    # killed, not waited for, and reaped before the interrupt reached the caller
+    assert time.monotonic() - start < 30
+    workers = set(map(int, marker.read_text().split()))
+    assert workers and not [pid for pid in workers if _alive(pid)]
+
+
+def test_map_n_without_fork_runs_every_task_here(monkeypatch):
+    from partition_atlas.pipeline import map_n
+
+    monkeypatch.delattr(os, "fork")
+    assert map_n(lambda n: (n, os.getpid()), range(1, 5), 4) == [
+        (n, os.getpid()) for n in range(1, 5)
+    ]
+
+
 # runs one pool over n = 1..8 with two workers; the worker writes its pid
-# to the file named by argv[1] at each task, and the command's own process,
-# once that file names the worker, dies inside its first task without
-# shutting the pool down
+# to the file named by argv[1] at the start of each task, which takes half
+# a second, and the command's own process, once that file names the
+# worker, dies inside its first task without shutting the pool down
 ORPHANED_WORKER = """
 import os, sys, time
 from partition_atlas import pipeline
@@ -124,7 +242,7 @@ def task(n):
     if os.getpid() != parent:
         with open(marker, "a") as f:
             f.write(f"{os.getpid()}\\n")
-        time.sleep(0.1)
+        time.sleep(0.5)
         return n
     while not open(marker).read().endswith("\\n"):
         time.sleep(0.01)
@@ -147,9 +265,7 @@ def _alive(pid):
         return True
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs forked workers"
-)
+@needs_fork
 def test_a_worker_ends_with_the_command(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     marker = tmp_path / "workers"
@@ -160,12 +276,16 @@ def test_a_worker_ends_with_the_command(tmp_path):
     stray = True  # until the command and its worker are both seen gone
     try:
         assert proc.wait(timeout=60) == 3
-        (worker,) = set(map(int, marker.read_text().split()))
+        started = marker.read_text().split()
+        (worker,) = set(map(int, started))
         deadline = time.monotonic() + 5
         while _alive(worker) and time.monotonic() < deadline:
             time.sleep(0.05)
         stray = _alive(worker)
         assert not stray, f"worker {worker} outlived the command"
+        # it finished the task it had, and started no other (one more, at
+        # most, if the command took long to die)
+        assert len(marker.read_text().split()) <= 2, started
     finally:
         if stray:
             # end the command's process group, which holds its worker

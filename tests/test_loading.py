@@ -17,21 +17,26 @@ import partition_atlas
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# runs the CLI with the given arguments, then prints the loaded modules as
-# the last line of stdout
+# runs the CLI with the given arguments, then prints, as the last line of
+# stdout, the modules loaded since the interpreter started (a site hook may
+# load some before any program runs). Every probe sees two CPUs, so
+# verify runs its pool on any machine.
 PROBE = """
-import json, sys
+import json, os, sys
+started = set(sys.modules)
+os.sched_getaffinity = lambda pid: {0, 1}
 from partition_atlas.cli import main
 try:
     main(sys.argv[1:], prog_name="partition-atlas")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(sys.modules)]))
+print(json.dumps([code, sorted(set(sys.modules) - started)]))
 """
 
 
-# what a worker pool loads; a run in one process loads neither
-POOL_MODULES = {"multiprocessing", "concurrent.futures"}
+# what an executor-based pool loads; the fork pool, and a run in one
+# process, load none of them
+POOL_MODULES = {"multiprocessing", "concurrent.futures", "threading"}
 
 
 def _run(code, *args, cwd):
@@ -70,8 +75,10 @@ def test_help_loads_only_the_cli(tmp_path):
         (["compute", "--n-max", "3", "--jobs", "1", "--out", "a"], ["verify", "atlas"]),
         (["graph-dump", "--n", "4"], ["thickness", "zones", "atlas", "verify"]),
         (["verify", "--n-min", "3", "--n-max", "3"], []),
+        (["compute", "--n-max", "3", "--jobs", "2", "--out", "a"], ["verify", "atlas"]),
+        (["verify", "--n-max", "3"], []),
     ],
-    ids=["compute", "graph-dump", "verify-one-n"],
+    ids=["compute", "graph-dump", "verify-one-n", "compute-pooled", "verify-pooled"],
 )
 def test_command_loads_only_its_layers(tmp_path, args, absent):
     loaded = _loaded(*args, cwd=tmp_path)

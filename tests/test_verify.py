@@ -160,6 +160,37 @@ def test_adjacency_check_catches_a_malformed_row(monkeypatch, row_of, detail):
     assert check.detail == f"raised AssertionError: {detail}"
 
 
+@pytest.mark.parametrize(
+    "broken, detail",
+    [
+        (lambda dec, zone: dict(core=dec.threshold, shell=dec.threshold), "shell/core"),
+        # as many members as the zone, one of them outside it
+        (lambda dec, zone: dict(shell=frozenset([*zone[1:], 999]), core=frozenset()), "shell/core"),
+        # sizes that add up to the zone's, from halves that overlap
+        (
+            lambda dec, zone: dict(shell=frozenset(zone[:2]), core=frozenset(zone[1:-1])),
+            "shell/core",
+        ),
+        (lambda dec, zone: dict(components=(_component(dec, zone[1:]),)), "components"),
+        (lambda dec, zone: dict(components=(_component(dec, [*zone[1:], 999]),)), "components"),
+    ],
+    ids=["both-the-zone", "shell-leaves-the-zone", "halves-overlap", "short", "component-leaves"],
+)
+def test_zone_partition_check_catches_a_broken_split(broken, detail):
+    bundle = verify._bundle(8)
+    dec = bundle.zones[2]
+    zones = {**bundle.zones, 2: dataclasses.replace(dec, **broken(dec, sorted(dec.threshold)))}
+    ok, text, _ = verify._outcome(
+        verify._check_zone_partition, verify._Range(8, 8), dataclasses.replace(bundle, zones=zones)
+    )
+    assert not ok
+    assert text == f"raised AssertionError: {detail} at n=8, r=2"
+
+
+def _component(dec, vertices):
+    return dataclasses.replace(dec.components[0], vertices=frozenset(vertices))
+
+
 def test_results_carry_check_seconds():
     results = verify.run_checks(1, 4)
     assert all(r.seconds >= 0 for r in results)

@@ -21,6 +21,7 @@ from partition_atlas import (
     zone_json,
     zone_sweep,
 )
+from partition_atlas import zones
 from partition_atlas.partitions import canonical_index
 
 
@@ -277,6 +278,52 @@ def test_sweep_merges_components():
     assert low.exact == frozenset({1, 3})
     assert low.shell == frozenset({0, 1, 2, 3, 4})
     assert low.core == frozenset({6})
+
+
+def test_zone_fields_share_one_set_per_distinct_vertex_set():
+    seen = {"one component": 0, "all attached": 0, "none attached": 0}
+    for n in range(1, 21):
+        g, prof, fw = build_graph(n), thickness_profile(n), boundary_framework(n)
+        for dec in zone_sweep(g, fw, prof):
+            if dec.r == prof.tau_max:
+                assert dec.threshold is dec.exact, (n, dec.r)
+            for c in dec.components:
+                if len(c.vertices) == len(dec.threshold):
+                    assert c.vertices is dec.threshold, (n, dec.r)
+                    seen["one component"] += 1
+            attached = [c.boundary_attached for c in dec.components]
+            if all(attached):
+                assert dec.shell is dec.threshold and dec.core is zones._EMPTY, (n, dec.r)
+                seen["all attached"] += 1
+            elif not any(attached):
+                assert dec.core is dec.threshold and dec.shell is zones._EMPTY, (n, dec.r)
+                seen["none attached"] += 1
+    # every case occurs, so none of the checks above is vacuous
+    assert all(seen.values()), seen
+
+
+def test_a_zone_with_attached_and_free_components_builds_its_shell_and_core():
+    # thickness 2 on the closed neighborhood of one framework vertex and of
+    # one vertex whose neighborhood misses the framework, 1 elsewhere: T>=2
+    # has an attached component and a free one, a split that real
+    # thickness values up to n=36 never make
+    n = 12
+    g, fw = build_graph(n), boundary_framework(n)
+    ball = [{v, *g.adj[v]} for v in range(len(g.adj))]
+    a = min(fw.all_indices - set(fw.antennas))
+    near_a = set().union(*[ball[v] for v in ball[a]])
+    b = next(v for v in range(len(g.adj)) if not ball[v] & (fw.all_indices | near_a))
+    tau = tuple(2 if v in ball[a] | ball[b] else 1 for v in range(len(g.adj)))
+    prof = dataclasses.replace(thickness_profile(n), tau=tau, tau_max=2)
+    top, low = zone_sweep(g, fw, prof)
+    reference = [(c, bool(c & fw.all_indices)) for c in induced_components(g, top.threshold)]
+    assert [attached for _, attached in reference] == [True, False]
+    assert [(c.vertices, c.boundary_attached) for c in top.components] == reference
+    assert top.shell == reference[0][0] and top.core == reference[1][0]
+    assert top.shell | top.core == top.threshold and not top.shell & top.core
+    # order 1 is all of G_n again: one attached component, the zone itself
+    assert low.shell is low.threshold is low.components[0].vertices
+    assert low.core is zones._EMPTY
 
 
 def test_decompose_steps_from_the_order_above(small_profiles):
