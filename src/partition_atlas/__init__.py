@@ -15,8 +15,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# largest n whose reference values `verify` holds in full; the CLI's
-# verified range, past which an order first realized is reported as new
+# the CLI's verified range; `verify` reports an order first realized
+# past it as new
 REFERENCE_RANGE_MAX = 30
 
 _HOME = {
@@ -26,7 +26,7 @@ _HOME = {
         "framework": "FrameworkSet antennas boundary_framework framework_json "
         "left_boundary main_chain right_boundary self_conjugate_axis",
         "partitions": "canonical_index enumerate_partitions format_partition "
-        "parse_partition partition_count partition_names",
+        "partition_count partition_names",
         "thickness": "ThicknessProfile brute_force_local_dimension profile_csv "
         "profile_from_json profile_json thickness_profile",
         "transfer_graph": "TransferGraph bfs_distances build_graph induced_components",
@@ -59,7 +59,6 @@ __all__ = [
     "induced_components",
     "left_boundary",
     "main_chain",
-    "parse_partition",
     "partition_count",
     "partition_names",
     "profile_csv",

@@ -3,11 +3,11 @@
 Each check covers one documented property of the pipeline and is one
 entry of :data:`CHECKS`. The runner takes the requested range one n at a
 time: it builds that n's graph, profile, framework and zones once,
-evaluates every per-n check against them, and drops them before the next
-n, so memory follows the largest n of the range rather than the whole
-range. The n are independent, so they may be spread over worker
-processes; only each check's outcome and each n's tau_max come back, and
-the outcomes are merged in n order. It reports one result per check.
+evaluates every check against them, and drops them before the next n, so
+memory follows the largest n of the range rather than the whole range.
+The n are independent, so they may be spread over worker processes; only
+each check's outcome comes back, and the outcomes are merged in n order.
+It reports one result per check.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from math import isqrt
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 from . import REFERENCE_RANGE_MAX
 from .atlas import _cells, atlas_chunks
 from .framework import FrameworkSet, boundary_framework, self_conjugate_axis
-from .partitions import enumerate_partitions, format_partition, parse_partition, partition_count
+from .partitions import enumerate_partitions, format_partition, partition_count
 from .pipeline import map_n
 from .thickness import (
     ThicknessProfile,
@@ -32,20 +33,9 @@ from .thickness import (
     thickness_profile,
 )
 from .transfer_graph import TransferGraph, bfs_distances, build_graph, induced_components
-from .zones import ZoneDecomposition, first_occurrences, zone_sweep
+from .zones import ZoneDecomposition, zone_sweep
 
 ORACLE_RANGE_MAX = 12
-
-# reference values reproduced by the full computation, complete for n up to
-# REFERENCE_RANGE_MAX; an order first realized past it is reported as new
-EXPECTED_FIRST_OCCURRENCES = {2: 4, 3: 7, 4: 11, 5: 16, 6: 22, 7: 29}
-EXPECTED_MAX_LOCUS = {
-    7: (3, 4, ("4,2,1", "3,3,1")),
-    11: (4, 5, ("5,3,2,1", "4,4,2,1")),
-    16: (5, 6, ("6,4,3,2,1", "5,5,3,2,1")),
-    22: (6, 7, ("7,5,4,3,2,1", "6,6,4,3,2,1")),
-    29: (7, 8, ("8,6,5,4,3,2,1", "7,7,5,4,3,2,1")),
-}
 
 
 @dataclass(frozen=True)
@@ -116,40 +106,31 @@ def _fail_if(condition: bool, message: str, *args: object) -> None:
 
 
 # one check at one n: passed, its detail or failure message, and its seconds
-_Outcome = tuple[bool, str | None, float]
+_Outcome = tuple[bool, str, float]
 
 
-def _outcome(check: Callable[[_Range, Any], str | None], run: _Range, arg: Any) -> _Outcome:
+def _outcome(check: Callable[[_Range, _Bundle], str], run: _Range, b: _Bundle) -> _Outcome:
     start = time.perf_counter()
     try:
-        ok, text = True, check(run, arg)
+        ok, text = True, check(run, b)
     except Exception as exc:  # a crash is a failed check, not a crash of verify
         ok, text = False, f"raised {type(exc).__name__}: {exc}"
     return ok, text, time.perf_counter() - start
 
 
-def _check_n(n: int, n_min: int, n_max: int) -> tuple[int, list[_Outcome]]:
-    """Every per-n check on n's bundle: n's tau_max and one outcome per check.
-
-    The bundle is dropped on return, so only these few values outlive it,
-    in this process or back from a worker.
-    """
+def _check_n(n: int, n_min: int, n_max: int) -> list[_Outcome]:
+    """One outcome per check on n's bundle; only these outlive the bundle."""
     run = _Range(n_min, n_max)
     b = _bundle(n)
-    outcomes = [_outcome(check, run, b) for name, check in CHECKS if name != RANGE_CHECK]
-    return b.profile.tau_max, outcomes
+    return [_outcome(check, run, b) for _, check in CHECKS]
 
 
 def run_checks(n_min: int = 1, n_max: int = 30, workers: int = 1) -> list[CheckResult]:
     """Evaluate every check of :data:`CHECKS` for the range ``n_min..n_max``.
 
-    Each per-n check is called once per n, with that n's bundle. A check
-    that raises at some n fails with the message of the smallest such n;
-    otherwise the detail it returns at ``n_max`` is its verdict, and
-    ``None`` there leaves it out of the report. The first-occurrence table
-    is checked once, from every n's tau_max. The two golden-table checks
-    need profiles from n=1 upward, so they are left out, rather than
-    passed vacuously, when ``n_min`` is above 1.
+    Each check is called once per n, with that n's bundle. A check that
+    raises at some n fails with the message of the smallest such n;
+    otherwise the detail it returns at ``n_max`` is its verdict.
 
     With ``workers`` above 1 the n are spread over that many processes
     (see :func:`pipeline.map_n`); the results are the same, and each
@@ -158,21 +139,13 @@ def run_checks(n_min: int = 1, n_max: int = 30, workers: int = 1) -> list[CheckR
     if not (1 <= n_min <= n_max):
         raise ValueError(f"invalid range {n_min}..{n_max}")
 
-    run = _Range(n_min, n_max)
     per_n = map_n(_check_n, range(n_min, n_max + 1), workers, n_min, n_max)
-    # one row per per-n check, its outcomes in increasing n
-    rows = iter(zip(*(outcomes for _, outcomes in per_n)))
     report: list[CheckResult] = []
-    for name, check in CHECKS:
-        if name == RANGE_CHECK:
-            ok, text, seconds = _outcome(check, run, [tau for tau, _ in per_n])
-        else:
-            over_n = next(rows)
-            failed = [text for ok, text, _ in over_n if not ok]
-            ok, text = not failed, failed[0] if failed else over_n[-1][1]
-            seconds = sum(s for _, _, s in over_n)
-        if not ok or text is not None:
-            report.append(CheckResult(name, ok, text, seconds))
+    # each check's outcomes, in increasing n
+    for (name, _), over_n in zip(CHECKS, zip(*per_n)):
+        failed = [text for ok, text, _ in over_n if not ok]
+        detail = failed[0] if failed else over_n[-1][1]
+        report.append(CheckResult(name, not failed, detail, sum(s for _, _, s in over_n)))
     return report
 
 
@@ -406,42 +379,69 @@ def _check_antenna_exclusion(run: _Range, b: _Bundle) -> str:
     return "antennas stay outside the triangular regime"
 
 
-def _check_first_occurrence_table(run: _Range, tau_maxes: list[int]) -> str | None:
-    # the range check: ``tau_maxes`` holds tau_max at every n of the range, in order
-    if run.n_min > 1:
-        return None
-    entries = first_occurrences(tau_maxes)
-    known = {r: v for r, v in entries.items() if v <= REFERENCE_RANGE_MAX}
-    new = {r: v for r, v in entries.items() if v > REFERENCE_RANGE_MAX}
-    expected = {r: v for r, v in EXPECTED_FIRST_OCCURRENCES.items() if v <= run.n_max}
-    _fail_if(known != expected, "got {}, expected {}", known, expected)
-    # by the corner formula, tau = r needs a partition of n - 1 with r
-    # distinct parts, so n - 1 >= 1 + 2 + ... + r; the covers of the
-    # staircase (r, r-1, ..., 1) reach order r at n = r(r+1)/2 + 1
-    off = {r: v for r, v in new.items() if v != r * (r + 1) // 2 + 1}
-    _fail_if(bool(off), "new orders {} are not at r(r+1)/2 + 1", off)
-    values = list(entries.values())
-    _fail_if(values != sorted(set(values)), "first occurrences not strictly increasing")
-    detail = f"{expected or 'no order realized in range'}"
+def _transitions(n_max: int) -> dict[int, int]:
+    """n_r = r(r+1)/2 + 1 for each order r >= 1 with n_r <= ``n_max``."""
+    return {r: r * (r + 1) // 2 + 1 for r in range(1, _staircase_order(n_max) + 1)}
+
+
+def _staircase_order(n: int) -> int:
+    """tau_max at ``n`` in closed form: the largest r with n_r = r(r+1)/2 + 1 <= n.
+
+    Write delta_r = (r, r-1, ..., 1), d(x) for the number of distinct parts
+    of x, and M_n for the maximal locus. By the corner formula
+    (:func:`thickness._corner_thickness`), tau(p) is the largest d(mu) over
+    the lower covers mu of p. A partition with r distinct parts has size at
+    least r(r+1)/2, and delta_r is the only one of exactly that size. So:
+
+    - tau_max(n) = max{r : n_r <= n}, and order r first occurs at n_r:
+      d(mu) = r needs n - 1 >= r(r+1)/2, and delta_r with its largest part
+      raised to make n - 1 has it.
+    - M_{n_r} is the r + 1 covers of delta_r, as delta_r is the one mu of
+      n_r - 1 with r distinct parts. delta_r is self-conjugate, so this
+      locus is closed under conjugation.
+    - |M_{n_r + 1}| = 2r + 1 for r >= 1. The mu of n_r with r distinct
+      parts are (r+1, r-1, ..., 1) and (r, ..., 2, 1, 1). Each has r + 1
+      covers, and they share one, their union (r+1, r-1, ..., 1, 1).
+
+    The two table checks below test these at every n of the range.
+    """
+    return (isqrt(8 * n - 7) - 1) // 2
+
+
+def _staircase_covers(r: int) -> set[tuple[int, ...]]:
+    """The r + 1 covers of delta_r: one box added to each row, or a new row."""
+    stair = tuple(range(r, 0, -1))
+    return {stair[:i] + (stair[i] + 1,) + stair[i + 1 :] for i in range(r)} | {stair + (1,)}
+
+
+def _check_first_occurrence_table(run: _Range, b: _Bundle) -> str:
+    tau_max, expected = b.profile.tau_max, _staircase_order(b.n)
+    _fail_if(tau_max != expected, "tau_max {} at n={}, expected {}", tau_max, b.n, expected)
+    # the orders r >= 2 first realized in the range, after its first n
+    firsts = {r: v for r, v in _transitions(run.n_max).items() if r >= 2 and v > run.n_min}
+    known = {r: v for r, v in firsts.items() if v <= REFERENCE_RANGE_MAX}
+    new = {r: v for r, v in firsts.items() if v > REFERENCE_RANGE_MAX}
+    parts = [f"{known}"] if known else []
     if new:
-        detail += f"; new beyond n={REFERENCE_RANGE_MAX}: {new}, each at r(r+1)/2 + 1"
-    return detail
+        parts.append(f"new beyond n={REFERENCE_RANGE_MAX}: {new}, each at r(r+1)/2 + 1")
+    return "; ".join(parts) or "no order realized in range"
 
 
-def _check_max_locus_table(run: _Range, b: _Bundle) -> str | None:
-    if run.n_min > 1:
-        return None
-    golden = EXPECTED_MAX_LOCUS.get(b.n)
-    if golden is not None:
-        tau_max, size, reps = golden
-        prof = b.profile
-        _fail_if(prof.tau_max != tau_max, "tau_max at n={}", b.n)
-        _fail_if(len(prof.max_locus) != size, "locus size at n={}", b.n)
-        locus = {b.graph.vertices[i] for i in prof.max_locus}
-        for text in reps:
-            _fail_if(parse_partition(text) not in locus, "{} missing at n={}", text, b.n)
-    matched = [n for n in EXPECTED_MAX_LOCUS if n <= run.n_max]
-    return f"matched at n in {matched}" if matched else "no transition n in range"
+def _check_max_locus_table(run: _Range, b: _Bundle) -> str:
+    n, r = b.n, _staircase_order(b.n)
+    n_r, size = r * (r + 1) // 2 + 1, len(b.profile.max_locus)
+    if n == n_r:
+        locus = {b.graph.vertices[i] for i in b.profile.max_locus}
+        _fail_if(locus != _staircase_covers(r), "locus at n={} is not the covers of delta_{}", n, r)
+    elif n == n_r + 1:
+        _fail_if(size != 2 * r + 1, "locus size {} at n={}, expected {}", size, n, 2 * r + 1)
+    ns = _transitions(run.n_max).values()
+    found = {
+        "covers of (r, ..., 1)": [v for v in ns if v >= run.n_min],
+        "2r + 1 members": [v + 1 for v in ns if run.n_min <= v + 1 <= run.n_max],
+    }
+    text = "; ".join(f"{label} at n in {at}" for label, at in found.items() if at)
+    return text or "no transition n in range"
 
 
 def _check_rear_support(run: _Range, b: _Bundle) -> str:
@@ -499,12 +499,8 @@ def _check_compute_idempotence(run: _Range, b: _Bundle) -> str:
     return f"identical artifacts for n={run.n_min}..{top}"
 
 
-# the one check of the whole range; it is called once, with every n's
-# tau_max, where every other check is called with each n's bundle
-RANGE_CHECK = "first-occurrence table matches expected values"
-
 # every check, in report order; the acceptance suite reads results by name
-CHECKS: tuple[tuple[str, Callable[[_Range, Any], str | None]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str]], ...] = (
     ("partition counts match independent recurrence", _check_partition_counts),
     ("canonical enumeration order", _check_enumeration_order),
     ("conjugation is an involution", _check_conjugation_involution),
@@ -525,7 +521,7 @@ CHECKS: tuple[tuple[str, Callable[[_Range, Any], str | None]], ...] = (
     ("first shell order is trivial", _check_first_shell_trivial),
     ("zone conjugation invariance", _check_zone_conjugation),
     ("antenna exclusion from thick zones", _check_antenna_exclusion),
-    (RANGE_CHECK, _check_first_occurrence_table),
+    ("first-occurrence table matches expected values", _check_first_occurrence_table),
     ("maximal-thickness table matches expected values", _check_max_locus_table),
     ("maximal loci keep away from the antennas", _check_rear_support),
     ("layout conjugation symmetry", _check_layout_symmetry),

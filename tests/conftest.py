@@ -15,6 +15,18 @@ from partition_atlas.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# the paper's reference values over n = 1..30: the first n at which each
+# order r >= 2 occurs and, at each such n from r = 3 on, tau_max, the size
+# of the maximal locus and two of its members
+PAPER_FIRST_OCCURRENCES = {2: 4, 3: 7, 4: 11, 5: 16, 6: 22, 7: 29}
+PAPER_MAX_LOCUS = {
+    7: (3, 4, ("4,2,1", "3,3,1")),
+    11: (4, 5, ("5,3,2,1", "4,4,2,1")),
+    16: (5, 6, ("6,4,3,2,1", "5,5,3,2,1")),
+    22: (6, 7, ("7,5,4,3,2,1", "6,6,4,3,2,1")),
+    29: (7, 8, ("8,6,5,4,3,2,1", "7,7,5,4,3,2,1")),
+}
+
 
 class Invocation(NamedTuple):
     exit_code: int

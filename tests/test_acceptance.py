@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from conftest import invoke
+from conftest import PAPER_FIRST_OCCURRENCES, PAPER_MAX_LOCUS, invoke
 
 from partition_atlas import (
     bfs_distances,
@@ -19,12 +19,13 @@ from partition_atlas import (
     decompose,
     enumerate_partitions,
     exact_regime,
+    first_occurrences,
     partition_count,
     render_atlas,
     thickness_profile,
 )
-from partition_atlas.partitions import _conjugate
-from partition_atlas.verify import EXPECTED_MAX_LOCUS, run_checks
+from partition_atlas.partitions import _conjugate, parse_partition
+from partition_atlas.verify import run_checks
 
 RANGE_MAX = 30
 
@@ -63,11 +64,19 @@ def assert_passed(verdicts, *names):
 def test_criterion_1_first_occurrences(verdicts):
     with criterion("1 first-occurrence reproduction"):
         assert_passed(verdicts, "first-occurrence table matches expected values")
+        tau_maxes = [thickness_profile(n).tau_max for n in range(1, RANGE_MAX + 1)]
+        assert first_occurrences(tau_maxes) == PAPER_FIRST_OCCURRENCES
 
 
 def test_criterion_2_maximal_locus(verdicts):
     with criterion("2 maximal-locus reproduction"):
         assert_passed(verdicts, "maximal-thickness table matches expected values")
+        for n, (tau_max, size, members) in PAPER_MAX_LOCUS.items():
+            parts = enumerate_partitions(n)
+            profile = thickness_profile(n)
+            locus = {parts[i] for i in profile.max_locus}
+            assert (profile.tau_max, len(locus)) == (tau_max, size), n
+            assert {parse_partition(text) for text in members} <= locus, n
 
 
 def _partition_count_dp(n):
@@ -112,7 +121,7 @@ def test_criterion_6_rear_central_support(verdicts):
         assert_passed(
             verdicts, "maximal-thickness locus", "maximal loci keep away from the antennas"
         )
-        for n in EXPECTED_MAX_LOCUS:
+        for n in PAPER_MAX_LOCUS:
             graph = build_graph(n)
             locus = thickness_profile(n).max_locus
             framework = boundary_framework(n)

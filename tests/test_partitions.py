@@ -6,12 +6,11 @@ from partition_atlas import (
     canonical_index,
     enumerate_partitions,
     format_partition,
-    parse_partition,
     partition_count,
     partition_names,
     thickness_profile,
 )
-from partition_atlas.partitions import _conjugate
+from partition_atlas.partitions import _conjugate, parse_partition
 
 partitions_st = st.lists(st.integers(1, 12), min_size=1, max_size=10).map(
     lambda xs: tuple(sorted(xs, reverse=True))

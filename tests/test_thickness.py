@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from partition_atlas import (
     brute_force_local_dimension,
     build_graph,
-    parse_partition,
     profile_csv,
     profile_from_json,
     profile_json,
@@ -21,6 +20,7 @@ from partition_atlas.partitions import (
     _conjugate,
     enumerate_partitions,
     format_partition,
+    parse_partition,
     partition_names,
 )
 from partition_atlas.thickness import _corner_thickness, clique_search_profile

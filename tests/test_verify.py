@@ -1,59 +1,126 @@
 import dataclasses
+import json
 import re
 
 import pytest
+from conftest import PAPER_FIRST_OCCURRENCES, PAPER_MAX_LOCUS, invoke
 
 from partition_atlas import build_graph, pipeline, thickness_profile, verify
 from partition_atlas.cli import main
-from partition_atlas.partitions import canonical_index, enumerate_partitions
+from partition_atlas.partitions import canonical_index, enumerate_partitions, parse_partition
+
+FIRST_OCCURRENCE = "first-occurrence table matches expected values"
+MAX_LOCUS_TABLE = "maximal-thickness table matches expected values"
 
 
-def _first_occurrence_result(n_max):
-    (result,) = [
-        r for r in verify.run_checks(1, n_max) if r.name.startswith("first-occurrence table")
-    ]
+def _verdict(name, n_max, n_min=1):
+    (result,) = [r for r in verify.run_checks(n_min, n_max) if r.name == name]
     return result
+
+
+def _profile_changed_at(n_bad, change):
+    """thickness_profile with the profile of ``n_bad`` replaced by ``change(profile)``."""
+
+    def patched(n):
+        prof = thickness_profile(n)
+        return change(prof) if n == n_bad else prof
+
+    return patched
+
+
+def test_closed_forms_reproduce_the_paper_tables():
+    firsts = {r: v for r, v in verify._transitions(30).items() if r >= 2}
+    assert firsts == PAPER_FIRST_OCCURRENCES
+    for n, (tau_max, size, members) in PAPER_MAX_LOCUS.items():
+        assert verify._staircase_order(n) == tau_max
+        covers = verify._staircase_covers(tau_max)
+        assert len(covers) == size
+        assert {parse_partition(text) for text in members} <= covers
+
+
+def test_closed_forms_match_graph_free_tables(tmp_path):
+    # every row that tables writes up to 40, from profiles alone
+    args = ["tables", "--n-max", "40", "--allow-beyond-verified-range", "--out", str(tmp_path)]
+    assert invoke(args).exit_code == 0
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert len(summary) == 41
+    for row in summary[1:]:
+        n, _, tau_max, size = map(int, row.split(","))
+        r = verify._staircase_order(n)
+        assert tau_max == r, row
+        n_r = r * (r + 1) // 2 + 1
+        assert size == {n_r: r + 1, n_r + 1: 2 * r + 1}.get(n, size), row
+    firsts = {r: v for r, v in verify._transitions(40).items() if r >= 2}
+    rows = (tmp_path / "first_occurrences.csv").read_text().splitlines()
+    assert rows == ["r,n_r", *(f"{r},{v}" for r, v in firsts.items())]
+    members = json.loads((tmp_path / "max_locus_members.json").read_text())
+    assert members.keys() == {str(v) for v in firsts.values()}
+    for r, v in firsts.items():
+        assert set(map(parse_partition, members[str(v)])) == verify._staircase_covers(r), v
+
+
+def test_first_occurrence_mismatch_within_reference_fails(monkeypatch):
+    # order 3 one n before n_3 = 7, and one n after it
+    for n_bad, tau_max, expected in ((6, 3, 2), (7, 2, 3)):
+
+        def wrong(prof, tau_max=tau_max):
+            return dataclasses.replace(prof, tau_max=tau_max)
+
+        monkeypatch.setattr(verify, "thickness_profile", _profile_changed_at(n_bad, wrong))
+        result = _verdict(FIRST_OCCURRENCE, 11)
+        assert not result.ok
+        detail = f"tau_max {tau_max} at n={n_bad}, expected {expected}"
+        assert result.detail == f"raised AssertionError: {detail}"
+
+
+def test_first_occurrence_off_the_formula_fails(monkeypatch):
+    # a profile that reaches order 4 at n=10, one n before n_4 = 11, past
+    # a lowered reference range, on a range from 1 and on one from 9
+    def early(prof):
+        return dataclasses.replace(prof, tau=(4, *prof.tau[1:]), tau_max=4, max_locus=(0,))
+
+    monkeypatch.setattr(verify, "REFERENCE_RANGE_MAX", 8)
+    monkeypatch.setattr(verify, "thickness_profile", _profile_changed_at(10, early))
+    for n_min in (1, 9):
+        result = _verdict(FIRST_OCCURRENCE, 11, n_min)
+        assert not result.ok
+        assert result.detail == "raised AssertionError: tau_max 4 at n=10, expected 3"
 
 
 def test_first_occurrence_beyond_reference_is_reported_as_new(monkeypatch):
     monkeypatch.setattr(verify, "REFERENCE_RANGE_MAX", 8)
-    monkeypatch.setattr(verify, "EXPECTED_FIRST_OCCURRENCES", {2: 4, 3: 7})
-    result = _first_occurrence_result(11)
+    result = _verdict(FIRST_OCCURRENCE, 11)
     assert result.ok, result.detail
-    assert "new beyond n=8: {4: 11}" in result.detail
-
-
-def test_first_occurrence_mismatch_within_reference_fails(monkeypatch):
-    monkeypatch.setattr(verify, "REFERENCE_RANGE_MAX", 8)
-    monkeypatch.setattr(verify, "EXPECTED_FIRST_OCCURRENCES", {2: 4, 3: 6})
-    result = _first_occurrence_result(11)
-    assert not result.ok
-    assert "expected {2: 4, 3: 6}" in result.detail
+    assert result.detail == "{2: 4, 3: 7}; new beyond n=8: {4: 11}, each at r(r+1)/2 + 1"
 
 
 def test_first_occurrences_beyond_reference_follow_the_formula(monkeypatch):
     monkeypatch.setattr(verify, "REFERENCE_RANGE_MAX", 5)
-    monkeypatch.setattr(verify, "EXPECTED_FIRST_OCCURRENCES", {2: 4})
-    result = _first_occurrence_result(12)
+    result = _verdict(FIRST_OCCURRENCE, 12)
     assert result.ok, result.detail
-    assert "new beyond n=5: {3: 7, 4: 11}, each at r(r+1)/2 + 1" in result.detail
+    assert result.detail == "{2: 4}; new beyond n=5: {3: 7, 4: 11}, each at r(r+1)/2 + 1"
 
 
-def test_first_occurrence_off_the_formula_fails(monkeypatch):
-    # a profile that reaches order 4 at n=10, one n before the formula
-    def early(n):
-        prof = thickness_profile(n)
-        if n != 10:
-            return prof
-        tau = (4, *prof.tau[1:])
-        return dataclasses.replace(prof, tau=tau, tau_max=4, max_locus=(0,))
+@pytest.mark.parametrize(
+    "n_bad, change, detail",
+    [
+        # n_3 = 7: one cover of (3, 2, 1) left out of the locus
+        (7, lambda locus: locus[1:], "locus at n=7 is not the covers of delta_3"),
+        # as many members, one of them swapped for (7), which has thickness 1
+        (7, lambda locus: (0, *locus[1:]), "locus at n=7 is not the covers of delta_3"),
+        # n_3 + 1 = 8: one member of seven left out
+        (8, lambda locus: locus[1:], "locus size 6 at n=8, expected 7"),
+    ],
+    ids=["short-at-n_r", "swapped-at-n_r", "short-after-n_r"],
+)
+def test_max_locus_table_check_catches_a_wrong_locus(monkeypatch, n_bad, change, detail):
+    def wrong(prof):
+        return dataclasses.replace(prof, max_locus=change(prof.max_locus))
 
-    monkeypatch.setattr(verify, "REFERENCE_RANGE_MAX", 8)
-    monkeypatch.setattr(verify, "EXPECTED_FIRST_OCCURRENCES", {2: 4, 3: 7})
-    monkeypatch.setattr(verify, "thickness_profile", early)
-    result = _first_occurrence_result(11)
+    monkeypatch.setattr(verify, "thickness_profile", _profile_changed_at(n_bad, wrong))
+    result = _verdict(MAX_LOCUS_TABLE, 9)
     assert not result.ok
-    assert "new orders {4: 10} are not at r(r+1)/2 + 1" in result.detail
+    assert result.detail == f"raised AssertionError: {detail}"
 
 
 def test_clique_search_check_catches_a_wrong_profile(monkeypatch):
@@ -105,8 +172,8 @@ def test_idempotence_check_covers_the_requested_range(monkeypatch):
 def test_details_name_only_the_checked_range():
     results = verify.run_checks(21, 22)
     assert all(r.ok for r in results), [r for r in results if not r.ok]
-    # only the golden tables need profiles from n=1
-    assert "maximal loci keep away from the antennas" in {r.name for r in results}
+    # every check runs on a range that starts above 1
+    assert [r.name for r in results] == [name for name, _ in verify.CHECKS]
     for r in results:
         for first, last in re.findall(r"n(?:=| up to )(\d+)(?:\.\.(\d+))?", r.detail):
             assert 21 <= int(first) <= int(last or first) <= 22, (r.name, r.detail)
@@ -274,7 +341,7 @@ VERIFY_12_STDOUT = """\
 [PASS] zone conjugation invariance: zones, shells and cores invariant for n=1..12
 [PASS] antenna exclusion from thick zones: antennas stay outside the triangular regime
 [PASS] first-occurrence table matches expected values: {2: 4, 3: 7, 4: 11}
-[PASS] maximal-thickness table matches expected values: matched at n in [7, 11]
+[PASS] maximal-thickness table matches expected values: covers of (r, ..., 1) at n in [2, 4, 7, 11]; 2r + 1 members at n in [3, 5, 8, 12]
 [PASS] maximal loci keep away from the antennas: antenna distance >= 2 for n in [7, 8, 9, 10, 11, 12]
 [PASS] layout conjugation symmetry: conjugation transposes every base cell
 [PASS] rendering determinism: byte-identical repeated renders at n=7
@@ -303,6 +370,8 @@ RUN_CHECKS_21_22 = [
     ('first shell order is trivial', True, 'order-1 shell is everything, its core empty'),
     ('zone conjugation invariance', True, 'zones, shells and cores invariant for n=21..22'),
     ('antenna exclusion from thick zones', True, 'antennas stay outside the triangular regime'),
+    ('first-occurrence table matches expected values', True, '{6: 22}'),
+    ('maximal-thickness table matches expected values', True, 'covers of (r, ..., 1) at n in [22]'),
     ('maximal loci keep away from the antennas', True, 'antenna distance >= 2 for n in [21, 22]'),
     ('layout conjugation symmetry', True, 'conjugation transposes every base cell'),
     ('rendering determinism', True, 'byte-identical repeated renders at n=21'),

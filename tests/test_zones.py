@@ -15,14 +15,13 @@ from partition_atlas import (
     first_occurrences_csv,
     format_partition,
     induced_components,
-    parse_partition,
     thickness_profile,
     threshold_zone,
     zone_json,
     zone_sweep,
 )
 from partition_atlas import zones
-from partition_atlas.partitions import canonical_index
+from partition_atlas.partitions import canonical_index, parse_partition
 
 
 def _named(graph, idxs):
