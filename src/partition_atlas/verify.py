@@ -2,9 +2,14 @@
 
 Each check covers one documented property of the pipeline and is one
 entry of :data:`CHECKS`. The runner takes the requested range one n at a
-time: it builds that n's graph, profile, framework and zones once,
-evaluates every check against them, and drops them before the next n, so
-memory follows the largest n of the range rather than the whole range.
+time: it builds that n's graph, profile and framework once, evaluates
+every check against them, and drops them before the next n, so memory
+follows the largest n of the range rather than the whole range. The zone
+orders are not part of what is built: the zone checks, which stand
+together in :data:`CHECKS`, run in one sweep that makes n's orders from
+tau_max down. Each zone check sees each order with the one above it, and
+an order is dropped once the next is made, so no more than two orders
+are held at a time.
 The n are independent, so they may be spread over worker processes; only
 each check's outcome comes back, and the outcomes are merged in n order.
 It reports one result per check.
@@ -15,11 +20,13 @@ from __future__ import annotations
 import filecmp
 import tempfile
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import groupby, islice, zip_longest
 from math import isqrt
+from operator import lt
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import REFERENCE_RANGE_MAX
 from .atlas import _cells, atlas_chunks
@@ -58,25 +65,37 @@ class _Range:
 
 @dataclass(frozen=True)
 class _Bundle:
-    """Everything the checks read of one n, built once and dropped after it.
+    """What every check reads of one n, built once and dropped after it.
 
-    ``zones[r]`` is the decomposition of order r, for r = 1..tau_max.
+    The zone orders are not part of it: :func:`_sweep_outcomes` makes
+    them one at a time, in one sweep, for the zone checks.
     """
 
     n: int
     graph: TransferGraph
     profile: ThicknessProfile
     framework: FrameworkSet
-    zones: dict[int, ZoneDecomposition]
 
 
 def _bundle(n: int) -> _Bundle:
-    graph = build_graph(n)
-    profile = thickness_profile(n)
-    framework = boundary_framework(n)
-    # the sweep runs from tau_max down; the checks read the orders upward
-    zones = {dec.r: dec for dec in reversed(list(zone_sweep(graph, framework, profile)))}
-    return _Bundle(n, graph, profile, framework, zones)
+    return _Bundle(n, build_graph(n), thickness_profile(n), boundary_framework(n))
+
+
+# one zone order of n, as its decomposition
+_Order = ZoneDecomposition
+
+
+@dataclass(frozen=True)
+class _PerOrder:
+    """A check of every zone order of n, run inside n's one sweep.
+
+    ``check(b, dec, above)`` raises on a failure of the order ``dec``,
+    given the order above it (None at tau_max). ``detail`` is the verdict
+    of a passing run, formatted with the range's ``n_min`` and ``n_max``.
+    """
+
+    check: Callable[[_Bundle, _Order, _Order | None], None]
+    detail: str
 
 
 def profile_conjugation_ok(graph: TransferGraph, profile: ThicknessProfile) -> bool:
@@ -109,32 +128,66 @@ def _fail_if(condition: bool, message: str, *args: object) -> None:
 _Outcome = tuple[bool, str, float]
 
 
-def _outcome(check: Callable[[_Range, _Bundle], str], run: _Range, b: _Bundle) -> _Outcome:
+def _outcome(check: Callable[..., str | None], *args: object) -> _Outcome:
     start = time.perf_counter()
     try:
-        ok, text = True, check(run, b)
+        ok, text = True, check(*args)
     except Exception as exc:  # a crash is a failed check, not a crash of verify
         ok, text = False, f"raised {type(exc).__name__}: {exc}"
     return ok, text, time.perf_counter() - start
 
 
 def _check_n(n: int, n_min: int, n_max: int) -> list[_Outcome]:
-    """One outcome per check on n's bundle; only these outlive the bundle."""
+    """One outcome per check on n's bundle, in report order; only these outlive the bundle.
+
+    The checks run in the order of :data:`CHECKS`. The zone checks stand
+    together there, and run together, in one sweep (:func:`_sweep_outcomes`).
+    """
     run = _Range(n_min, n_max)
     b = _bundle(n)
-    return [_outcome(check, run, b) for _, check in CHECKS]
+    outcomes: list[_Outcome] = []
+    for per_order, entries in groupby(CHECKS, lambda entry: isinstance(entry[1], _PerOrder)):
+        checks = [check for _, check in entries]
+        if per_order:
+            outcomes += _sweep_outcomes(run, b, checks)
+        else:
+            outcomes += [_outcome(check, run, b) for check in checks]
+    return outcomes
+
+
+def _sweep_outcomes(run: _Range, b: _Bundle, checks: list[_PerOrder]) -> list[_Outcome]:
+    """The outcome of each of ``checks`` over every zone order of n, from one sweep.
+
+    The sweep makes the orders from tau_max down. Each check runs on each
+    order, given the order above it, and its seconds are summed over the
+    orders; as the sweep runs downward, the last order to fail is the
+    smallest failing r. An order is let go once the one below it is
+    checked, so no more than two are held.
+    """
+    outcomes = [(True, c.detail.format(n_min=run.n_min, n_max=run.n_max), 0.0) for c in checks]
+    above = None
+    for dec in zone_sweep(b.graph, b.framework, b.profile):
+        for k, check in enumerate(checks):
+            ok, text, seconds = _outcome(check.check, b, dec, above)
+            was_ok, was_text, was_seconds = outcomes[k]
+            outcomes[k] = (was_ok and ok, was_text if ok else text, was_seconds + seconds)
+        above = dec
+    return outcomes
 
 
 def run_checks(n_min: int = 1, n_max: int = 30, workers: int = 1) -> list[CheckResult]:
     """Evaluate every check of :data:`CHECKS` for the range ``n_min..n_max``.
 
-    Each check is called once per n, with that n's bundle. A check that
-    raises at some n fails with the message of the smallest such n;
-    otherwise the detail it returns at ``n_max`` is its verdict.
+    Each check is called once per n with that n's bundle or, for a zone
+    check, once per zone order of n. A check that raises at some n fails
+    with the message of the smallest such n (for a zone check, of its
+    smallest failing order there); otherwise its detail at ``n_max`` is
+    its verdict. Each check's ``seconds`` is the time it spent, summed
+    over n and, for a zone check, over orders.
 
     With ``workers`` above 1 the n are spread over that many processes
-    (see :func:`pipeline.map_n`); the results are the same, and each
-    check's ``seconds`` is the time it spent summed over n and workers.
+    (see :func:`pipeline.map_n`); the results are the same, and the
+    seconds are summed over workers too.
     """
     if not (1 <= n_min <= n_max):
         raise ValueError(f"invalid range {n_min}..{n_max}")
@@ -180,23 +233,39 @@ def _check_conjugation_involution(run: _Range, b: _Bundle) -> str:
 
 def _check_adjacency_shape(run: _Range, b: _Bundle) -> str:
     n = b.n
-    g = b.graph
-    # back[i] lists, in increasing order, every j with i in adj[j]; an
-    # edge i -> j is symmetric exactly when j is in back[i], so no row is
-    # searched per edge, and a sorted symmetric row equals its back list
-    back: list[list[int]] = [[] for _ in g.adj]
-    for j, row in enumerate(g.adj):
-        for i in row:
-            back[i].append(j)
-    for i, row in enumerate(g.adj):
-        _fail_if(i in row, "self-loop at n={}", n)
-        _fail_if(len(set(row)) != len(row), "duplicate neighbor at n={}", n)
-        if tuple(back[i]) != row:
-            stray = set(row).difference(back[i])
-            for j in row:
-                _fail_if(j in stray, "asymmetric edge {}/{} at n={}", i, j, n)
-    _fail_if(sum(len(r) for r in g.adj) != 2 * g.edge_count, "degree sum at n={}", n)
+    adj = b.graph.adj
+    below = above = 0
+    # from the last row up, so every row a mirror is sought in has been
+    # found strictly increasing, and bisect finds any entry of it
+    for i in range(len(adj) - 1, -1, -1):
+        row = adj[i]
+        if not all(map(lt, row, islice(row, 1, None))):
+            _fail_if(len(set(row)) != len(row), "duplicate neighbor at n={}", n)
+            raise AssertionError(f"unsorted row {i} at n={n}")
+        # the diagonal splits the row: row[:k] lies below it, row[k:] above
+        k = bisect_left(row, i)
+        _fail_if(k < len(row) and row[k] == i, "self-loop at n={}", n)
+        below += k
+        above += len(row) - k
+        j = _stray(adj, i, islice(row, k, None))
+        _fail_if(j is not None, "asymmetric edge {}/{} at n={}", i, j, n)
+    if below != above:
+        # each entry above the diagonal has its own mirror below it, so the
+        # surplus below holds an entry with no mirror above
+        for i, row in enumerate(adj):
+            j = _stray(adj, i, islice(row, bisect_left(row, i)))
+            _fail_if(j is not None, "asymmetric edge {}/{} at n={}", i, j, n)
     return "symmetric, irreflexive, duplicate-free"
+
+
+def _stray(adj: tuple[tuple[int, ...], ...], i: int, js: Iterable[int]) -> int | None:
+    """The first j of ``js`` whose row, sorted, does not hold ``i``; None if none."""
+    for j in js:
+        row = adj[j]
+        k = bisect_left(row, i)
+        if k == len(row) or row[k] != i:
+            return j
+    return None
 
 
 def _check_connectivity(run: _Range, b: _Bundle) -> str:
@@ -319,64 +388,52 @@ def _splits(whole: frozenset[int], parts: list[frozenset[int]]) -> bool:
     return (len(parts) == 1 and parts[0] is whole) or frozenset().union(*parts) == whole
 
 
-def _check_zone_partition(run: _Range, b: _Bundle) -> str:
-    for r, dec in b.zones.items():
-        halves = [dec.shell, dec.core]
-        _fail_if(not _splits(dec.threshold, halves), "shell/core at n={}, r={}", b.n, r)
-        components = [c.vertices for c in dec.components]
-        _fail_if(not _splits(dec.threshold, components), "components at n={}, r={}", b.n, r)
-    return "shell and core split every zone exactly"
+def _check_zone_partition(b: _Bundle, dec: _Order, above: _Order | None) -> None:
+    halves = [dec.shell, dec.core]
+    _fail_if(not _splits(dec.threshold, halves), "shell/core at n={}, r={}", b.n, dec.r)
+    components = [c.vertices for c in dec.components]
+    _fail_if(not _splits(dec.threshold, components), "components at n={}, r={}", b.n, dec.r)
 
 
-def _check_zone_nesting(run: _Range, b: _Bundle) -> str:
-    decs = b.zones
-    for r in range(1, b.profile.tau_max):
-        nested = decs[r + 1].threshold <= decs[r].threshold
-        _fail_if(not nested, "zone nesting at n={}, r={}", b.n, r)
-        _fail_if(not decs[r + 1].shell <= decs[r].shell, "shell nesting at n={}, r={}", b.n, r)
-    for r in range(3, b.profile.tau_max + 1):
-        inside = decs[r].threshold <= decs[2].threshold
-        _fail_if(not inside, "higher zone outside triangular at n={}, r={}", b.n, r)
-    return "zones and shells are nested, higher orders stay triangular"
+def _check_zone_nesting(b: _Bundle, dec: _Order, above: _Order | None) -> None:
+    # consecutive orders only: every order inside the one below it puts
+    # the orders above 2 inside the triangular regime, order 2
+    if above is not None:
+        nested = above.threshold <= dec.threshold
+        _fail_if(not nested, "zone nesting at n={}, r={}", b.n, dec.r)
+        _fail_if(not above.shell <= dec.shell, "shell nesting at n={}, r={}", b.n, dec.r)
 
 
-def _check_first_shell_trivial(run: _Range, b: _Bundle) -> str:
-    if b.n >= 2:
-        dec = b.zones[1]
+def _check_first_shell_trivial(b: _Bundle, dec: _Order, above: _Order | None) -> None:
+    if dec.r == 1:
         _fail_if(len(dec.shell) != len(b.graph.adj), "order-1 shell at n={}", b.n)
         _fail_if(bool(dec.core), "order-1 core at n={}", b.n)
-    return "order-1 shell is everything, its core empty"
 
 
-def _check_zone_conjugation(run: _Range, b: _Bundle) -> str:
-    for r, dec in b.zones.items():
-        for label, vs in (
-            ("threshold", dec.threshold),
-            ("exact", dec.exact),
-            ("shell", dec.shell),
-            ("core", dec.core),
-        ):
-            closed = set_conjugation_invariant(b.graph, vs)
-            _fail_if(not closed, "{} not conjugation-invariant at n={}, r={}", label, b.n, r)
-    return f"zones, shells and cores invariant for n={run.n_min}..{run.n_max}"
+def _check_zone_conjugation(b: _Bundle, dec: _Order, above: _Order | None) -> None:
+    for label, vs in (
+        ("threshold", dec.threshold),
+        ("exact", dec.exact),
+        ("shell", dec.shell),
+        ("core", dec.core),
+    ):
+        closed = set_conjugation_invariant(b.graph, vs)
+        _fail_if(not closed, "{} not conjugation-invariant at n={}, r={}", label, b.n, dec.r)
 
 
-def _check_antenna_exclusion(run: _Range, b: _Bundle) -> str:
-    n = b.n
-    if n >= 2:
+def _check_antenna_exclusion(b: _Bundle, dec: _Order, above: _Order | None) -> None:
+    if dec.r == 2:
         antenna_idxs = set(b.framework.antennas)
-        inside = any(b.profile.tau[a] >= 2 for a in antenna_idxs)
-        _fail_if(inside, "antenna in the triangular regime at n={}", n)
-        if 2 in b.zones:
-            for comp in b.zones[2].components:
-                if comp.boundary_attached:
-                    touch = comp.vertices & b.framework.all_indices
-                    _fail_if(
-                        not (touch - antenna_idxs),
-                        "order-2 component only meets the framework at an antenna, n={}",
-                        n,
-                    )
-    return "antennas stay outside the triangular regime"
+        inside = not antenna_idxs.isdisjoint(dec.threshold)
+        _fail_if(inside, "antenna in the triangular regime at n={}", b.n)
+        for comp in dec.components:
+            if comp.boundary_attached:
+                touch = comp.vertices & b.framework.all_indices
+                _fail_if(
+                    not (touch - antenna_idxs),
+                    "order-2 component only meets the framework at an antenna, n={}",
+                    b.n,
+                )
 
 
 def _transitions(n_max: int) -> dict[int, int]:
@@ -500,7 +557,7 @@ def _check_compute_idempotence(run: _Range, b: _Bundle) -> str:
 
 
 # every check, in report order; the acceptance suite reads results by name
-CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str] | _PerOrder], ...] = (
     ("partition counts match independent recurrence", _check_partition_counts),
     ("canonical enumeration order", _check_enumeration_order),
     ("conjugation is an involution", _check_conjugation_involution),
@@ -516,11 +573,31 @@ CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str]], ...] = (
     ("corner formula matches enumeration oracle", _check_oracle_equivalence),
     ("thickness bounds", _check_tau_bounds),
     ("maximal-thickness locus", _check_max_locus),
-    ("zone decomposition partitions", _check_zone_partition),
-    ("zone and shell nesting", _check_zone_nesting),
-    ("first shell order is trivial", _check_first_shell_trivial),
-    ("zone conjugation invariance", _check_zone_conjugation),
-    ("antenna exclusion from thick zones", _check_antenna_exclusion),
+    (
+        "zone decomposition partitions",
+        _PerOrder(_check_zone_partition, "shell and core split every zone exactly"),
+    ),
+    (
+        "zone and shell nesting",
+        _PerOrder(
+            _check_zone_nesting, "zones and shells are nested, higher orders stay triangular"
+        ),
+    ),
+    (
+        "first shell order is trivial",
+        _PerOrder(_check_first_shell_trivial, "order-1 shell is everything, its core empty"),
+    ),
+    (
+        "zone conjugation invariance",
+        _PerOrder(
+            _check_zone_conjugation,
+            "zones, shells and cores invariant for n={n_min}..{n_max}",
+        ),
+    ),
+    (
+        "antenna exclusion from thick zones",
+        _PerOrder(_check_antenna_exclusion, "antennas stay outside the triangular regime"),
+    ),
     ("first-occurrence table matches expected values", _check_first_occurrence_table),
     ("maximal-thickness table matches expected values", _check_max_locus_table),
     ("maximal loci keep away from the antennas", _check_rear_support),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import weakref
 
 import pytest
 from conftest import PAPER_FIRST_OCCURRENCES, PAPER_MAX_LOCUS, invoke
@@ -8,6 +9,7 @@ from conftest import PAPER_FIRST_OCCURRENCES, PAPER_MAX_LOCUS, invoke
 from partition_atlas import build_graph, pipeline, thickness_profile, verify
 from partition_atlas.cli import main
 from partition_atlas.partitions import canonical_index, enumerate_partitions, parse_partition
+from partition_atlas.zones import zone_sweep
 
 FIRST_OCCURRENCE = "first-occurrence table matches expected values"
 MAX_LOCUS_TABLE = "maximal-thickness table matches expected values"
@@ -214,10 +216,16 @@ def _with_row(row_of):
     [
         # (3,1,1) and (1^5) are not adjacent; only row 3 gains the edge
         (lambda row: sorted({*row, 6}), "asymmetric edge 3/6 at n=5"),
+        # (5) and (3,1,1) are not adjacent; row 3 gains the lower neighbor
+        # 0, which does not list 3 back, so the rows hold one entry more
+        # below the diagonal than above it
+        (lambda row: sorted({*row, 0}), "asymmetric edge 3/0 at n=5"),
         (lambda row: sorted({*row, 3}), "self-loop at n=5"),
         (lambda row: (*row, row[-1]), "duplicate neighbor at n=5"),
+        # every edge still symmetric, the last two neighbors swapped
+        (lambda row: (*row[:-2], row[-1], row[-2]), "unsorted row 3 at n=5"),
     ],
-    ids=["asymmetric", "self-loop", "duplicate"],
+    ids=["asymmetric", "asymmetric-below", "self-loop", "duplicate", "unsorted"],
 )
 def test_adjacency_check_catches_a_malformed_row(monkeypatch, row_of, detail):
     monkeypatch.setattr(verify, "build_graph", _with_row(row_of))
@@ -243,15 +251,51 @@ def test_adjacency_check_catches_a_malformed_row(monkeypatch, row_of, detail):
     ],
     ids=["both-the-zone", "shell-leaves-the-zone", "halves-overlap", "short", "component-leaves"],
 )
-def test_zone_partition_check_catches_a_broken_split(broken, detail):
-    bundle = verify._bundle(8)
-    dec = bundle.zones[2]
-    zones = {**bundle.zones, 2: dataclasses.replace(dec, **broken(dec, sorted(dec.threshold)))}
-    ok, text, _ = verify._outcome(
-        verify._check_zone_partition, verify._Range(8, 8), dataclasses.replace(bundle, zones=zones)
-    )
-    assert not ok
-    assert text == f"raised AssertionError: {detail} at n=8, r=2"
+def test_zone_partition_check_catches_a_broken_split(monkeypatch, broken, detail):
+    def broken_at_2(graph, framework, profile):
+        for dec in zone_sweep(graph, framework, profile):
+            if dec.r == 2:
+                dec = dataclasses.replace(dec, **broken(dec, sorted(dec.threshold)))
+            yield dec
+
+    monkeypatch.setattr(verify, "zone_sweep", broken_at_2)
+    result = _verdict("zone decomposition partitions", 8, 8)
+    assert not result.ok
+    assert result.detail == f"raised AssertionError: {detail} at n=8, r=2"
+
+
+def test_zone_check_names_the_smallest_failing_order(monkeypatch):
+    # the sweep reaches order 3 first at n=8; orders 3 and 2 are broken
+    def broken_from_2(graph, framework, profile):
+        for dec in zone_sweep(graph, framework, profile):
+            yield dataclasses.replace(dec, core=dec.threshold) if dec.r >= 2 else dec
+
+    monkeypatch.setattr(verify, "zone_sweep", broken_from_2)
+    result = _verdict("zone decomposition partitions", 8, 8)
+    assert not result.ok
+    assert result.detail == "raised AssertionError: shell/core at n=8, r=2"
+
+
+def test_check_n_lets_each_zone_order_go_before_the_next_but_one(monkeypatch):
+    # a weak reference to every order of n=16, tau_max 5; when the sweep
+    # has made an order, every order above the one above it must be gone
+    refs = []
+    held = []
+    sweeps = []
+
+    def watched(graph, framework, profile):
+        sweeps.append(graph.n)
+        for dec in zone_sweep(graph, framework, profile):
+            held.append([ref().r for ref in refs[:-1] if ref() is not None])
+            refs.append(weakref.ref(dec))
+            yield dec
+
+    monkeypatch.setattr(verify, "zone_sweep", watched)
+    outcomes = verify._check_n(16, 16, 16)
+    assert all(ok for ok, _, _ in outcomes), outcomes
+    assert sweeps == [16]
+    assert [ref() for ref in refs] == [None] * 5
+    assert held == [[], [], [], [], []]
 
 
 def _component(dec, vertices):
@@ -264,13 +308,14 @@ def test_results_carry_check_seconds():
     assert sum(r.seconds for r in results) > 0
 
 
-# sizes one n=24 bundle, with the enumeration and index warmed, and then
-# runs every check over 1..24; prints the failed checks, the bundle's size
-# and the run's traced peak
+# sizes all of n=24 (its bundle and every zone order), with the
+# enumeration and index warmed, and then runs every check over 1..24;
+# prints the failed checks, the size of n=24 and the run's traced peak
 HOLD_PROBE = """
 import json, tracemalloc
 from partition_atlas import verify
 from partition_atlas.partitions import canonical_index, enumerate_partitions
+from partition_atlas.zones import zone_sweep
 
 
 def traced(make):
@@ -283,20 +328,52 @@ def traced(make):
     return value, held, peak
 
 
+def whole(n):
+    b = verify._bundle(n)
+    return b, list(zone_sweep(b.graph, b.framework, b.profile))
+
+
 n = 24
 enumerate_partitions(n)
 canonical_index(n)
-_, bundle, _ = traced(lambda: verify._bundle(n))
+_, size, _ = traced(lambda: whole(n))
 results, _, peak = traced(lambda: verify.run_checks(1, n))
-print(json.dumps([[r.name for r in results if not r.ok], bundle, peak]))
+print(json.dumps([[r.name for r in results if not r.ok], size, peak]))
 """
 
 
 def test_run_checks_holds_one_n_at_a_time(fresh_python):
-    failed, bundle, peak = fresh_python(HOLD_PROBE)
+    failed, size, peak = fresh_python(HOLD_PROBE)
     assert not failed, failed
-    # a runner that holds every n of the range reads 4.6 bundles here
-    assert peak < 2 * bundle, (peak, bundle)
+    # a runner that keeps every n of the range, with its zone orders,
+    # reads 6.5 times the size of n=24 here
+    assert peak < 2 * size, (peak, size)
+
+
+# sizes a copy of the rows of G_24, then runs the adjacency check on the
+# graph; prints the copy's size and the check's traced peak
+ADJACENCY_PROBE = """
+import json, tracemalloc
+from partition_atlas import verify
+
+b = verify._bundle(24)
+tracemalloc.start()
+rows = tuple(map(tuple, map(list, b.graph.adj)))
+size = tracemalloc.get_traced_memory()[0]
+del rows
+tracemalloc.stop()
+tracemalloc.start()
+detail = verify._check_adjacency_shape(verify._Range(24, 24), b)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps([detail, size, peak]))
+"""
+
+
+def test_adjacency_check_builds_no_copy_of_the_rows(fresh_python):
+    detail, size, peak = fresh_python(ADJACENCY_PROBE)
+    assert detail == "symmetric, irreflexive, duplicate-free"
+    assert peak < size / 10, (peak, size)
 
 
 def test_run_checks_builds_each_graph_once_in_order(monkeypatch):
@@ -378,6 +455,65 @@ RUN_CHECKS_21_22 = [
     ('artifact generation idempotence', True, 'identical artifacts for n=21..21'),
 ]
 
+# n=1 is the one n with no zone order (tau_max = 0)
+RUN_CHECKS_1_1 = [
+    ('partition counts match independent recurrence', True, 'p(n) agrees with the recurrence for n=1..1'),
+    ('canonical enumeration order', True, 'reverse-lexicographic, extremes at the ends'),
+    ('conjugation is an involution', True, 'involution and largest/length swap hold'),
+    ('adjacency structure', True, 'symmetric, irreflexive, duplicate-free'),
+    ('graph connectivity', True, 'G_n connected for n=1..1'),
+    ('conjugation is a graph automorphism', True, 'every vertex for n=1..1'),
+    ('left boundary edge is a path', True, 'consecutive two-part partitions are adjacent'),
+    ('antenna rigidity', True, 'degree 1 and thickness 1 at both extremes'),
+    ('boundary framework shape', True, 'contains antennas, closed under conjugation, induced-connected'),
+    ('self-conjugate axis size', True, 'axis size equals the distinct-odd-parts count'),
+    ('thickness conjugation invariance', True, 'every vertex for n=1..1'),
+    ('clique search matches the corner formula', True, 'every vertex for n=1..1'),
+    ('corner formula matches enumeration oracle', True, 'exhaustive agreement for n=1..1'),
+    ('thickness bounds', True, 'degree bound and minimum thickness hold'),
+    ('maximal-thickness locus', True, 'nonempty, conjugation-invariant, antenna-free above thickness 1'),
+    ('zone decomposition partitions', True, 'shell and core split every zone exactly'),
+    ('zone and shell nesting', True, 'zones and shells are nested, higher orders stay triangular'),
+    ('first shell order is trivial', True, 'order-1 shell is everything, its core empty'),
+    ('zone conjugation invariance', True, 'zones, shells and cores invariant for n=1..1'),
+    ('antenna exclusion from thick zones', True, 'antennas stay outside the triangular regime'),
+    ('first-occurrence table matches expected values', True, 'no order realized in range'),
+    ('maximal-thickness table matches expected values', True, 'no transition n in range'),
+    ('maximal loci keep away from the antennas', True, 'no n >= 7 in range'),
+    ('layout conjugation symmetry', True, 'conjugation transposes every base cell'),
+    ('rendering determinism', True, 'byte-identical repeated renders at n=1'),
+    ('artifact generation idempotence', True, 'identical artifacts for n=1..1'),
+]
+
+RUN_CHECKS_1_2 = [
+    ('partition counts match independent recurrence', True, 'p(n) agrees with the recurrence for n=1..2'),
+    ('canonical enumeration order', True, 'reverse-lexicographic, extremes at the ends'),
+    ('conjugation is an involution', True, 'involution and largest/length swap hold'),
+    ('adjacency structure', True, 'symmetric, irreflexive, duplicate-free'),
+    ('graph connectivity', True, 'G_n connected for n=1..2'),
+    ('conjugation is a graph automorphism', True, 'every vertex for n=1..2'),
+    ('left boundary edge is a path', True, 'consecutive two-part partitions are adjacent'),
+    ('antenna rigidity', True, 'degree 1 and thickness 1 at both extremes'),
+    ('boundary framework shape', True, 'contains antennas, closed under conjugation, induced-connected'),
+    ('self-conjugate axis size', True, 'axis size equals the distinct-odd-parts count'),
+    ('thickness conjugation invariance', True, 'every vertex for n=1..2'),
+    ('clique search matches the corner formula', True, 'every vertex for n=1..2'),
+    ('corner formula matches enumeration oracle', True, 'exhaustive agreement for n=1..2'),
+    ('thickness bounds', True, 'degree bound and minimum thickness hold'),
+    ('maximal-thickness locus', True, 'nonempty, conjugation-invariant, antenna-free above thickness 1'),
+    ('zone decomposition partitions', True, 'shell and core split every zone exactly'),
+    ('zone and shell nesting', True, 'zones and shells are nested, higher orders stay triangular'),
+    ('first shell order is trivial', True, 'order-1 shell is everything, its core empty'),
+    ('zone conjugation invariance', True, 'zones, shells and cores invariant for n=1..2'),
+    ('antenna exclusion from thick zones', True, 'antennas stay outside the triangular regime'),
+    ('first-occurrence table matches expected values', True, 'no order realized in range'),
+    ('maximal-thickness table matches expected values', True, 'covers of (r, ..., 1) at n in [2]'),
+    ('maximal loci keep away from the antennas', True, 'no n >= 7 in range'),
+    ('layout conjugation symmetry', True, 'conjugation transposes every base cell'),
+    ('rendering determinism', True, 'byte-identical repeated renders at n=2'),
+    ('artifact generation idempotence', True, 'identical artifacts for n=1..2'),
+]
+
 
 def test_verify_stdout_is_pinned(capsys):
     with pytest.raises(SystemExit) as exit_:
@@ -388,6 +524,11 @@ def test_verify_stdout_is_pinned(capsys):
 
 def test_run_checks_verdicts_are_pinned():
     assert [(r.name, r.ok, r.detail) for r in verify.run_checks(21, 22)] == RUN_CHECKS_21_22
+
+
+def test_run_checks_verdicts_are_pinned_from_n_1():
+    assert [(r.name, r.ok, r.detail) for r in verify.run_checks(1, 1)] == RUN_CHECKS_1_1
+    assert [(r.name, r.ok, r.detail) for r in verify.run_checks(1, 2)] == RUN_CHECKS_1_2
 
 
 def _verdicts(results):
