@@ -9,8 +9,10 @@ and the writers read only the profile.
 
 :func:`clique_search_profile` computes the same values from the
 adjacency rows alone: it finds every maximal clique of the graph once,
-from its smallest vertex, with pivoted Bron-Kerbosch on bitmask rows. It
-shares no code with the closed form and cross-checks it.
+from its smallest vertex, with pivoted Bron-Kerbosch on bitmask rows.
+Given an involutive automorphism, such as conjugation, it searches only
+from the smaller vertex of each pair it swaps and copies each value onto
+the image. It shares no code with the closed form and cross-checks it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .partitions import _json_list, enumerate_partitions, partition_count, partition_names
-from .transfer_graph import TransferGraph
+from .transfer_graph import TransferGraph, automorphism_fault
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,9 @@ def _corner_thickness(parts: tuple[int, ...]) -> int:
     return runs + best
 
 
-def clique_search_profile(graph: TransferGraph) -> tuple[int, ...]:
+def clique_search_profile(
+    graph: TransferGraph, automorphism: Sequence[int] | None = None
+) -> tuple[int, ...]:
     """Largest clique size through each vertex, minus one, in canonical order.
 
     An isolated vertex reads 0. Every clique has a smallest vertex m, and
@@ -120,12 +124,35 @@ def clique_search_profile(graph: TransferGraph) -> tuple[int, ...]:
     the graph. Each member's row is summed whole, since its entries at or
     below m carry no bit; cutting them off with a bisection per row
     measured no faster.
+
+    ``automorphism`` is an involution sigma of the graph, such as
+    ``graph.conjugation_permutation()``; None is the identity. The search
+    starts only from the m of R = {m : m <= sigma(m)}, then gives each v
+    the larger of its own value and sigma(v)'s. Nothing is missed. Let K
+    be a maximal clique and m = min K, with sigma(m) < m, and let
+    u = min sigma(K). Then u <= sigma(m) < m <= sigma(u), as sigma(u) lies
+    in K, so u is in R: K or sigma(K) has its smallest vertex in R. sigma
+    maps maximal cliques onto maximal cliques of the same size, so the
+    size of K, credited to sigma(v) through sigma(K), comes back to v in
+    the image step. sigma is proved first (see
+    :func:`transfer_graph.automorphism_fault`); one that fails raises
+    ``ValueError`` naming the vertex, as does one of the wrong length or
+    with an entry that is not a vertex.
     """
     adj = graph.adj
+    if automorphism is None:
+        sigma: Sequence[int] = range(len(adj))
+    else:
+        fault = automorphism_fault(graph, automorphism)
+        if fault is not None:
+            raise ValueError(f"not an involutive automorphism of G_{graph.n} at vertex {fault}")
+        sigma = automorphism
     best = [1] * len(adj)
     bit = [0] * len(adj)
     cliques: list[int] = []
     for m, row in enumerate(adj):
+        if sigma[m] < m:
+            continue
         above = row[bisect_right(row, m) :]
         if not above:
             continue
@@ -142,6 +169,9 @@ def clique_search_profile(graph: TransferGraph) -> tuple[int, ...]:
                 if size > best[w]:
                     best[w] = size
         cliques.clear()
+    for v, s in enumerate(sigma):
+        if best[s] > best[v]:
+            best[v] = best[s]
     return tuple(size - 1 for size in best)
 
 

@@ -6,7 +6,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import (
     _conjugate,
@@ -118,6 +118,37 @@ def build_graph(n: int) -> TransferGraph:
         del row[at : at + row.count(a)]
         rows[a] = tuple(row)
     return TransferGraph(n=n, vertices=vertices, adj=tuple(rows), parts_index=index)
+
+
+def automorphism_fault(graph: TransferGraph, perm: Sequence[int]) -> int | None:
+    """The first vertex at which ``perm`` fails to be an involutive automorphism; None if none.
+
+    Two steps, each naming its first failing vertex. First, sigma(sigma(v))
+    = v for every v. Then, for each m <= sigma(m) in increasing order, the
+    sorted image of row m must be row sigma(m). The rows of m > sigma(m)
+    need no test: with u = sigma(m) < m, once row u passes, row m is its
+    image, so the image of row m is row u = row sigma(m). For the same
+    reason rows fail in pairs {i, sigma(i)}, so the second step names the
+    smallest i whose row sigma does not map onto row sigma(i).
+
+    A ``perm`` of the wrong length, or with an entry that is not a vertex,
+    raises ``ValueError``.
+    """
+    adj = graph.adj
+    k = len(adj)
+    if len(perm) != k:
+        raise ValueError(f"permutation of G_{graph.n} has {len(perm)} entries, not {k}")
+    outside = next((v for v, s in enumerate(perm) if not 0 <= s < k), None)
+    if outside is not None:
+        raise ValueError(f"permutation of G_{graph.n} sends vertex {outside} outside 0..{k - 1}")
+    fault = next((v for v, s in enumerate(perm) if perm[s] != v), None)
+    if fault is not None:
+        return fault
+    image = perm.__getitem__
+    for m, s in enumerate(perm):
+        if m <= s and tuple(sorted(map(image, adj[m]))) != adj[s]:
+            return m
+    return None
 
 
 def bfs_distances(graph: TransferGraph, sources: Iterable[int]) -> list[int]:

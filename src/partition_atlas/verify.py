@@ -39,7 +39,13 @@ from .thickness import (
     clique_search_profile,
     thickness_profile,
 )
-from .transfer_graph import TransferGraph, bfs_distances, build_graph, induced_components
+from .transfer_graph import (
+    TransferGraph,
+    automorphism_fault,
+    bfs_distances,
+    build_graph,
+    induced_components,
+)
 from .zones import ZoneDecomposition, zone_sweep
 
 ORACLE_RANGE_MAX = 12
@@ -274,11 +280,8 @@ def _check_connectivity(run: _Range, b: _Bundle) -> str:
 
 
 def _check_conjugation_automorphism(run: _Range, b: _Bundle) -> str:
-    g = b.graph
-    sigma = g.conjugation_permutation()
-    for i, row in enumerate(g.adj):
-        image = tuple(sorted(sigma[j] for j in row))
-        _fail_if(image != g.adj[sigma[i]], "automorphism fails at n={}, vertex {}", b.n, i)
+    fault = automorphism_fault(b.graph, b.graph.conjugation_permutation())
+    _fail_if(fault is not None, "automorphism fails at n={}, vertex {}", b.n, fault)
     return f"every vertex for n={run.n_min}..{run.n_max}"
 
 
@@ -333,7 +336,7 @@ def _check_tau_conjugation(run: _Range, b: _Bundle) -> str:
 
 def _check_clique_search(run: _Range, b: _Bundle) -> str:
     tau = b.profile.tau
-    searched = clique_search_profile(b.graph)
+    searched = clique_search_profile(b.graph, b.graph.conjugation_permutation())
     if searched != tau:
         i = next(i for i, t in enumerate(searched) if t != tau[i])
         name = format_partition(b.graph.vertices[i])

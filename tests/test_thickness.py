@@ -15,7 +15,7 @@ from partition_atlas import (
     profile_json,
     thickness_profile,
 )
-from partition_atlas import partitions
+from partition_atlas import partitions, thickness
 from partition_atlas.partitions import (
     _conjugate,
     enumerate_partitions,
@@ -122,10 +122,12 @@ def test_profile_matches_clique_search(n):
 
 def test_clique_search_leaves_no_garbage():
     g = build_graph(12)
+    sigma = g.conjugation_permutation()
     gc.collect()
     gc.disable()
     try:
         assert clique_search_profile(g) == thickness_profile(12).tau
+        assert clique_search_profile(g, sigma) == thickness_profile(12).tau
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -170,6 +172,81 @@ def test_clique_search_matches_oracle_on_any_adjacency(g):
     # formula knows nothing about
     oracle = tuple(brute_force_local_dimension(g, p) for p in g.vertices)
     assert clique_search_profile(g) == oracle
+
+
+@st.composite
+def _conjugation_closed_adjacency(draw):
+    # a random adjacency on the vertices of some G_n, n <= 8, that holds
+    # the conjugate of each of its edges, so conjugation is an automorphism
+    g = build_graph(draw(st.integers(1, 8)))
+    sigma = g.conjugation_permutation()
+    k = len(g.adj)
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    edges = draw(st.sets(pair, max_size=2 * k))
+    return _with_adjacency(g, edges | {(sigma[a], sigma[b]) for a, b in edges})
+
+
+@settings(deadline=None)
+@given(_conjugation_closed_adjacency())
+def test_clique_search_from_one_of_each_conjugate_pair_matches_oracle(g):
+    oracle = tuple(brute_force_local_dimension(g, p) for p in g.vertices)
+    assert clique_search_profile(g, g.conjugation_permutation()) == oracle
+    assert clique_search_profile(g) == oracle
+
+
+@pytest.mark.parametrize("conjugation", [False, True], ids=["plain", "conjugation"])
+def test_clique_search_starts_once_per_conjugate_pair(monkeypatch, conjugation):
+    # one local search per start m with a neighbour above m; with
+    # conjugation, only the starts m <= sigma(m). p(20) = 627, and 7
+    # partitions of 20 are self-conjugate, so (627 + 7) / 2 = 317 starts
+    # remain; the last vertex, alone, has no neighbour above it
+    g = build_graph(20)
+    sigma = g.conjugation_permutation()
+    calls = []
+    real = thickness._local_rows
+
+    def counted(adj, members, bit):
+        calls.append(members)
+        return real(adj, members, bit)
+
+    monkeypatch.setattr(thickness, "_local_rows", counted)
+    searched = clique_search_profile(g, sigma if conjugation else None)
+    assert searched == thickness_profile(20).tau
+    starts = [m for m, row in enumerate(g.adj) if row[-1] > m]
+    if conjugation:
+        starts = [m for m in starts if m <= sigma[m]]
+    assert len(calls) == len(starts)
+    assert len(starts) == (317 if conjugation else 626)
+
+
+def _swapped(k, a, b):
+    perm = list(range(k))
+    perm[a], perm[b] = b, a
+    return perm
+
+
+@pytest.mark.parametrize(
+    "perm_of, message",
+    [
+        # the 3-cycle 5 -> 9 -> 10 -> 5 is no involution
+        (
+            lambda k: [{5: 9, 9: 10, 10: 5}.get(v, v) for v in range(k)],
+            "not an involutive automorphism of G_8 at vertex 5",
+        ),
+        # (4,2,1,1) has 8 neighbours and (4,1,1,1,1) 4; the first row that
+        # the swap does not map onto its image's row is that of (5,2,1)
+        (lambda k: _swapped(k, 10, 11), "not an involutive automorphism of G_8 at vertex 5"),
+        (lambda k: list(range(k - 1)), "permutation of G_8 has 21 entries, not 22"),
+        (lambda k: [*range(k - 1), k], "permutation of G_8 sends vertex 21 outside 0..21"),
+        (lambda k: [-1, *range(1, k)], "permutation of G_8 sends vertex 0 outside 0..21"),
+    ],
+    ids=["no-involution", "no-automorphism", "short", "too-large", "negative"],
+)
+def test_clique_search_rejects_a_false_automorphism(perm_of, message):
+    g = build_graph(8)
+    with pytest.raises(ValueError) as info:
+        clique_search_profile(g, perm_of(len(g.adj)))
+    assert str(info.value) == message
 
 
 def test_clique_search_on_a_dense_adjacency():

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from partition_atlas import bfs_distances, boundary_framework, build_graph, enumerate_partitions
 from partition_atlas.partitions import _conjugate, format_partition
+from partition_atlas.transfer_graph import automorphism_fault
 
 small_partitions_st = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -138,6 +140,25 @@ def test_conjugation_is_automorphism(n):
     sigma = g.conjugation_permutation()
     for i, row in enumerate(g.adj):
         assert tuple(sorted(sigma[j] for j in row)) == g.adj[sigma[i]]
+    assert automorphism_fault(g, sigma) is None
+
+
+def test_automorphism_fault_names_the_smallest_failing_row():
+    # with any one edge of G_8 dropped from both its rows, the fault found
+    # from the rows m <= sigma(m) is the smallest i of all whose row sigma
+    # does not map onto row sigma(i)
+    g = build_graph(8)
+    sigma = g.conjugation_permutation()
+    for a, b in _edge_set(g):
+        adj = [set(row) for row in g.adj]
+        adj[a].discard(b)
+        adj[b].discard(a)
+        rows = tuple(tuple(sorted(row)) for row in adj)
+        broken = dataclasses.replace(g, adj=rows)
+        failing = [
+            i for i, row in enumerate(rows) if sorted(sigma[j] for j in row) != [*rows[sigma[i]]]
+        ]
+        assert automorphism_fault(broken, sigma) == (min(failing) if failing else None)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

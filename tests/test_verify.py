@@ -9,6 +9,7 @@ from conftest import PAPER_FIRST_OCCURRENCES, PAPER_MAX_LOCUS, invoke
 from partition_atlas import build_graph, pipeline, thickness_profile, verify
 from partition_atlas.cli import main
 from partition_atlas.partitions import canonical_index, enumerate_partitions, parse_partition
+from partition_atlas.transfer_graph import TransferGraph
 from partition_atlas.zones import zone_sweep
 
 FIRST_OCCURRENCE = "first-occurrence table matches expected values"
@@ -138,6 +139,47 @@ def test_clique_search_check_catches_a_wrong_profile(monkeypatch):
     assert not search.ok
     assert "n=6, 6" in search.detail
     assert not results["corner formula matches enumeration oracle"].ok
+
+
+def test_clique_search_check_fails_on_a_false_automorphism(monkeypatch):
+    # the search proves the permutation it is given before searching with
+    # it; at n=8, (4,2,1,1) and (4,1,1,1,1) swapped, all else fixed, is an
+    # involution but no automorphism
+    real = TransferGraph.conjugation_permutation
+
+    def swapped(graph):
+        if graph.n != 8:
+            return real(graph)
+        perm = list(range(len(graph.adj)))
+        perm[10], perm[11] = 11, 10
+        return tuple(perm)
+
+    monkeypatch.setattr(TransferGraph, "conjugation_permutation", swapped)
+    results = {r.name: r for r in verify.run_checks(7, 8)}
+    search = results["clique search matches the corner formula"]
+    assert not search.ok
+    assert search.detail == "raised ValueError: not an involutive automorphism of G_8 at vertex 5"
+
+
+def test_automorphism_check_names_the_smallest_failing_vertex(monkeypatch):
+    # the edge (3,3,1,1)-(3,2,2,1) of G_8 dropped from both its rows leaves
+    # the rows symmetric; its conjugate edge (4,2,2)-(4,3,1) stays, so the
+    # rows of 8, 9, 13 and 14 are not mapped onto their images' rows
+    def dropped(n):
+        graph = build_graph(n)
+        if n != 8:
+            return graph
+        adj = list(graph.adj)
+        adj[13] = tuple(j for j in adj[13] if j != 14)
+        adj[14] = tuple(j for j in adj[14] if j != 13)
+        return dataclasses.replace(graph, adj=tuple(adj))
+
+    monkeypatch.setattr(verify, "build_graph", dropped)
+    results = {r.name: r for r in verify.run_checks(7, 9)}
+    assert results["adjacency structure"].ok
+    check = results["conjugation is a graph automorphism"]
+    assert not check.ok
+    assert check.detail == "raised AssertionError: automorphism fails at n=8, vertex 8"
 
 
 def test_thickness_conjugation_is_checked_past_n_20(monkeypatch):
