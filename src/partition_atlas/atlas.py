@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .framework import boundary_framework
-from .partitions import enumerate_partitions
+from .partitions import _part_text, enumerate_partitions
 from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph
 from .zones import decompose, exact_regime, first_occurrences, first_occurrences_csv
@@ -145,8 +145,9 @@ def _svg_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> I
             yield start + start.join([ends[j] for j in row[k:]])
     yield "</g>\n"
     yield '<g id="vertices">\n'
-    # each title is formatted where it is written, so no table of p(n)
-    # names is held alongside the output
+    # each title is joined where it is written, from the table of part
+    # strings, so no table of p(n) names is held alongside the output
+    text = _part_text(n)
     radius = _coord(RADIUS)
     for i, parts in enumerate(graph.vertices):
         classes = ["v"]
@@ -173,7 +174,7 @@ def _svg_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> I
         yield (
             f'<circle class="{" ".join(classes)}" cx="{xs[i]}" cy="{ys[i]}" '
             f'r="{radius}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{stroke_width}"><title>{",".join(map(str, parts))}</title></circle>\n'
+            f'stroke-width="{stroke_width}"><title>{",".join(map(text, parts))}</title></circle>\n'
         )
     yield "</g>\n"
     yield "</svg>\n"

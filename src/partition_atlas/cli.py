@@ -180,34 +180,24 @@ def compute(n_min: int, n_max: int, allow_beyond: bool, out_dir: Path, jobs: int
     ),
 )
 def tables(n_max: int, allow_beyond: bool, out_dir: Path, no_recompute: bool) -> None:
-    """Write the first-occurrence, per-n summary and max-locus tables for 1..n-max."""
+    """Write the first-occurrence, per-n summary and max-locus tables for 1..n-max.
+
+    Each n is read, checked and named by one worker process per CPU this
+    process may run on; a bad or missing profile is reported for the
+    smallest such n.
+    """
     from .atlas import export_tables
-    from .pipeline import n_dir
-    from .partitions import enumerate_partitions, format_partition
-    from .thickness import profile_from_json, thickness_profile
+    from .pipeline import WorkerDied, cpu_count, map_n, table_entry
 
     _, n_max = _resolve_range(1, n_max, allow_beyond)
-    profiles = []
-    locus_names = []
-    for n in range(1, n_max + 1):
-        # enumerated once: the profile and the locus names reuse the cached tuple
-        parts = enumerate_partitions(n)
-        path = n_dir(out_dir, n) / "profile.json"
-        if path.exists():
-            try:
-                profile = profile_from_json(path.read_text())
-                if profile.n != n:
-                    raise ValueError(f"it holds the profile for n={profile.n}")
-            except (OSError, ValueError) as exc:
-                raise UsageError(f"malformed artifact {path}: {exc}") from None
-            profiles.append(profile)
-        elif no_recompute:
-            raise UsageError(
-                f"missing artifact {path}; run compute first or drop --no-recompute"
-            )
-        else:
-            profiles.append(thickness_profile(n))
-        locus_names.append([format_partition(parts[i]) for i in profiles[-1].max_locus])
+    try:
+        entries = map_n(table_entry, range(1, n_max + 1), cpu_count(), out_dir, no_recompute)
+    except WorkerDied as exc:
+        raise CommandError(str(exc)) from None
+    bad = next((entry for entry in entries if isinstance(entry, str)), None)
+    if bad is not None:
+        raise UsageError(bad)
+    profiles, locus_names = zip(*entries)
     with _writing():
         written = export_tables(profiles, locus_names, out_dir)
     for name in sorted(written):

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import _conjugate, canonical_index, partition_names
 
 
-@dataclass(frozen=True)
-class FrameworkSet:
+class FrameworkSet(NamedTuple):
     """The boundary framework of one graph, with its families tagged.
 
     Every field holds canonical vertex indices. The families keep their

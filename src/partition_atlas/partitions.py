@@ -8,7 +8,7 @@ of the transfer graph in this form or as its canonical index.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -73,7 +73,13 @@ def partition_names(n: int) -> tuple[str, ...]:
     Only the latest table is kept: callers write one n at a time, and
     keeping every table for n=1..30 costs about 2 MB.
     """
-    return tuple(map(format_partition, enumerate_partitions(n)))
+    text = _part_text(n)
+    return tuple([",".join(map(text, parts)) for parts in enumerate_partitions(n)])
+
+
+def _part_text(n: int) -> Callable[[int], str]:
+    """``str`` of each part 0..n, read from a table built once instead of formatted per part."""
+    return [str(k) for k in range(n + 1)].__getitem__
 
 
 def _json_list(items: Sequence[str], depth: int) -> str:

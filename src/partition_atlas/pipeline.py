@@ -1,4 +1,9 @@
-"""Per-n artifact generation, and the per-n worker pool, shared by the CLI commands."""
+"""The per-n worker pool and the per-n steps of the CLI commands.
+
+:func:`map_n` spreads one task per n over the CPUs for ``compute``
+(:func:`compute_artifacts_for_n`), ``tables`` (:func:`table_entry`) and
+``verify`` (``verify._check_n``).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,14 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .framework import boundary_framework, framework_json, self_conjugate_axis
-from .thickness import profile_csv, profile_json, thickness_profile
+from .partitions import enumerate_partitions, format_partition
+from .thickness import (
+    ThicknessProfile,
+    profile_csv,
+    profile_from_json,
+    profile_json,
+    thickness_profile,
+)
 from .transfer_graph import build_graph
 from .zones import zone_json, zone_sweep
 
@@ -229,3 +241,32 @@ def compute_artifacts_for_n(n: int, out_root: Path) -> None:
     # dropped once the next is grown from it
     for decomposition in zone_sweep(graph, framework, profile):
         (target / f"zones_r{decomposition.r}.json").write_text(zone_json(decomposition))
+
+
+def table_entry(
+    n: int, out_root: Path, no_recompute: bool
+) -> tuple[ThicknessProfile, list[str]] | str:
+    """The profile of ``n`` and the names of its maximal locus, for the ``tables`` command.
+
+    The profile is read from n's ``profile.json`` under ``out_root`` when
+    that file exists, and must be exactly what ``compute`` writes for n;
+    otherwise it is computed, unless ``no_recompute``. A file that cannot
+    be used is not raised but returned, as the text of the usage error,
+    so the command can name the smallest bad n whatever the worker
+    layout. No graph is built, and n is enumerated once: the profile and
+    the locus names share the cached tuple.
+    """
+    path = n_dir(out_root, n) / "profile.json"
+    if path.exists():
+        try:
+            profile = profile_from_json(path.read_text())
+            if profile.n != n:
+                raise ValueError(f"it holds the profile for n={profile.n}")
+        except (OSError, ValueError) as exc:
+            return f"malformed artifact {path}: {exc}"
+    elif no_recompute:
+        return f"missing artifact {path}; run compute first or drop --no-recompute"
+    else:
+        profile = thickness_profile(n)
+    parts = enumerate_partitions(n)
+    return profile, [format_partition(parts[i]) for i in profile.max_locus]

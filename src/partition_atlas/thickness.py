@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .partitions import _json_list, enumerate_partitions, partition_count, partition_names
 from .transfer_graph import TransferGraph, automorphism_fault
 
 
-@dataclass(frozen=True)
-class ThicknessProfile:
+class ThicknessProfile(NamedTuple):
     """Thickness of every partition of ``n``, indexed as the vertices of its graph.
 
     ``tau[i]`` is one less than the largest clique size through vertex

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import (
@@ -17,19 +15,42 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
 class TransferGraph:
-    """Immutable adjacency structure over all partitions of one total.
+    """Adjacency structure over all partitions of one total; not to be changed once built.
 
     ``vertices`` holds the parts tuple of each vertex in the canonical
     enumeration order, and ``adj`` the sorted neighbor indices of each
-    vertex.
+    vertex. ``parts_index`` maps each parts tuple to its vertex index; it
+    is left out of equality and of the repr, as it follows from
+    ``vertices``. Two graphs are equal when their ``n``, ``vertices`` and
+    ``adj`` are.
     """
 
-    n: int
-    vertices: tuple[tuple[int, ...], ...]
-    adj: tuple[tuple[int, ...], ...]
-    parts_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
+    __slots__ = ("n", "vertices", "adj", "parts_index", "_conjugation")
+
+    def __init__(
+        self,
+        n: int,
+        vertices: tuple[tuple[int, ...], ...],
+        adj: tuple[tuple[int, ...], ...],
+        parts_index: dict[tuple[int, ...], int],
+    ) -> None:
+        self.n = n
+        self.vertices = vertices
+        self.adj = adj
+        self.parts_index = parts_index
+        self._conjugation: tuple[int, ...] | None = None
+
+    def __repr__(self) -> str:
+        return f"TransferGraph(n={self.n!r}, vertices={self.vertices!r}, adj={self.adj!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.vertices, self.adj) == (other.n, other.vertices, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.vertices, self.adj))
 
     def index_of(self, parts: tuple[int, ...]) -> int:
         idx = self.parts_index.get(parts)
@@ -50,12 +71,10 @@ class TransferGraph:
 
         Built on the first call and kept for the life of the graph.
         """
+        if self._conjugation is None:
+            index = self.parts_index
+            self._conjugation = tuple(index[_conjugate(t)] for t in self.vertices)
         return self._conjugation
-
-    @cached_property
-    def _conjugation(self) -> tuple[int, ...]:
-        index = self.parts_index
-        return tuple(index[_conjugate(t)] for t in self.vertices)
 
     def edge_chunks(self) -> Iterator[str]:
         """The text of :meth:`dump_edges`, one chunk per row with an edge ``j > i``.

@@ -21,12 +21,11 @@ import filecmp
 import tempfile
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import groupby, islice, zip_longest
 from math import isqrt
 from operator import lt
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import REFERENCE_RANGE_MAX
 from .atlas import _cells, atlas_chunks
@@ -51,26 +50,23 @@ from .zones import ZoneDecomposition, zone_sweep
 ORACLE_RANGE_MAX = 12
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One verdict; ``seconds`` is the time the check took, not part of it."""
+class CheckResult(NamedTuple):
+    """One verdict, and ``seconds``, the time the check took."""
 
     name: str
     ok: bool
     detail: str = ""
-    seconds: float = field(default=0.0, compare=False)
+    seconds: float = 0.0
 
 
-@dataclass(frozen=True)
-class _Range:
+class _Range(NamedTuple):
     """The range ``n_min..n_max`` being checked."""
 
     n_min: int
     n_max: int
 
 
-@dataclass(frozen=True)
-class _Bundle:
+class _Bundle(NamedTuple):
     """What every check reads of one n, built once and dropped after it.
 
     The zone orders are not part of it: :func:`_sweep_outcomes` makes
@@ -91,8 +87,7 @@ def _bundle(n: int) -> _Bundle:
 _Order = ZoneDecomposition
 
 
-@dataclass(frozen=True)
-class _PerOrder:
+class _PerOrder(NamedTuple):
     """A check of every zone order of n, run inside n's one sweep.
 
     ``check(b, dec, above)`` raises on a failure of the order ``dec``,

@@ -9,10 +9,9 @@ downward from ``tau_max``, one step per order (:func:`zone_sweep`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq, le
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .framework import FrameworkSet
 from .partitions import _json_list, canonical_index, partition_names
@@ -20,13 +19,11 @@ from .thickness import ThicknessProfile
 from .transfer_graph import TransferGraph
 
 
-@dataclass(frozen=True)
-class ZoneComponent:
+class ZoneComponent(NamedTuple):
     vertices: frozenset[int]
     boundary_attached: bool
 
 
-@dataclass(frozen=True)
 class ZoneDecomposition:
     """One threshold zone split into boundary shell and interior core.
 
@@ -39,15 +36,45 @@ class ZoneDecomposition:
     that is the whole zone holds ``threshold`` itself, as does ``shell``
     when every component is attached (``core`` when none is), and the
     other side is one shared empty set.
+
+    Two decompositions are equal when every field is. Not a tuple, so that
+    a caller may hold a weak reference to one.
     """
 
-    n: int
-    r: int
-    threshold: frozenset[int]
-    exact: frozenset[int]
-    components: tuple[ZoneComponent, ...]
-    shell: frozenset[int]
-    core: frozenset[int]
+    __slots__ = ("n", "r", "threshold", "exact", "components", "shell", "core", "__weakref__")
+
+    def __init__(
+        self,
+        n: int,
+        r: int,
+        threshold: frozenset[int],
+        exact: frozenset[int],
+        components: tuple[ZoneComponent, ...],
+        shell: frozenset[int],
+        core: frozenset[int],
+    ) -> None:
+        self.n = n
+        self.r = r
+        self.threshold = threshold
+        self.exact = exact
+        self.components = components
+        self.shell = shell
+        self.core = core
+
+    def _values(self) -> tuple:
+        return (self.n, self.r, self.threshold, self.exact, self.components, self.shell, self.core)
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values())
+        return f"ZoneDecomposition({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 # the one empty side of every zone whose components all fall on the other
@@ -263,15 +290,24 @@ def zone_json(decomposition: ZoneDecomposition) -> str:
     indent=2)`` gives plus a newline; names are digits and commas, so
     nothing needs escaping.
     """
-    table = partition_names(decomposition.n)
-    # fields that share one set share its sorted, quoted names too
-    names: dict[int, list[str]] = {}
+    name = partition_names(decomposition.n).__getitem__
+    # fields that share one set share its sorted names, and at one depth
+    # its text; each list is one join, with the quotes in the separator
+    listed: dict[int, list[str]] = {}
+    texts: dict[tuple[int, int], str] = {}
 
     def name_list(idxs: frozenset[int], depth: int) -> str:
-        quoted = names.get(id(idxs))
-        if quoted is None:
-            quoted = names[id(idxs)] = [f'"{table[i]}"' for i in sorted(idxs)]
-        return _json_list(quoted, depth)
+        if not idxs:
+            return "[]"
+        text = texts.get((id(idxs), depth))
+        if text is None:
+            names = listed.get(id(idxs))
+            if names is None:
+                names = listed[id(idxs)] = list(map(name, sorted(idxs)))
+            pad = "  " * depth
+            inner = f'",\n{pad}  "'.join(names)
+            text = texts[id(idxs), depth] = f'[\n{pad}  "{inner}"\n{pad}]'
+        return text
 
     components = [
         f'{{\n      "vertices": {name_list(c.vertices, 3)},\n'

@@ -64,12 +64,18 @@ import os, sys
 from partition_atlas import pipeline, verify
 from partition_atlas.cli import main
 
-compute_n, check_n, parent = pipeline.compute_artifacts_for_n, verify._check_n, os.getpid()
+compute_n, table_n = pipeline.compute_artifacts_for_n, pipeline.table_entry
+check_n, parent = verify._check_n, os.getpid()
 
 def dying_compute(n, out_root):
     if os.getpid() != parent:
         os._exit(7)
     compute_n(n, out_root)
+
+def dying_table(n, out_root, no_recompute):
+    if os.getpid() != parent:
+        os._exit(7)
+    return table_n(n, out_root, no_recompute)
 
 def dying_check(n, n_min, n_max):
     if os.getpid() != parent:
@@ -77,13 +83,14 @@ def dying_check(n, n_min, n_max):
     return check_n(n, n_min, n_max)
 
 pipeline.compute_artifacts_for_n = dying_compute
+pipeline.table_entry = dying_table
 verify._check_n = dying_check
 pipeline.cpu_count = lambda: 2
 main(sys.argv[1:], prog_name="partition-atlas")
 """
 
 
-# runs the CLI with the given arguments as if on two CPUs, so verify pools
+# runs the CLI with the given arguments as if on two CPUs, so tables and verify pool
 POOLED = """
 import sys
 from partition_atlas import pipeline
@@ -138,14 +145,19 @@ def _run_in_session(code, args, cwd):
 @needs_fork
 @pytest.mark.parametrize(
     "args",
-    [["compute", "--n-max", "20", "--jobs", "2", "--out", "a"], ["verify", "--n-max", "20"]],
-    ids=["compute", "verify"],
+    [
+        ["compute", "--n-max", "20", "--jobs", "2", "--out", "a"],
+        ["tables", "--n-max", "20", "--out", "a"],
+        ["verify", "--n-max", "20"],
+    ],
+    ids=["compute", "tables", "verify"],
 )
 def test_a_dead_worker_ends_the_command(tmp_path, args):
     code, out, err = _run_in_session(DYING_WORKER, args, tmp_path)
     assert code == 1, err
     assert "a worker process died" in err
     assert "checks passed" not in out
+    assert "wrote" not in out
 
 
 @needs_fork
@@ -153,9 +165,10 @@ def test_a_dead_worker_ends_the_command(tmp_path, args):
     "args, last",
     [
         (["compute", "--n-max", "12", "--jobs", "2", "--out", "a"], "computed 12 graphs into a"),
+        (["tables", "--n-max", "12", "--out", "a"], "wrote a/summary.csv"),
         (["verify", "--n-max", "12"], "26/26 checks passed"),
     ],
-    ids=["compute", "verify"],
+    ids=["compute", "tables", "verify"],
 )
 def test_a_pooled_command_leaves_no_process(tmp_path, args, last):
     code, out, err = _run_in_session(POOLED, args, tmp_path)
@@ -302,19 +315,22 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch, tmp_path):
         monkeypatch.delattr(os, "sched_getaffinity")
     assert pipeline.cpu_count() == (os.cpu_count() or 1)
 
-    # both commands read the one helper at call time
+    # the three commands read the one helper at call time
     seen = []
     monkeypatch.setattr(pipeline, "cpu_count", lambda: 3)
     monkeypatch.setattr(
-        pipeline, "map_n", lambda task, ns, workers, *args: seen.append(workers) or []
+        pipeline,
+        "map_n",
+        lambda task, ns, workers, *args: seen.append(workers) or [task(n, *args) for n in ns],
     )
     monkeypatch.setattr(
         verify, "run_checks", lambda n_min, n_max, workers: seen.append(workers) or []
     )
     args = ["compute", "--n-max", "4", "--jobs", "0", "--out", str(tmp_path)]
     assert invoke(args).exit_code == 0
+    assert invoke(["tables", "--n-max", "4", "--out", str(tmp_path)]).exit_code == 0
     assert invoke(["verify", "--n-max", "4"]).exit_code == 0
-    assert seen == [3, 3]
+    assert seen == [3, 3, 3]
 
 
 def test_compute_soft_caps_range(tmp_path):
@@ -379,10 +395,14 @@ def test_tables_builds_no_graph(tmp_path, monkeypatch):
         assert (fresh / name).read_bytes() == (computed / name).read_bytes(), name
 
 
-def test_tables_enumerates_each_n_once(tmp_path):
+def test_tables_enumerates_each_n_once(tmp_path, monkeypatch):
     # the max-locus table names its members while tables walks n, so no
-    # first-occurrence n is enumerated a second time afterwards
+    # first-occurrence n is enumerated a second time afterwards. The cache
+    # misses are counted in this process, so every n must run here: one worker
+    from partition_atlas import pipeline
     from partition_atlas.partitions import enumerate_partitions
+
+    monkeypatch.setattr(pipeline, "cpu_count", lambda: 1)
 
     computed = tmp_path / "computed"
     assert invoke(["compute", "--n-max", "12", "--out", str(computed)]).exit_code == 0
@@ -395,6 +415,53 @@ def test_tables_enumerates_each_n_once(tmp_path):
     assert list(loci) == ["4", "7", "11", "16", "22", "29"]
     assert len(loci["29"]) == 8
     assert {"8,6,5,4,3,2,1", "7,7,5,4,3,2,1"} <= set(loci["29"])
+
+
+TABLES = ("first_occurrences.csv", "summary.csv", "max_locus_members.json")
+
+
+@needs_fork
+def test_tables_on_one_and_two_workers_match(tmp_path, monkeypatch):
+    from partition_atlas import pipeline
+
+    computed = tmp_path / "computed"
+    assert invoke(["compute", "--n-max", "14", "--out", str(computed)]).exit_code == 0
+    written = []
+    for workers in (1, 2):
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: workers)
+        for out, flags in ((tmp_path / f"fresh{workers}", []), (computed, ["--no-recompute"])):
+            result = invoke(["tables", "--n-max", "14", "--out", str(out), *flags])
+            assert result.exit_code == 0, result.output
+            written.append([(out / name).read_bytes() for name in TABLES])
+    assert written[1:] == written[:1] * 3
+    assert written[0][0] == b"r,n_r\n2,4\n3,7\n4,11\n"
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "spoil, flags, message",
+    [
+        (lambda path: path.write_text("[]"), [], "malformed artifact"),
+        (lambda path: path.unlink(), ["--no-recompute"], "missing artifact"),
+    ],
+    ids=["malformed", "missing"],
+)
+def test_tables_on_two_workers_names_the_smallest_bad_n(
+    tmp_path, monkeypatch, spoil, flags, message
+):
+    # the workers take the largest n first, so n=12 is met before n=3
+    from partition_atlas import pipeline
+
+    out = tmp_path / "artifacts"
+    assert invoke(["compute", "--n-max", "14", "--out", str(out)]).exit_code == 0
+    for n in (3, 12):
+        spoil(out / f"n{n:02d}" / "profile.json")
+    monkeypatch.setattr(pipeline, "cpu_count", lambda: 2)
+    result = invoke(["tables", "--n-max", "14", "--out", str(out), *flags])
+    assert result.exit_code == 2, result.output
+    assert f"{message} {out / 'n03' / 'profile.json'}" in result.output
+    assert "n12" not in result.output
+    assert not (out / "summary.csv").exists()
 
 
 def test_tables_small_ranges(tmp_path):

@@ -38,6 +38,10 @@ print(json.dumps([code, sorted(set(sys.modules) - started)]))
 # process, load none of them
 POOL_MODULES = {"multiprocessing", "concurrent.futures", "threading"}
 
+# what a dataclass record loads; the layers' records are named tuples and
+# slotted classes, so no command loads either
+RECORD_MODULES = {"dataclasses", "inspect"}
+
 
 def _run(code, *args, cwd):
     """Stdout of ``python -c code *args`` in a fresh interpreter on ``src/``."""
@@ -64,9 +68,7 @@ def test_help_loads_only_the_cli(tmp_path):
         "partition_atlas.cli",
     }
     assert not loaded & POOL_MODULES
-    # click loaded inspect, as the layers' dataclasses do; a run that
-    # loads no layer now skips both
-    assert not loaded & {"inspect", "dataclasses"}
+    assert not loaded & RECORD_MODULES
 
 
 @pytest.mark.parametrize(
@@ -77,14 +79,25 @@ def test_help_loads_only_the_cli(tmp_path):
         (["verify", "--n-min", "3", "--n-max", "3"], []),
         (["compute", "--n-max", "3", "--jobs", "2", "--out", "a"], ["verify", "atlas"]),
         (["verify", "--n-max", "3"], []),
+        (["tables", "--n-max", "3", "--out", "a"], ["verify"]),
+        (["atlas", "--n", "4", "--out", "a"], ["verify", "pipeline"]),
     ],
-    ids=["compute", "graph-dump", "verify-one-n", "compute-pooled", "verify-pooled"],
+    ids=[
+        "compute",
+        "graph-dump",
+        "verify-one-n",
+        "compute-pooled",
+        "verify-pooled",
+        "tables-pooled",
+        "atlas",
+    ],
 )
 def test_command_loads_only_its_layers(tmp_path, args, absent):
     loaded = _loaded(*args, cwd=tmp_path)
     assert "partition_atlas.cli" in loaded
     assert not loaded & {f"partition_atlas.{name}" for name in absent}
     assert not loaded & POOL_MODULES
+    assert not loaded & RECORD_MODULES
 
 
 def test_package_import_loads_no_submodule(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import sys
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_atlas import (
+    TransferGraph,
     brute_force_local_dimension,
     build_graph,
     profile_csv,
@@ -94,7 +94,7 @@ def test_conjugation_check_catches_corruption():
     # (4) and (1,1,1,1) are conjugate; raising one value breaks the symmetry
     corrupted = list(prof.tau)
     corrupted[g.index_of((4,))] = 2
-    bad = dataclasses.replace(prof, tau=tuple(corrupted))
+    bad = prof._replace(tau=tuple(corrupted))
     assert not profile_conjugation_ok(g, bad)
 
 
@@ -152,7 +152,8 @@ def _with_adjacency(graph, edges):
         if a != b:
             rows[a].add(b)
             rows[b].add(a)
-    return dataclasses.replace(graph, adj=tuple(tuple(sorted(row)) for row in rows))
+    adj = tuple(tuple(sorted(row)) for row in rows)
+    return TransferGraph(graph.n, graph.vertices, adj, graph.parts_index)
 
 
 @st.composite
@@ -264,7 +265,7 @@ def test_clique_search_terminates_on_a_self_loop():
     g = build_graph(9)
     tau = thickness_profile(9).tau
     rows = tuple(tuple(sorted({*row, v})) for v, row in enumerate(g.adj))
-    looped = dataclasses.replace(g, adj=rows)
+    looped = TransferGraph(g.n, g.vertices, rows, g.parts_index)
     assert clique_search_profile(looped) == tau
     for v, p in enumerate(g.vertices):
         # p lies in its own neighborhood now, next to all of it, so it

@@ -1,4 +1,3 @@
-import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 
 from partition_atlas import bfs_distances, boundary_framework, build_graph, enumerate_partitions
 from partition_atlas.partitions import _conjugate, format_partition
-from partition_atlas.transfer_graph import automorphism_fault
+from partition_atlas.transfer_graph import TransferGraph, automorphism_fault
 
 small_partitions_st = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -154,7 +153,7 @@ def test_automorphism_fault_names_the_smallest_failing_row():
         adj[a].discard(b)
         adj[b].discard(a)
         rows = tuple(tuple(sorted(row)) for row in adj)
-        broken = dataclasses.replace(g, adj=rows)
+        broken = TransferGraph(g.n, g.vertices, rows, g.parts_index)
         failing = [
             i for i, row in enumerate(rows) if sorted(sigma[j] for j in row) != [*rows[sigma[i]]]
         ]

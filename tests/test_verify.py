@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import weakref
@@ -10,7 +9,7 @@ from partition_atlas import build_graph, pipeline, thickness_profile, verify
 from partition_atlas.cli import main
 from partition_atlas.partitions import canonical_index, enumerate_partitions, parse_partition
 from partition_atlas.transfer_graph import TransferGraph
-from partition_atlas.zones import zone_sweep
+from partition_atlas.zones import ZoneDecomposition, zone_sweep
 
 FIRST_OCCURRENCE = "first-occurrence table matches expected values"
 MAX_LOCUS_TABLE = "maximal-thickness table matches expected values"
@@ -67,7 +66,7 @@ def test_first_occurrence_mismatch_within_reference_fails(monkeypatch):
     for n_bad, tau_max, expected in ((6, 3, 2), (7, 2, 3)):
 
         def wrong(prof, tau_max=tau_max):
-            return dataclasses.replace(prof, tau_max=tau_max)
+            return prof._replace(tau_max=tau_max)
 
         monkeypatch.setattr(verify, "thickness_profile", _profile_changed_at(n_bad, wrong))
         result = _verdict(FIRST_OCCURRENCE, 11)
@@ -80,7 +79,7 @@ def test_first_occurrence_off_the_formula_fails(monkeypatch):
     # a profile that reaches order 4 at n=10, one n before n_4 = 11, past
     # a lowered reference range, on a range from 1 and on one from 9
     def early(prof):
-        return dataclasses.replace(prof, tau=(4, *prof.tau[1:]), tau_max=4, max_locus=(0,))
+        return prof._replace(tau=(4, *prof.tau[1:]), tau_max=4, max_locus=(0,))
 
     monkeypatch.setattr(verify, "REFERENCE_RANGE_MAX", 8)
     monkeypatch.setattr(verify, "thickness_profile", _profile_changed_at(10, early))
@@ -118,7 +117,7 @@ def test_first_occurrences_beyond_reference_follow_the_formula(monkeypatch):
 )
 def test_max_locus_table_check_catches_a_wrong_locus(monkeypatch, n_bad, change, detail):
     def wrong(prof):
-        return dataclasses.replace(prof, max_locus=change(prof.max_locus))
+        return prof._replace(max_locus=change(prof.max_locus))
 
     monkeypatch.setattr(verify, "thickness_profile", _profile_changed_at(n_bad, wrong))
     result = _verdict(MAX_LOCUS_TABLE, 9)
@@ -131,7 +130,7 @@ def test_clique_search_check_catches_a_wrong_profile(monkeypatch):
         prof = thickness_profile(n)
         if n != 6:
             return prof
-        return dataclasses.replace(prof, tau=(prof.tau[0] + 1, *prof.tau[1:]))
+        return prof._replace(tau=(prof.tau[0] + 1, *prof.tau[1:]))
 
     monkeypatch.setattr(verify, "thickness_profile", raised)
     results = {r.name: r for r in verify.run_checks(1, 7)}
@@ -172,7 +171,7 @@ def test_automorphism_check_names_the_smallest_failing_vertex(monkeypatch):
         adj = list(graph.adj)
         adj[13] = tuple(j for j in adj[13] if j != 14)
         adj[14] = tuple(j for j in adj[14] if j != 13)
-        return dataclasses.replace(graph, adj=tuple(adj))
+        return TransferGraph(graph.n, graph.vertices, tuple(adj), graph.parts_index)
 
     monkeypatch.setattr(verify, "build_graph", dropped)
     results = {r.name: r for r in verify.run_checks(7, 9)}
@@ -188,7 +187,7 @@ def test_thickness_conjugation_is_checked_past_n_20(monkeypatch):
         if n != 23:
             return prof
         # (23) now disagrees with its conjugate (1^23); tau_max and the locus stay
-        return dataclasses.replace(prof, tau=(prof.tau[0] + 1, *prof.tau[1:]))
+        return prof._replace(tau=(prof.tau[0] + 1, *prof.tau[1:]))
 
     monkeypatch.setattr(verify, "thickness_profile", skewed)
     results = {r.name: r for r in verify.run_checks(22, 23)}
@@ -248,7 +247,7 @@ def _with_row(row_of):
             return graph
         adj = list(graph.adj)
         adj[3] = tuple(row_of(adj[3]))
-        return dataclasses.replace(graph, adj=tuple(adj))
+        return TransferGraph(graph.n, graph.vertices, tuple(adj), graph.parts_index)
 
     return patched
 
@@ -297,7 +296,7 @@ def test_zone_partition_check_catches_a_broken_split(monkeypatch, broken, detail
     def broken_at_2(graph, framework, profile):
         for dec in zone_sweep(graph, framework, profile):
             if dec.r == 2:
-                dec = dataclasses.replace(dec, **broken(dec, sorted(dec.threshold)))
+                dec = _changed(dec, **broken(dec, sorted(dec.threshold)))
             yield dec
 
     monkeypatch.setattr(verify, "zone_sweep", broken_at_2)
@@ -310,7 +309,7 @@ def test_zone_check_names_the_smallest_failing_order(monkeypatch):
     # the sweep reaches order 3 first at n=8; orders 3 and 2 are broken
     def broken_from_2(graph, framework, profile):
         for dec in zone_sweep(graph, framework, profile):
-            yield dataclasses.replace(dec, core=dec.threshold) if dec.r >= 2 else dec
+            yield _changed(dec, core=dec.threshold) if dec.r >= 2 else dec
 
     monkeypatch.setattr(verify, "zone_sweep", broken_from_2)
     result = _verdict("zone decomposition partitions", 8, 8)
@@ -341,7 +340,21 @@ def test_check_n_lets_each_zone_order_go_before_the_next_but_one(monkeypatch):
 
 
 def _component(dec, vertices):
-    return dataclasses.replace(dec.components[0], vertices=frozenset(vertices))
+    return dec.components[0]._replace(vertices=frozenset(vertices))
+
+
+def _changed(dec, **fields):
+    """A copy of the decomposition ``dec`` with the given fields changed."""
+    kept = dict(
+        n=dec.n,
+        r=dec.r,
+        threshold=dec.threshold,
+        exact=dec.exact,
+        components=dec.components,
+        shell=dec.shell,
+        core=dec.core,
+    )
+    return ZoneDecomposition(**{**kept, **fields})
 
 
 def test_results_carry_check_seconds():
@@ -357,7 +370,7 @@ HOLD_PROBE = """
 import json, tracemalloc
 from partition_atlas import verify
 from partition_atlas.partitions import canonical_index, enumerate_partitions
-from partition_atlas.zones import zone_sweep
+from partition_atlas.zones import ZoneDecomposition, zone_sweep
 
 
 def traced(make):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_atlas import (
+    TransferGraph,
     boundary_framework,
     build_graph,
     decompose,
@@ -88,7 +88,7 @@ def test_negative_r_rejected(small_profiles):
 
 def test_zone_of_a_profile_with_the_wrong_vertex_count_is_rejected(small_profiles):
     _, prof, _ = small_profiles[4]
-    short = dataclasses.replace(prof, tau=prof.tau[:-1])
+    short = prof._replace(tau=prof.tau[:-1])
     with pytest.raises(ValueError):
         threshold_zone(short, 1)
     with pytest.raises(ValueError):
@@ -231,7 +231,7 @@ def _relabelled(draw):
     prof = thickness_profile(n)
     if draw(st.booleans()):
         tau = tuple(draw(st.lists(st.integers(0, 5), min_size=len(g.adj), max_size=len(g.adj))))
-        prof = dataclasses.replace(prof, tau=tau, tau_max=max(tau))
+        prof = prof._replace(tau=tau, tau_max=max(tau))
     return g, boundary_framework(n), prof
 
 
@@ -261,9 +261,10 @@ def test_sweep_merges_components():
     # order-1 component joins; vertex 6 stays apart, and only vertex 0 is
     # put in the framework
     g5 = build_graph(5)
-    path = dataclasses.replace(g5, adj=((1,), (0, 2), (1, 3), (2, 4), (3,), (), ()))
-    fw = dataclasses.replace(boundary_framework(5), all_indices=frozenset({0}))
-    prof = dataclasses.replace(thickness_profile(5), tau=(2, 1, 2, 1, 2, 0, 2), tau_max=2)
+    rows = ((1,), (0, 2), (1, 3), (2, 4), (3,), (), ())
+    path = TransferGraph(5, g5.vertices, rows, g5.parts_index)
+    fw = boundary_framework(5)._replace(all_indices=frozenset({0}))
+    prof = thickness_profile(5)._replace(tau=(2, 1, 2, 1, 2, 0, 2), tau_max=2)
     top, low = zone_sweep(path, fw, prof)
     assert [sorted(c.vertices) for c in top.components] == [[0], [2], [4], [6]]
     assert [c.boundary_attached for c in top.components] == [True, False, False, False]
@@ -313,7 +314,7 @@ def test_a_zone_with_attached_and_free_components_builds_its_shell_and_core():
     near_a = set().union(*[ball[v] for v in ball[a]])
     b = next(v for v in range(len(g.adj)) if not ball[v] & (fw.all_indices | near_a))
     tau = tuple(2 if v in ball[a] | ball[b] else 1 for v in range(len(g.adj)))
-    prof = dataclasses.replace(thickness_profile(n), tau=tau, tau_max=2)
+    prof = thickness_profile(n)._replace(tau=tau, tau_max=2)
     top, low = zone_sweep(g, fw, prof)
     reference = [(c, bool(c & fw.all_indices)) for c in induced_components(g, top.threshold)]
     assert [attached for _, attached in reference] == [True, False]
