@@ -117,7 +117,7 @@ def _svg_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> I
     outlined = frozenset(profile.max_locus)
     if mode == "zones":
         exact1 = exact_regime(profile, 1)
-        skin2, core3 = _skin_and_core(graph, profile)
+        skin2, core3 = _skin_and_core(profile)
 
     # each coordinate is formatted once, and the lines and circles share
     # the strings; the cells are dropped once placed (at n=45 they hold 7 MB)
@@ -180,18 +180,16 @@ def _svg_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> I
     yield "</svg>\n"
 
 
-def _skin_and_core(
-    graph: TransferGraph, profile: ThicknessProfile
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The order-2 shell and the order-3 core, in two growth steps.
+def _skin_and_core(profile: ThicknessProfile) -> tuple[frozenset[int], frozenset[int]]:
+    """The order-2 shell and the order-3 core, from two closed-form orders.
 
-    Order 3 is grown from the empty zone and order 2 from order 3. Each
-    set is empty where its order is not realized. Only the two sets
-    outlive the call, not the decompositions they come from.
+    Order 2 is order 3 joined with the exact regime of order 2. Each set
+    is empty where its order is not realized. Only the two sets outlive
+    the call, not the decompositions they come from.
     """
-    framework = boundary_framework(graph.n)
-    order3 = decompose(graph, framework, profile, 3)
-    return decompose(graph, framework, profile, 2, order3).shell, order3.core
+    framework = boundary_framework(profile.n)
+    order3 = decompose(framework, profile, 3)
+    return decompose(framework, profile, 2, order3).shell, order3.core
 
 
 def export_tables(

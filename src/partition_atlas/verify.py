@@ -21,7 +21,7 @@ import filecmp
 import tempfile
 import time
 from bisect import bisect_left
-from itertools import groupby, islice, zip_longest
+from itertools import chain, groupby, islice, zip_longest
 from math import isqrt
 from operator import lt
 from pathlib import Path
@@ -434,6 +434,24 @@ def _check_antenna_exclusion(b: _Bundle, dec: _Order, above: _Order | None) -> N
                 )
 
 
+def _check_zone_connected(b: _Bundle, dec: _Order, above: _Order | None) -> None:
+    # T_{>=r} is T_{>=r+1}, found one component an order up, joined with
+    # E_r. So it is one component when a walk inside E_r, in layers, from
+    # the E_r vertices next to T_{>=r+1} (at tau_max, from one vertex)
+    # reaches all of E_r
+    adj = b.graph.adj
+    if above is not None and above.threshold:
+        higher = above.threshold
+        layer = {v for v in dec.exact if not higher.isdisjoint(adj[v])}
+    else:
+        layer = set(islice(dec.exact, 1))
+    unseen = set(dec.exact)
+    while layer:
+        unseen -= layer
+        layer = unseen.intersection(chain.from_iterable(map(adj.__getitem__, layer)))
+    _fail_if(bool(unseen), "zone not connected at n={}, r={}", b.n, dec.r)
+
+
 def _transitions(n_max: int) -> dict[int, int]:
     """n_r = r(r+1)/2 + 1 for each order r >= 1 with n_r <= ``n_max``."""
     return {r: r * (r + 1) // 2 + 1 for r in range(1, _staircase_order(n_max) + 1)}
@@ -595,6 +613,10 @@ CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str] | _PerOrder], ...] = (
     (
         "antenna exclusion from thick zones",
         _PerOrder(_check_antenna_exclusion, "antennas stay outside the triangular regime"),
+    ),
+    (
+        "threshold zones are connected",
+        _PerOrder(_check_zone_connected, "every zone is one component for n={n_min}..{n_max}"),
     ),
     ("first-occurrence table matches expected values", _check_first_occurrence_table),
     ("maximal-thickness table matches expected values", _check_max_locus_table),

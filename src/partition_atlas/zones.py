@@ -1,10 +1,53 @@
 """Threshold thick zones and their shell/core split against the framework.
 
-The zones are nested, T_{>=k} inside T_{>=r} for every k > r, so a zone
-grows from any higher order: one step adds the vertices with
-r <= tau < k, reads only their rows, and merges the components they join
-(:func:`decompose`). Every order of one graph comes from one sweep
-downward from ``tau_max``, one step per order (:func:`zone_sweep`).
+Every zone is in closed form. For the thickness of
+:func:`thickness.thickness_profile` and every r >= 1, the threshold zone
+T_{>=r}(n) is empty or one connected component of G_n, so
+:func:`decompose` reads no graph: the zone is its own one component,
+boundary-attached exactly when it meets the framework. (T_{>=0}(n) is
+all of G_n, which is connected.)
+
+Proof. Write d(x) for the number of distinct parts of x, C(mu) for the
+covers of a partition mu of n - 1 (a clique of G_n), and D_r(m) for the
+partitions of m with at least r distinct parts.
+
+- (A) By the corner formula (:func:`thickness._corner_thickness`), tau(p)
+  is the largest d(mu) over the lower covers mu of p. So T_{>=r}(n) is the
+  union of the cliques C(mu) over mu in D_r(n - 1).
+- (B) Adjacent mu and mu' of G_{n-1} share n - 2 cells, so their union
+  mu | mu' is a partition of n that covers both, and C(mu) meets C(mu').
+  So T_{>=r}(n) is connected when D_r(n - 1) induces a connected subgraph
+  of G_{n-1}.
+- (C) D_r(m) induces a connected subgraph of G_m. A member lam has at
+  least r - 1 distinct parts below lam_1, which sum to at least
+  r(r-1)/2, so lam_1 <= m - r(r-1)/2, with equality only at
+  rho = (m - r(r-1)/2, r-1, ..., 1). Every other member has a neighbor in
+  D_r(m) with a longer first row, by a one-unit transfer into row 1, so a
+  chain of such transfers leads from every member to rho. Taking the box
+  off the last row of a run of value v and length j, followed by the
+  value w (0 after the last run), changes d by the corner formula's gain
+  [v > 1 and w != v - 1] - [j = 1]; then adding a box to row 1 keeps d,
+  or raises it by one when the first run has length 2 or more.
+
+  - If some run below the first has gain >= 0, move a unit from its last
+    row to row 1: d does not fall.
+  - Otherwise every run below the first has length 1 and is followed by
+    the value one less, so lam = (a^k, s, s-1, ..., 1) with 0 <= s < a,
+    and d(lam) = s + 1. If k = 1, either s + 1 = r and lam is rho, or
+    d(lam) > r and any transfer into row 1, which lowers d by at most one,
+    keeps d >= r. If k >= 2, move a unit from row k: lam becomes
+    (a+1, a^(k-2), a-1, s, ..., 1), a zero part dropped, where a + 1
+    takes the place of a and s, ..., 1 stay, so d does not fall.
+
+The shells and cores follow. Every framework vertex has tau <= 2 (see
+:func:`framework.boundary_framework`), so for r >= 3 the zone misses the
+framework: Sh_r(n) is empty and Core_r(n) = T_{>=r}(n). The framework
+vertex (n-2, 2), n >= 4, has the lower cover (n-2, 1) with two distinct
+parts, so tau = 2, and Sh_2(n) = T_{>=2}(n) with Core_2(n) empty from
+n = 4 on (below, T_{>=2} is empty). The closed form holds for the
+thickness ``thickness_profile(n)`` computes, not for made-up tau values,
+whose zones may split; the ``verify`` check "threshold zones are
+connected" walks the rows of G_n to witness it at every n it checks.
 """
 
 from __future__ import annotations
@@ -28,14 +71,14 @@ class ZoneDecomposition:
     """One threshold zone split into boundary shell and interior core.
 
     ``components`` are the connected components of the subgraph induced on
-    the zone, ordered by smallest member; a component is boundary-attached
-    when it intersects the framework vertex set. The shell collects the
-    attached components, the core everything else.
+    the zone: none for an empty zone and otherwise one, the zone itself
+    (see the module docstring). A component is boundary-attached when it
+    intersects the framework vertex set. The shell collects the attached
+    components, the core everything else.
 
-    Fields that hold the same vertex set may be one object: a component
-    that is the whole zone holds ``threshold`` itself, as does ``shell``
-    when every component is attached (``core`` when none is), and the
-    other side is one shared empty set.
+    Fields that hold the same vertex set are one object: the component
+    holds ``threshold`` itself, as does ``shell`` when it is attached
+    (``core`` when it is not), and the other side is one shared empty set.
 
     Two decompositions are equal when every field is. Not a tuple, so that
     a caller may hold a weak reference to one.
@@ -77,7 +120,7 @@ class ZoneDecomposition:
         return hash(self._values())
 
 
-# the one empty side of every zone whose components all fall on the other
+# the one empty side of every zone
 _EMPTY: frozenset[int] = frozenset()
 
 
@@ -110,31 +153,43 @@ def _members(profile: ThicknessProfile, op: Callable[[int, int], bool], r: int) 
 
 
 def decompose(
-    graph: TransferGraph,
     framework: FrameworkSet,
     profile: ThicknessProfile,
     r: int,
     above: ZoneDecomposition | None = None,
 ) -> ZoneDecomposition:
-    """Split the threshold zone at ``r`` relative to the framework.
+    """Split the threshold zone at ``r`` relative to the framework, in closed form.
 
-    The zone of order r is the zone of any higher order k plus the
-    vertices with r <= tau < k. ``above`` is a decomposition of a higher
-    order of the same graph; given it, this is one growth step, which
-    reads only the rows of the added vertices. Without it, the step starts
-    from the empty zone above ``tau_max`` (or above r, if r is higher).
+    The zone is empty or one component (see the module docstring), so its
+    one component is the zone itself, boundary-attached exactly when it
+    meets ``framework.all_indices``; the shell is then the whole zone and
+    the core empty, and the other way round when it misses the framework.
+    ``above``, the decomposition of order r + 1 of the same n, makes the
+    zone T_{>=r+1} | E_r instead of a pass over the profile; without it,
+    from ``tau_max`` up the zone is the exact regime itself.
     """
-    if not (graph.n == framework.n == profile.n):
-        raise ValueError("graph, framework and profile must describe the same n")
+    n = profile.n
+    if framework.n != n:
+        raise ValueError("framework and profile must describe the same n")
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    if above is None:
-        empty: frozenset[int] = frozenset()
-        top = max(r, profile.tau_max) + 1
-        above = ZoneDecomposition(graph.n, top, empty, empty, (), empty, empty)
-    elif above.n != graph.n or above.r <= r:
-        raise ValueError(f"above must decompose an order above {r} for n={graph.n}")
-    return _grow(graph, framework, profile, r, above)
+    if above is not None and (above.n, above.r) != (n, r + 1):
+        raise ValueError(f"above must decompose order {r + 1} for n={n}")
+    exact = exact_regime(profile, r)
+    if above is not None:
+        if above.threshold and exact:
+            threshold = above.threshold | exact
+        else:
+            # one side is empty: the zone is the other set itself, not a copy
+            threshold = above.threshold or exact
+    elif r >= profile.tau_max:
+        threshold = exact
+    else:
+        threshold = threshold_zone(profile, r)
+    attached = not framework.all_indices.isdisjoint(threshold)
+    components = (ZoneComponent(threshold, attached),) if threshold else ()
+    shell, core = (threshold, _EMPTY) if attached else (_EMPTY, threshold)
+    return ZoneDecomposition(n, r, threshold, exact, components, shell, core)
 
 
 def zone_sweep(
@@ -142,119 +197,17 @@ def zone_sweep(
 ) -> Iterator[ZoneDecomposition]:
     """:func:`decompose` of every order from ``tau_max`` down to 1.
 
-    Each order is grown from the one before, and is handed out before the
+    Each order is made from the one before, and is handed out before the
     next is made, so a caller that writes and drops each holds no more
-    than two at a time.
+    than two at a time. The zones need no graph; ``graph`` is the one they
+    are zones of, and only its n is read, to match the other two.
     """
+    if graph.n != profile.n:
+        raise ValueError("graph, framework and profile must describe the same n")
     above = None
     for r in range(profile.tau_max, 0, -1):
-        above = decompose(graph, framework, profile, r, above)
+        above = decompose(framework, profile, r, above)
         yield above
-
-
-def _grow(
-    graph: TransferGraph,
-    framework: FrameworkSet,
-    profile: ThicknessProfile,
-    r: int,
-    above: ZoneDecomposition,
-) -> ZoneDecomposition:
-    """The decomposition of order ``r``, from ``above``, one of a higher order.
-
-    The added vertices are those with r <= tau < ``above.r``: the exact
-    regime when ``above`` is order r + 1, as in the sweep. Every zone
-    vertex is labelled with its group, and each component above starts as
-    one group. The row of each added vertex is read once: the vertex joins
-    one of the groups its labelled neighbors hold, or a group of its own,
-    and every other group it meets is merged in, the smaller relabelled
-    into the larger. So over the whole sweep each edge is read at most
-    twice. A component above that gains nothing is carried over as it is.
-    """
-    adj = graph.adj
-    exact = exact_regime(profile, r)
-    if above.r == r + 1:
-        added = exact
-        if above.threshold and exact:
-            threshold = above.threshold | exact
-        else:
-            # one side is empty: the zone is the other set itself, not a copy
-            threshold = above.threshold or exact
-    else:
-        # above.threshold is T_{>=above.r}, so the rest has r <= tau < above.r;
-        # from the empty zone, every member is added and no copy is made
-        threshold = threshold_zone(profile, r)
-        added = threshold - above.threshold if above.threshold else threshold
-    label: dict[int, int] = {}
-    # per group: the components above it holds and its new vertices; a
-    # merged-away group is None
-    olds: list = []
-    news: list = []
-    for g, comp in enumerate(above.components):
-        label.update(dict.fromkeys(comp.vertices, g))
-        olds.append([comp])
-        news.append([])
-    get = label.get
-    for v in added:
-        met = set(map(get, adj[v]))
-        met.discard(None)
-        if met:
-            own = met.pop()
-        else:
-            own = len(olds)
-            olds.append([])
-            news.append([])
-        for other in met:
-            if _size(olds[own], news[own]) < _size(olds[other], news[other]):
-                own, other = other, own
-            for comp in olds[other]:
-                label.update(dict.fromkeys(comp.vertices, own))
-            label.update(dict.fromkeys(news[other], own))
-            olds[own] += olds[other]
-            news[own] += news[other]
-            olds[other] = news[other] = None
-        label[v] = own
-        news[own].append(v)
-    # the labels go before the new sets are built, so the two never coexist
-    del label, get
-    border = framework.all_indices
-    components = []
-    for group, new in zip(olds, news):
-        if group is None:
-            continue
-        if _size(group, new) == len(threshold):
-            # the whole zone: its one component holds the zone's own set
-            members = threshold
-        elif not new:
-            components.append(group[0])
-            continue
-        else:
-            members = frozenset().union(*[comp.vertices for comp in group], new)
-        attached = any(c.boundary_attached for c in group) or not border.isdisjoint(new)
-        components.append(ZoneComponent(vertices=members, boundary_attached=attached))
-    if len(components) > 1:
-        components.sort(key=lambda c: min(c.vertices))
-    shell = [c.vertices for c in components if c.boundary_attached]
-    core = [c.vertices for c in components if not c.boundary_attached]
-    # a side that takes every component is the zone itself, the other empty
-    if not core:
-        shell, core = threshold, _EMPTY
-    elif not shell:
-        shell, core = _EMPTY, threshold
-    else:
-        shell, core = frozenset().union(*shell), frozenset().union(*core)
-    return ZoneDecomposition(
-        n=graph.n,
-        r=r,
-        threshold=threshold,
-        exact=exact,
-        components=tuple(components),
-        shell=shell,
-        core=core,
-    )
-
-
-def _size(olds: list[ZoneComponent], news: list[int]) -> int:
-    return sum(len(comp.vertices) for comp in olds) + len(news)
 
 
 def first_occurrences(tau_maxes: Sequence[int]) -> dict[int, int]:

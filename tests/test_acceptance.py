@@ -113,6 +113,7 @@ def test_criterion_5_structural_suite(verdicts):
             "zone and shell nesting",
             "first shell order is trivial",
             "antenna exclusion from thick zones",
+            "threshold zones are connected",
         )
 
 
@@ -184,8 +185,8 @@ def test_criterion_8_atlas_integrity():
             p_n = len(enumerate_partitions(n))
 
             exact1 = exact_regime(profile, 1)
-            shell2 = decompose(graph, framework, profile, 2).shell
-            core3 = decompose(graph, framework, profile, 3).core
+            shell2 = decompose(framework, profile, 2).shell
+            core3 = decompose(framework, profile, 3).core
             residual = p_n - len(exact1 | shell2 | core3)
 
             for mode in ("thickness", "zones"):

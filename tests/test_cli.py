@@ -166,7 +166,7 @@ def test_a_dead_worker_ends_the_command(tmp_path, args):
     [
         (["compute", "--n-max", "12", "--jobs", "2", "--out", "a"], "computed 12 graphs into a"),
         (["tables", "--n-max", "12", "--out", "a"], "wrote a/summary.csv"),
-        (["verify", "--n-max", "12"], "26/26 checks passed"),
+        (["verify", "--n-max", "12"], "27/27 checks passed"),
     ],
     ids=["compute", "tables", "verify"],
 )

@@ -339,6 +339,42 @@ def test_check_n_lets_each_zone_order_go_before_the_next_but_one(monkeypatch):
     assert held == [[], [], [], [], []]
 
 
+def _cut_off(cuts):
+    """build_graph with, at each n of ``cuts``, the edges between each named
+    vertex and the vertices of higher thickness dropped from both rows."""
+
+    def patched(n):
+        graph = build_graph(n)
+        if n not in cuts:
+            return graph
+        tau = thickness_profile(n).tau
+        adj = list(graph.adj)
+        for text in cuts[n]:
+            v = graph.index_of(parse_partition(text))
+            higher = {w for w in adj[v] if tau[w] > tau[v]}
+            adj[v] = tuple(w for w in adj[v] if w not in higher)
+            for w in higher:
+                adj[w] = tuple(u for u in adj[w] if u != v)
+        return TransferGraph(graph.n, graph.vertices, tuple(adj), graph.parts_index)
+
+    return patched
+
+
+CONNECTED = "threshold zones are connected"
+
+
+def test_zone_connectivity_check_names_the_smallest_cut_zone(monkeypatch):
+    # each vertex cut off has no neighbor of its own thickness in its zone
+    # (an antenna at r=1; (3,3,2) and (3,3,3) at r=2), so its zone splits
+    cuts = {8: ["3,3,2"], 9: ["9", "3,3,3"]}
+    monkeypatch.setattr(verify, "build_graph", _cut_off(cuts))
+    assert _verdict(CONNECTED, 7).ok
+    for n_min, failure in ((8, "n=8, r=2"), (9, "n=9, r=1")):
+        result = _verdict(CONNECTED, 9, n_min)
+        assert not result.ok
+        assert result.detail == f"raised AssertionError: zone not connected at {failure}"
+
+
 def _component(dec, vertices):
     return dec.components[0]._replace(vertices=frozenset(vertices))
 
@@ -472,13 +508,14 @@ VERIFY_12_STDOUT = """\
 [PASS] first shell order is trivial: order-1 shell is everything, its core empty
 [PASS] zone conjugation invariance: zones, shells and cores invariant for n=1..12
 [PASS] antenna exclusion from thick zones: antennas stay outside the triangular regime
+[PASS] threshold zones are connected: every zone is one component for n=1..12
 [PASS] first-occurrence table matches expected values: {2: 4, 3: 7, 4: 11}
 [PASS] maximal-thickness table matches expected values: covers of (r, ..., 1) at n in [2, 4, 7, 11]; 2r + 1 members at n in [3, 5, 8, 12]
 [PASS] maximal loci keep away from the antennas: antenna distance >= 2 for n in [7, 8, 9, 10, 11, 12]
 [PASS] layout conjugation symmetry: conjugation transposes every base cell
 [PASS] rendering determinism: byte-identical repeated renders at n=7
 [PASS] artifact generation idempotence: identical artifacts for n=1..5
-26/26 checks passed
+27/27 checks passed
 """
 
 RUN_CHECKS_21_22 = [
@@ -502,6 +539,7 @@ RUN_CHECKS_21_22 = [
     ('first shell order is trivial', True, 'order-1 shell is everything, its core empty'),
     ('zone conjugation invariance', True, 'zones, shells and cores invariant for n=21..22'),
     ('antenna exclusion from thick zones', True, 'antennas stay outside the triangular regime'),
+    ('threshold zones are connected', True, 'every zone is one component for n=21..22'),
     ('first-occurrence table matches expected values', True, '{6: 22}'),
     ('maximal-thickness table matches expected values', True, 'covers of (r, ..., 1) at n in [22]'),
     ('maximal loci keep away from the antennas', True, 'antenna distance >= 2 for n in [21, 22]'),
@@ -532,6 +570,7 @@ RUN_CHECKS_1_1 = [
     ('first shell order is trivial', True, 'order-1 shell is everything, its core empty'),
     ('zone conjugation invariance', True, 'zones, shells and cores invariant for n=1..1'),
     ('antenna exclusion from thick zones', True, 'antennas stay outside the triangular regime'),
+    ('threshold zones are connected', True, 'every zone is one component for n=1..1'),
     ('first-occurrence table matches expected values', True, 'no order realized in range'),
     ('maximal-thickness table matches expected values', True, 'no transition n in range'),
     ('maximal loci keep away from the antennas', True, 'no n >= 7 in range'),
@@ -561,6 +600,7 @@ RUN_CHECKS_1_2 = [
     ('first shell order is trivial', True, 'order-1 shell is everything, its core empty'),
     ('zone conjugation invariance', True, 'zones, shells and cores invariant for n=1..2'),
     ('antenna exclusion from thick zones', True, 'antennas stay outside the triangular regime'),
+    ('threshold zones are connected', True, 'every zone is one component for n=1..2'),
     ('first-occurrence table matches expected values', True, 'no order realized in range'),
     ('maximal-thickness table matches expected values', True, 'covers of (r, ..., 1) at n in [2]'),
     ('maximal loci keep away from the antennas', True, 'no n >= 7 in range'),

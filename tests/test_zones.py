@@ -2,14 +2,12 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from partition_atlas import (
-    TransferGraph,
     boundary_framework,
     build_graph,
     decompose,
+    enumerate_partitions,
     exact_regime,
     first_occurrences,
     first_occurrences_csv,
@@ -120,7 +118,7 @@ def test_threshold_zone_shares_the_index_ints():
 
 def test_decompose_n4_r2(small_profiles):
     g, prof, fw = small_profiles[4]
-    dec = decompose(g, fw, prof, 2)
+    dec = decompose(fw, prof, 2)
     assert _named(g, dec.shell) == {"3,1", "2,2", "2,1,1"}
     assert dec.core == frozenset()
     assert len(dec.components) == 1
@@ -130,14 +128,14 @@ def test_decompose_n4_r2(small_profiles):
 def test_decompose_r1_everything(small_profiles):
     for n in range(2, 13):
         g, prof, fw = small_profiles[n]
-        dec = decompose(g, fw, prof, 1)
+        dec = decompose(fw, prof, 1)
         assert dec.shell == frozenset(range(len(g.vertices)))
         assert dec.core == frozenset()
 
 
 def test_decompose_n1_r1_empty(small_profiles):
     g, prof, fw = small_profiles[1]
-    dec = decompose(g, fw, prof, 1)
+    dec = decompose(fw, prof, 1)
     assert dec.threshold == frozenset()
     assert dec.components == ()
     assert dec.shell == dec.core == frozenset()
@@ -148,7 +146,7 @@ def test_decompose_r0_defined(small_profiles):
     # even though the pipeline only emits orders from 1 upward
     for n in (1, 5):
         g, prof, fw = small_profiles[n]
-        dec = decompose(g, fw, prof, 0)
+        dec = decompose(fw, prof, 0)
         assert dec.shell == frozenset(range(len(g.vertices)))
         assert dec.core == frozenset()
 
@@ -156,7 +154,7 @@ def test_decompose_r0_defined(small_profiles):
 def test_decompose_n7_r3_core(small_profiles):
     # the order-3 component misses the framework; the flag is computed
     g, prof, fw = small_profiles[7]
-    dec = decompose(g, fw, prof, 3)
+    dec = decompose(fw, prof, 3)
     assert len(dec.components) == 1
     assert not dec.components[0].boundary_attached
     assert dec.core == frozenset(prof.max_locus)
@@ -185,7 +183,7 @@ def _components_by_label_propagation(graph, members):
 def test_decompose_components_match_label_propagation(small_profiles):
     for n, (g, prof, fw) in small_profiles.items():
         for r in range(prof.tau_max + 2):
-            dec = decompose(g, fw, prof, r)
+            dec = decompose(fw, prof, r)
             expected = _components_by_label_propagation(g, dec.threshold)
             assert [c.vertices for c in dec.components] == expected, (n, r)
             for c in dec.components:
@@ -198,9 +196,9 @@ def test_decompose_components_match_label_propagation(small_profiles):
 
 
 def _reference(graph, framework, tau, r):
-    """Order r of a decomposition, walked afresh from the profile alone."""
+    """Order r of a decomposition, walked afresh on the graph from the profile alone."""
     zone = {v for v, t in enumerate(tau) if t >= r}
-    comps = _components_by_label_propagation(graph, zone)
+    comps = induced_components(graph, zone)
     attached = [bool(c & framework.all_indices) for c in comps]
     return {
         "threshold": zone,
@@ -221,63 +219,58 @@ def _as_reference(dec):
     }
 
 
-@st.composite
-def _relabelled(draw):
-    # G_n with its real thickness values, or with random ones: then its
-    # zones split into several components, which merge as the sweep goes
-    # down, and some orders are skipped altogether
-    n = draw(st.integers(1, 12))
-    g = build_graph(n)
-    prof = thickness_profile(n)
-    if draw(st.booleans()):
-        tau = tuple(draw(st.lists(st.integers(0, 5), min_size=len(g.adj), max_size=len(g.adj))))
-        prof = prof._replace(tau=tau, tau_max=max(tau))
-    return g, boundary_framework(n), prof
+def test_sweep_matches_a_walk_per_order():
+    # the closed form against the components of each zone, walked on G_n
+    for n in range(1, 21):
+        g, fw, prof = build_graph(n), boundary_framework(n), thickness_profile(n)
+        swept = {dec.r: dec for dec in zone_sweep(g, fw, prof)}
+        assert list(swept) == list(range(prof.tau_max, 0, -1))
+        # order 0 is one more step down from the sweep's last order
+        swept[0] = decompose(fw, prof, 0, swept.get(1))
+        top = prof.tau_max + 1
+        decs = {r: decompose(fw, prof, r) for r in range(top + 1)}
+        for r, dec in decs.items():
+            assert (dec.n, dec.r) == (n, r)
+            assert _as_reference(dec) == _reference(g, fw, prof.tau, r), (n, r)
+            if r in swept:
+                assert swept[r] == dec, (n, r)
+            if r < top:
+                assert decompose(fw, prof, r, decs[r + 1]) == dec, (n, r)
 
 
-@settings(deadline=None)
-@given(_relabelled())
-def test_sweep_matches_a_walk_per_order(case):
-    g, fw, prof = case
-    swept = {dec.r: dec for dec in zone_sweep(g, fw, prof)}
-    assert list(swept) == list(range(prof.tau_max, 0, -1))
-    # order 0 is one more step down from the sweep's last order
-    swept[0] = decompose(g, fw, prof, 0, swept.get(1))
-    top = prof.tau_max + 1
-    decs = {r: decompose(g, fw, prof, r) for r in range(top + 1)}
-    for r, dec in decs.items():
-        assert (dec.n, dec.r) == (g.n, r)
-        assert _as_reference(dec) == _reference(g, fw, prof.tau, r), r
-        if r in swept:
-            assert swept[r] == dec, r
-        # a zone grows from any higher order to the same decomposition
-        for k in range(r + 1, top + 1):
-            assert decompose(g, fw, prof, r, decs[k]) == dec, (r, k)
+def _distinct(parts):
+    return len(set(parts))
 
 
-def test_sweep_merges_components():
-    # on a path 0-1-2-3-4 of G_5's vertices, thickness 2 on the ends and
-    # the middle and 1 between them gives three order-2 pieces that one
-    # order-1 component joins; vertex 6 stays apart, and only vertex 0 is
-    # put in the framework
-    g5 = build_graph(5)
-    rows = ((1,), (0, 2), (1, 3), (2, 4), (3,), (), ())
-    path = TransferGraph(5, g5.vertices, rows, g5.parts_index)
-    fw = boundary_framework(5)._replace(all_indices=frozenset({0}))
-    prof = thickness_profile(5)._replace(tau=(2, 1, 2, 1, 2, 0, 2), tau_max=2)
-    top, low = zone_sweep(path, fw, prof)
-    assert [sorted(c.vertices) for c in top.components] == [[0], [2], [4], [6]]
-    assert [c.boundary_attached for c in top.components] == [True, False, False, False]
-    assert top.shell == frozenset({0})
-    assert top.core == frozenset({2, 4, 6})
-    assert [sorted(c.vertices) for c in low.components] == [[0, 1, 2, 3, 4], [6]]
-    assert [c.boundary_attached for c in low.components] == [True, False]
-    # a component that gains nothing is carried over as it is
-    assert low.components[1] is top.components[3]
-    assert low.threshold == frozenset({0, 1, 2, 3, 4, 6})
-    assert low.exact == frozenset({1, 3})
-    assert low.shell == frozenset({0, 1, 2, 3, 4})
-    assert low.core == frozenset({6})
+def _first_row_transfers(parts):
+    """Every partition made from ``parts`` by moving one unit from a lower row to row 1."""
+    for i in range(1, len(parts)):
+        # only the last row of a run may give a unit, or the rows fall out of order
+        if i + 1 == len(parts) or parts[i + 1] < parts[i]:
+            moved = (parts[0] + 1, *parts[1:i], parts[i] - 1, *parts[i + 1 :])
+            yield moved if moved[-1] else moved[:-1]
+
+
+def test_partitions_with_r_distinct_parts_induce_one_piece():
+    # step (C) of the proof in the zones module, on the graph itself
+    for m in range(1, 25):
+        g = build_graph(m)
+        # up to one past the most distinct parts, where D_r(m) is empty
+        for r in range(1, max(map(_distinct, g.vertices)) + 2):
+            members = [v for v, parts in enumerate(g.vertices) if _distinct(parts) >= r]
+            assert len(induced_components(g, members)) == (1 if members else 0), (m, r)
+
+
+def test_every_member_but_rho_has_a_first_row_transfer():
+    # step (C)'s case split, checked on every partition of m <= 30: each
+    # member of D_r(m) other than rho = (m - r(r-1)/2, r-1, ..., 1) has a
+    # one-unit transfer into row 1 that keeps r distinct parts
+    for m in range(1, 31):
+        for parts in enumerate_partitions(m):
+            best = max(map(_distinct, _first_row_transfers(parts)), default=0)
+            for r in range(1, _distinct(parts) + 1):
+                rho = (m - r * (r - 1) // 2, *range(r - 1, 0, -1))
+                assert parts == rho or best >= r, (parts, r)
 
 
 def test_zone_fields_share_one_set_per_distinct_vertex_set():
@@ -302,52 +295,29 @@ def test_zone_fields_share_one_set_per_distinct_vertex_set():
     assert all(seen.values()), seen
 
 
-def test_a_zone_with_attached_and_free_components_builds_its_shell_and_core():
-    # thickness 2 on the closed neighborhood of one framework vertex and of
-    # one vertex whose neighborhood misses the framework, 1 elsewhere: T>=2
-    # has an attached component and a free one, a split that real
-    # thickness values up to n=36 never make
-    n = 12
-    g, fw = build_graph(n), boundary_framework(n)
-    ball = [{v, *g.adj[v]} for v in range(len(g.adj))]
-    a = min(fw.all_indices - set(fw.antennas))
-    near_a = set().union(*[ball[v] for v in ball[a]])
-    b = next(v for v in range(len(g.adj)) if not ball[v] & (fw.all_indices | near_a))
-    tau = tuple(2 if v in ball[a] | ball[b] else 1 for v in range(len(g.adj)))
-    prof = thickness_profile(n)._replace(tau=tau, tau_max=2)
-    top, low = zone_sweep(g, fw, prof)
-    reference = [(c, bool(c & fw.all_indices)) for c in induced_components(g, top.threshold)]
-    assert [attached for _, attached in reference] == [True, False]
-    assert [(c.vertices, c.boundary_attached) for c in top.components] == reference
-    assert top.shell == reference[0][0] and top.core == reference[1][0]
-    assert top.shell | top.core == top.threshold and not top.shell & top.core
-    # order 1 is all of G_n again: one attached component, the zone itself
-    assert low.shell is low.threshold is low.components[0].vertices
-    assert low.core is zones._EMPTY
-
-
 def test_decompose_steps_from_the_order_above(small_profiles):
     g, prof, fw = small_profiles[11]
     above = None
     for r in range(prof.tau_max, 0, -1):
-        above = decompose(g, fw, prof, r, above)
-        assert above == decompose(g, fw, prof, r)
-    assert decompose(g, fw, prof, 2, decompose(g, fw, prof, 4)) == decompose(g, fw, prof, 2)
-    for same_or_lower in (2, 1):
-        with pytest.raises(ValueError, match="order above 2"):
-            decompose(g, fw, prof, 2, decompose(g, fw, prof, same_or_lower))
+        above = decompose(fw, prof, r, above)
+        assert above == decompose(fw, prof, r)
+    # the order above is the one source of the union T_{>=r+1} | E_r, so
+    # any other order is refused
+    for other in (4, 2, 1):
+        with pytest.raises(ValueError, match="must decompose order 3"):
+            decompose(fw, prof, 2, decompose(fw, prof, other))
     g10, prof10, fw10 = small_profiles[10]
     with pytest.raises(ValueError):
-        decompose(g10, fw10, prof10, 2, decompose(g, fw, prof, 3))
+        decompose(fw10, prof10, 2, decompose(fw, prof, 3))
     with pytest.raises(ValueError):
-        decompose(g, fw, prof, -1)
+        decompose(fw, prof, -1)
 
 
 def test_decompose_partitions_zone(small_profiles):
     for n in range(1, 13):
         g, prof, fw = small_profiles[n]
         for r in range(1, prof.tau_max + 1):
-            dec = decompose(g, fw, prof, r)
+            dec = decompose(fw, prof, r)
             assert dec.shell | dec.core == dec.threshold
             assert not dec.shell & dec.core
             pieces = [c.vertices for c in dec.components]
@@ -357,7 +327,7 @@ def test_decompose_partitions_zone(small_profiles):
 def test_shells_nested(small_profiles):
     for n in range(2, 13):
         g, prof, fw = small_profiles[n]
-        decs = {r: decompose(g, fw, prof, r) for r in range(1, prof.tau_max + 1)}
+        decs = {r: decompose(fw, prof, r) for r in range(1, prof.tau_max + 1)}
         for r in range(1, prof.tau_max):
             assert decs[r + 1].shell <= decs[r].shell
         for r in range(3, prof.tau_max + 1):
@@ -369,7 +339,7 @@ def test_zone_sets_conjugation_invariant(small_profiles):
         g, prof, fw = small_profiles[n]
         sigma = g.conjugation_permutation()
         for r in range(1, prof.tau_max + 1):
-            dec = decompose(g, fw, prof, r)
+            dec = decompose(fw, prof, r)
             for vs in (dec.threshold, dec.exact, dec.shell, dec.core):
                 assert all(sigma[i] in vs for i in vs)
 
@@ -386,9 +356,11 @@ def test_decompose_rejects_mismatched_inputs(small_profiles):
     g4, prof4, fw4 = small_profiles[4]
     _, prof5, fw5 = small_profiles[5]
     with pytest.raises(ValueError):
-        decompose(g4, fw4, prof5, 1)
+        decompose(fw4, prof5, 1)
     with pytest.raises(ValueError):
-        decompose(g4, fw5, prof4, 1)
+        decompose(fw5, prof4, 1)
+    with pytest.raises(ValueError):
+        next(zone_sweep(g4, fw4, prof5))
 
 
 def test_first_occurrences_small_ranges(small_profiles):
@@ -414,7 +386,7 @@ def test_first_occurrences_csv(small_profiles):
 
 def test_zone_json_n4(small_profiles):
     g, prof, fw = small_profiles[4]
-    doc = json.loads(zone_json(decompose(g, fw, prof, 2)))
+    doc = json.loads(zone_json(decompose(fw, prof, 2)))
     assert doc["n"] == 4
     assert doc["r"] == 2
     assert doc["threshold"] == ["3,1", "2,2", "2,1,1"]
@@ -451,7 +423,7 @@ def test_zone_json_matches_json_dumps(small_profiles):
     seen = set()
     for n, (g, prof, fw) in small_profiles.items():
         for r in range(prof.tau_max + 2):
-            dec = decompose(g, fw, prof, r)
+            dec = decompose(fw, prof, r)
             doc = _zone_doc(g, dec)
             assert zone_json(dec) == json.dumps(doc, indent=2) + "\n", (n, r)
             seen.update(key for key in ("exact", "core", "components") if not doc[key])
