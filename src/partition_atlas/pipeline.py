@@ -239,7 +239,7 @@ def compute_artifacts_for_n(n: int, out_root: Path) -> None:
     (target / "profile.json").write_text(profile_json(profile))
     # each order is written as the sweep makes it, from tau_max down, and
     # dropped once the next is made from it
-    for decomposition in zone_sweep(graph, framework, profile):
+    for decomposition in zone_sweep(framework, profile):
         (target / f"zones_r{decomposition.r}.json").write_text(zone_json(decomposition))
 
 

@@ -2,13 +2,13 @@
 
 Each check covers one documented property of the pipeline and is one
 entry of :data:`CHECKS`. The runner takes the requested range one n at a
-time: it builds that n's graph, profile and framework once, evaluates
-every check against them, and drops them before the next n, so memory
-follows the largest n of the range rather than the whole range. The zone
-orders are not part of what is built: the zone checks, which stand
-together in :data:`CHECKS`, run in one sweep that makes n's orders from
-tau_max down. Each zone check sees each order with the one above it, and
-an order is dropped once the next is made, so no more than two orders
+time: it builds that n's graph, profile and framework once, calls every
+check once on them, in report order, and drops them before the next n,
+so memory follows the largest n of the range rather than the whole
+range. The zone checks read the profile and the framework, as every zone
+order is a closed form of the two (see :mod:`zones`); only "zone
+decomposition partitions" makes the orders, in one sweep from tau_max
+down that drops each order once the next is made, so no more than two
 are held at a time.
 The n are independent, so they may be spread over worker processes; only
 each check's outcome comes back, and the outcomes are merged in n order.
@@ -21,7 +21,7 @@ import filecmp
 import tempfile
 import time
 from bisect import bisect_left
-from itertools import chain, groupby, islice, zip_longest
+from itertools import chain, islice, zip_longest
 from math import isqrt
 from operator import lt
 from pathlib import Path
@@ -45,7 +45,7 @@ from .transfer_graph import (
     build_graph,
     induced_components,
 )
-from .zones import ZoneDecomposition, zone_sweep
+from .zones import ZoneComponent, zone_sweep
 
 ORACLE_RANGE_MAX = 12
 
@@ -69,8 +69,8 @@ class _Range(NamedTuple):
 class _Bundle(NamedTuple):
     """What every check reads of one n, built once and dropped after it.
 
-    The zone orders are not part of it: :func:`_sweep_outcomes` makes
-    them one at a time, in one sweep, for the zone checks.
+    The zone orders are not part of it: "zone decomposition partitions"
+    makes them one at a time, in one sweep.
     """
 
     n: int
@@ -81,22 +81,6 @@ class _Bundle(NamedTuple):
 
 def _bundle(n: int) -> _Bundle:
     return _Bundle(n, build_graph(n), thickness_profile(n), boundary_framework(n))
-
-
-# one zone order of n, as its decomposition
-_Order = ZoneDecomposition
-
-
-class _PerOrder(NamedTuple):
-    """A check of every zone order of n, run inside n's one sweep.
-
-    ``check(b, dec, above)`` raises on a failure of the order ``dec``,
-    given the order above it (None at tau_max). ``detail`` is the verdict
-    of a passing run, formatted with the range's ``n_min`` and ``n_max``.
-    """
-
-    check: Callable[[_Bundle, _Order, _Order | None], None]
-    detail: str
 
 
 def profile_conjugation_ok(graph: TransferGraph, profile: ThicknessProfile) -> bool:
@@ -129,7 +113,7 @@ def _fail_if(condition: bool, message: str, *args: object) -> None:
 _Outcome = tuple[bool, str, float]
 
 
-def _outcome(check: Callable[..., str | None], *args: object) -> _Outcome:
+def _outcome(check: Callable[..., str], *args: object) -> _Outcome:
     start = time.perf_counter()
     try:
         ok, text = True, check(*args)
@@ -139,52 +123,20 @@ def _outcome(check: Callable[..., str | None], *args: object) -> _Outcome:
 
 
 def _check_n(n: int, n_min: int, n_max: int) -> list[_Outcome]:
-    """One outcome per check on n's bundle, in report order; only these outlive the bundle.
-
-    The checks run in the order of :data:`CHECKS`. The zone checks stand
-    together there, and run together, in one sweep (:func:`_sweep_outcomes`).
-    """
+    """One outcome per check on n's bundle, in report order; only these outlive the bundle."""
     run = _Range(n_min, n_max)
     b = _bundle(n)
-    outcomes: list[_Outcome] = []
-    for per_order, entries in groupby(CHECKS, lambda entry: isinstance(entry[1], _PerOrder)):
-        checks = [check for _, check in entries]
-        if per_order:
-            outcomes += _sweep_outcomes(run, b, checks)
-        else:
-            outcomes += [_outcome(check, run, b) for check in checks]
-    return outcomes
-
-
-def _sweep_outcomes(run: _Range, b: _Bundle, checks: list[_PerOrder]) -> list[_Outcome]:
-    """The outcome of each of ``checks`` over every zone order of n, from one sweep.
-
-    The sweep makes the orders from tau_max down. Each check runs on each
-    order, given the order above it, and its seconds are summed over the
-    orders; as the sweep runs downward, the last order to fail is the
-    smallest failing r. An order is let go once the one below it is
-    checked, so no more than two are held.
-    """
-    outcomes = [(True, c.detail.format(n_min=run.n_min, n_max=run.n_max), 0.0) for c in checks]
-    above = None
-    for dec in zone_sweep(b.graph, b.framework, b.profile):
-        for k, check in enumerate(checks):
-            ok, text, seconds = _outcome(check.check, b, dec, above)
-            was_ok, was_text, was_seconds = outcomes[k]
-            outcomes[k] = (was_ok and ok, was_text if ok else text, was_seconds + seconds)
-        above = dec
-    return outcomes
+    return [_outcome(check, run, b) for _, check in CHECKS]
 
 
 def run_checks(n_min: int = 1, n_max: int = 30, workers: int = 1) -> list[CheckResult]:
     """Evaluate every check of :data:`CHECKS` for the range ``n_min..n_max``.
 
-    Each check is called once per n with that n's bundle or, for a zone
-    check, once per zone order of n. A check that raises at some n fails
-    with the message of the smallest such n (for a zone check, of its
-    smallest failing order there); otherwise its detail at ``n_max`` is
-    its verdict. Each check's ``seconds`` is the time it spent, summed
-    over n and, for a zone check, over orders.
+    Each check is called once per n with that n's bundle. A check that
+    raises at some n fails with the message of the smallest such n (a
+    zone check names its smallest failing order there); otherwise its
+    detail at ``n_max`` is its verdict. Each check's ``seconds`` is the
+    time it spent, summed over n.
 
     With ``workers`` above 1 the n are spread over that many processes
     (see :func:`pipeline.map_n`); the results are the same, and the
@@ -373,83 +325,108 @@ def _check_max_locus(run: _Range, b: _Bundle) -> str:
     return "nonempty, conjugation-invariant, antenna-free above thickness 1"
 
 
-def _splits(whole: frozenset[int], parts: list[frozenset[int]]) -> bool:
-    """True when ``parts`` are disjoint and together make up ``whole``.
-
-    Their sizes must add up to ``len(whole)``. Then one nonempty part that
-    is ``whole`` itself settles it; otherwise their union, built only now,
-    must equal ``whole``.
-    """
-    parts = [part for part in parts if part]
-    if sum(map(len, parts)) != len(whole):
-        return False
-    return (len(parts) == 1 and parts[0] is whole) or frozenset().union(*parts) == whole
+def _levels(profile: ThicknessProfile) -> list[list[int]]:
+    """E_r for r = 0..tau_max, each in increasing vertex order, from one pass over tau."""
+    levels: list[list[int]] = [[] for _ in range(profile.tau_max + 1)]
+    for v, t in enumerate(profile.tau):
+        levels[t].append(v)
+    return levels
 
 
-def _check_zone_partition(b: _Bundle, dec: _Order, above: _Order | None) -> None:
-    halves = [dec.shell, dec.core]
-    _fail_if(not _splits(dec.threshold, halves), "shell/core at n={}, r={}", b.n, dec.r)
-    components = [c.vertices for c in dec.components]
-    _fail_if(not _splits(dec.threshold, components), "components at n={}, r={}", b.n, dec.r)
+def _check_zone_partition(run: _Range, b: _Bundle) -> str:
+    # the one check that reads zone_sweep, so a broken decompose fails it:
+    # each order must be the level sets of tau, with one component, the
+    # zone itself, in the shell when it meets the framework and in the
+    # core otherwise; the sweep runs from tau_max down, so the failure
+    # kept is that of the smallest r
+    levels = _levels(b.profile)
+    fw = b.framework.all_indices
+    size, attached, failed = 0, False, ""
+    for r, dec in zip(range(b.profile.tau_max, 0, -1), zone_sweep(b.framework, b.profile)):
+        exact, zone = levels[r], dec.threshold
+        size += len(exact)
+        attached = attached or not fw.isdisjoint(exact)
+        if (
+            (dec.r, len(zone), len(dec.exact)) != (r, size, len(exact))
+            or not all(map(dec.exact.__contains__, exact))
+            or not all(map(zone.__contains__, chain.from_iterable(levels[r:])))
+        ):
+            failed = f"zone at n={b.n}, r={r}"
+        elif (dec.shell, dec.core) != ((zone, frozenset()) if attached else (frozenset(), zone)):
+            failed = f"shell/core at n={b.n}, r={r}"
+        elif dec.components != ((ZoneComponent(zone, attached),) if zone else ()):
+            failed = f"components at n={b.n}, r={r}"
+    if failed:
+        raise AssertionError(failed)
+    return "shell and core split every zone exactly"
 
 
-def _check_zone_nesting(b: _Bundle, dec: _Order, above: _Order | None) -> None:
-    # consecutive orders only: every order inside the one below it puts
-    # the orders above 2 inside the triangular regime, order 2
-    if above is not None:
-        nested = above.threshold <= dec.threshold
-        _fail_if(not nested, "zone nesting at n={}, r={}", b.n, dec.r)
-        _fail_if(not above.shell <= dec.shell, "shell nesting at n={}, r={}", b.n, dec.r)
+def _check_zone_nesting(run: _Range, b: _Bundle) -> str:
+    # zones are level sets of tau, so they nest for any tau; the shells
+    # nest, each empty from order 3 up and so inside Sh_2, because every
+    # framework vertex has tau <= 2 (see framework.boundary_framework)
+    top = max(map(b.profile.tau.__getitem__, b.framework.all_indices))
+    _fail_if(top > 2, "nonempty shell at n={}, r=3", b.n)
+    return "zones and shells are nested, higher orders stay triangular"
 
 
-def _check_first_shell_trivial(b: _Bundle, dec: _Order, above: _Order | None) -> None:
-    if dec.r == 1:
-        _fail_if(len(dec.shell) != len(b.graph.adj), "order-1 shell at n={}", b.n)
-        _fail_if(bool(dec.core), "order-1 core at n={}", b.n)
+def _check_first_shell_trivial(run: _Range, b: _Bundle) -> str:
+    # Sh_1 is T_{>=1} when that meets the framework, so it is everything,
+    # and Core_1 empty, when no vertex has tau 0 and the framework is nonempty
+    if b.profile.tau_max >= 1:
+        whole = min(b.profile.tau) >= 1 and bool(b.framework.all_indices)
+        _fail_if(not whole, "order-1 shell at n={}", b.n)
+    return "order-1 shell is everything, its core empty"
 
 
-def _check_zone_conjugation(b: _Bundle, dec: _Order, above: _Order | None) -> None:
-    for label, vs in (
-        ("threshold", dec.threshold),
-        ("exact", dec.exact),
-        ("shell", dec.shell),
-        ("core", dec.core),
-    ):
-        closed = set_conjugation_invariant(b.graph, vs)
-        _fail_if(not closed, "{} not conjugation-invariant at n={}, r={}", label, b.n, dec.r)
+def _check_zone_conjugation(run: _Range, b: _Bundle) -> str:
+    # zones are level sets of tau and each shell or core is its zone or
+    # empty, by the framework meet; so all are invariant when tau is and
+    # the framework is closed under conjugation
+    tau = b.profile.tau
+    image = map(tau.__getitem__, b.graph.conjugation_permutation())
+    low = min((min(s, t) for s, t in zip(tau, image) if s != t), default=None)
+    if low is not None:
+        # E_low holds one vertex of a pair and not the other; at low = 0
+        # the first to split the pair is T_{>=1}
+        label, r = ("exact", low) if low else ("threshold", 1)
+        raise AssertionError(f"{label} not conjugation-invariant at n={b.n}, r={r}")
+    closed = set_conjugation_invariant(b.graph, b.framework.all_indices)
+    _fail_if(not closed, "framework not conjugation-invariant at n={}", b.n)
+    return f"zones, shells and cores invariant for n={run.n_min}..{run.n_max}"
 
 
-def _check_antenna_exclusion(b: _Bundle, dec: _Order, above: _Order | None) -> None:
-    if dec.r == 2:
-        antenna_idxs = set(b.framework.antennas)
-        inside = not antenna_idxs.isdisjoint(dec.threshold)
-        _fail_if(inside, "antenna in the triangular regime at n={}", b.n)
-        for comp in dec.components:
-            if comp.boundary_attached:
-                touch = comp.vertices & b.framework.all_indices
-                _fail_if(
-                    not (touch - antenna_idxs),
-                    "order-2 component only meets the framework at an antenna, n={}",
-                    b.n,
-                )
+def _check_antenna_exclusion(run: _Range, b: _Bundle) -> str:
+    inside = max(map(b.profile.tau.__getitem__, b.framework.antennas)) >= 2
+    _fail_if(inside, "antenna in the triangular regime at n={}", b.n)
+    return "antennas stay outside the triangular regime"
 
 
-def _check_zone_connected(b: _Bundle, dec: _Order, above: _Order | None) -> None:
-    # T_{>=r} is T_{>=r+1}, found one component an order up, joined with
-    # E_r. So it is one component when a walk inside E_r, in layers, from
-    # the E_r vertices next to T_{>=r+1} (at tau_max, from one vertex)
-    # reaches all of E_r
+def _check_zone_connected(run: _Range, b: _Bundle) -> str:
+    # T_{>=r} is T_{>=r+1} joined with E_r. So, with T_{>=r+1} one
+    # component, it is one when a walk inside E_r, in layers, from the E_r
+    # vertices next to T_{>=r+1} (at the top order, from one vertex)
+    # reaches all of E_r; from tau_max down, so the failure kept is that
+    # of the smallest r
     adj = b.graph.adj
-    if above is not None and above.threshold:
-        higher = above.threshold
-        layer = {v for v in dec.exact if not higher.isdisjoint(adj[v])}
-    else:
-        layer = set(islice(dec.exact, 1))
-    unseen = set(dec.exact)
-    while layer:
-        unseen -= layer
-        layer = unseen.intersection(chain.from_iterable(map(adj.__getitem__, layer)))
-    _fail_if(bool(unseen), "zone not connected at n={}, r={}", b.n, dec.r)
+    levels = _levels(b.profile)
+    higher: set[int] = set()
+    failed = None
+    for r in range(b.profile.tau_max, 0, -1):
+        exact = levels[r]
+        if higher:
+            layer = {v for v in exact if not higher.isdisjoint(adj[v])}
+        else:
+            layer = set(exact[:1])
+        unseen = set(exact)
+        while layer:
+            unseen -= layer
+            layer = unseen.intersection(chain.from_iterable(map(adj.__getitem__, layer)))
+        if unseen:
+            failed = r
+        higher.update(exact)
+    _fail_if(failed is not None, "zone not connected at n={}, r={}", b.n, failed)
+    return f"every zone is one component for n={run.n_min}..{run.n_max}"
 
 
 def _transitions(n_max: int) -> dict[int, int]:
@@ -573,7 +550,7 @@ def _check_compute_idempotence(run: _Range, b: _Bundle) -> str:
 
 
 # every check, in report order; the acceptance suite reads results by name
-CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str] | _PerOrder], ...] = (
+CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str]], ...] = (
     ("partition counts match independent recurrence", _check_partition_counts),
     ("canonical enumeration order", _check_enumeration_order),
     ("conjugation is an involution", _check_conjugation_involution),
@@ -589,35 +566,12 @@ CHECKS: tuple[tuple[str, Callable[[_Range, _Bundle], str] | _PerOrder], ...] = (
     ("corner formula matches enumeration oracle", _check_oracle_equivalence),
     ("thickness bounds", _check_tau_bounds),
     ("maximal-thickness locus", _check_max_locus),
-    (
-        "zone decomposition partitions",
-        _PerOrder(_check_zone_partition, "shell and core split every zone exactly"),
-    ),
-    (
-        "zone and shell nesting",
-        _PerOrder(
-            _check_zone_nesting, "zones and shells are nested, higher orders stay triangular"
-        ),
-    ),
-    (
-        "first shell order is trivial",
-        _PerOrder(_check_first_shell_trivial, "order-1 shell is everything, its core empty"),
-    ),
-    (
-        "zone conjugation invariance",
-        _PerOrder(
-            _check_zone_conjugation,
-            "zones, shells and cores invariant for n={n_min}..{n_max}",
-        ),
-    ),
-    (
-        "antenna exclusion from thick zones",
-        _PerOrder(_check_antenna_exclusion, "antennas stay outside the triangular regime"),
-    ),
-    (
-        "threshold zones are connected",
-        _PerOrder(_check_zone_connected, "every zone is one component for n={n_min}..{n_max}"),
-    ),
+    ("zone decomposition partitions", _check_zone_partition),
+    ("zone and shell nesting", _check_zone_nesting),
+    ("first shell order is trivial", _check_first_shell_trivial),
+    ("zone conjugation invariance", _check_zone_conjugation),
+    ("antenna exclusion from thick zones", _check_antenna_exclusion),
+    ("threshold zones are connected", _check_zone_connected),
     ("first-occurrence table matches expected values", _check_first_occurrence_table),
     ("maximal-thickness table matches expected values", _check_max_locus_table),
     ("maximal loci keep away from the antennas", _check_rear_support),

@@ -46,8 +46,9 @@ vertex (n-2, 2), n >= 4, has the lower cover (n-2, 1) with two distinct
 parts, so tau = 2, and Sh_2(n) = T_{>=2}(n) with Core_2(n) empty from
 n = 4 on (below, T_{>=2} is empty). The closed form holds for the
 thickness ``thickness_profile(n)`` computes, not for made-up tau values,
-whose zones may split; the ``verify`` check "threshold zones are
-connected" walks the rows of G_n to witness it at every n it checks.
+whose zones may split. The ``verify`` check "threshold zones are
+connected" witnesses it at every n it checks, with no decomposition: it
+walks the rows of G_n inside each level set of tau.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .framework import FrameworkSet
 from .partitions import _json_list, canonical_index, partition_names
 from .thickness import ThicknessProfile
-from .transfer_graph import TransferGraph
 
 
 class ZoneComponent(NamedTuple):
@@ -192,18 +192,13 @@ def decompose(
     return ZoneDecomposition(n, r, threshold, exact, components, shell, core)
 
 
-def zone_sweep(
-    graph: TransferGraph, framework: FrameworkSet, profile: ThicknessProfile
-) -> Iterator[ZoneDecomposition]:
+def zone_sweep(framework: FrameworkSet, profile: ThicknessProfile) -> Iterator[ZoneDecomposition]:
     """:func:`decompose` of every order from ``tau_max`` down to 1.
 
     Each order is made from the one before, and is handed out before the
     next is made, so a caller that writes and drops each holds no more
-    than two at a time. The zones need no graph; ``graph`` is the one they
-    are zones of, and only its n is read, to match the other two.
+    than two at a time.
     """
-    if graph.n != profile.n:
-        raise ValueError("graph, framework and profile must describe the same n")
     above = None
     for r in range(profile.tau_max, 0, -1):
         above = decompose(framework, profile, r, above)

@@ -1,11 +1,12 @@
 import json
 import re
+import time
 import weakref
 
 import pytest
 from conftest import PAPER_FIRST_OCCURRENCES, PAPER_MAX_LOCUS, invoke
 
-from partition_atlas import build_graph, pipeline, thickness_profile, verify
+from partition_atlas import boundary_framework, build_graph, pipeline, thickness_profile, verify
 from partition_atlas.cli import main
 from partition_atlas.partitions import canonical_index, enumerate_partitions, parse_partition
 from partition_atlas.transfer_graph import TransferGraph
@@ -289,12 +290,27 @@ def test_adjacency_check_catches_a_malformed_row(monkeypatch, row_of, detail):
         ),
         (lambda dec, zone: dict(components=(_component(dec, zone[1:]),)), "components"),
         (lambda dec, zone: dict(components=(_component(dec, [*zone[1:], 999]),)), "components"),
+        # the zone or its exact regime itself is not the level set of tau
+        (lambda dec, zone: dict(threshold=frozenset(zone[1:])), "zone"),
+        (lambda dec, zone: dict(threshold=frozenset([*zone[1:], 999])), "zone"),
+        (lambda dec, zone: dict(exact=frozenset(sorted(dec.exact)[1:])), "zone"),
+        (lambda dec, zone: dict(exact=frozenset([*sorted(dec.exact)[1:], 999])), "zone"),
     ],
-    ids=["both-the-zone", "shell-leaves-the-zone", "halves-overlap", "short", "component-leaves"],
+    ids=[
+        "both-the-zone",
+        "shell-leaves-the-zone",
+        "halves-overlap",
+        "short",
+        "component-leaves",
+        "zone-short",
+        "zone-leaves",
+        "exact-short",
+        "exact-leaves",
+    ],
 )
 def test_zone_partition_check_catches_a_broken_split(monkeypatch, broken, detail):
-    def broken_at_2(graph, framework, profile):
-        for dec in zone_sweep(graph, framework, profile):
+    def broken_at_2(framework, profile):
+        for dec in zone_sweep(framework, profile):
             if dec.r == 2:
                 dec = _changed(dec, **broken(dec, sorted(dec.threshold)))
             yield dec
@@ -307,14 +323,68 @@ def test_zone_partition_check_catches_a_broken_split(monkeypatch, broken, detail
 
 def test_zone_check_names_the_smallest_failing_order(monkeypatch):
     # the sweep reaches order 3 first at n=8; orders 3 and 2 are broken
-    def broken_from_2(graph, framework, profile):
-        for dec in zone_sweep(graph, framework, profile):
+    def broken_from_2(framework, profile):
+        for dec in zone_sweep(framework, profile):
             yield _changed(dec, core=dec.threshold) if dec.r >= 2 else dec
 
     monkeypatch.setattr(verify, "zone_sweep", broken_from_2)
     result = _verdict("zone decomposition partitions", 8, 8)
     assert not result.ok
     assert result.detail == "raised AssertionError: shell/core at n=8, r=2"
+
+
+@pytest.mark.parametrize(
+    "broken, detail",
+    [
+        # the shell and core of the order-3 zone, which misses the
+        # framework, and of the order-2 zone, which meets it, swapped
+        (lambda dec: dict(shell=dec.core, core=dec.shell), "shell/core"),
+        (lambda dec: dict(threshold=frozenset(sorted(dec.threshold)[1:])), "zone"),
+    ],
+    ids=["swapped", "zone-short"],
+)
+def test_zone_partition_check_names_the_smallest_of_two_failing_orders(
+    monkeypatch, broken, detail
+):
+    # every order above 1 is broken at n=8 (orders 3 and 2) and at n=9
+    def broken_from_2(framework, profile):
+        for dec in zone_sweep(framework, profile):
+            yield _changed(dec, **broken(dec)) if dec.r >= 2 else dec
+
+    monkeypatch.setattr(verify, "zone_sweep", broken_from_2)
+    result = _verdict("zone decomposition partitions", 9, 8)
+    assert not result.ok
+    assert result.detail == f"raised AssertionError: {detail} at n=8, r=2"
+
+
+def test_zone_sweep_time_is_in_the_partition_check_seconds(monkeypatch):
+    def slow(framework, profile):
+        time.sleep(0.05)
+        yield from zone_sweep(framework, profile)
+
+    monkeypatch.setattr(verify, "zone_sweep", slow)
+    result = _verdict("zone decomposition partitions", 8, 8)
+    assert result.ok, result.detail
+    assert result.seconds >= 0.05
+
+
+def test_check_n_calls_each_check_once_in_report_order(monkeypatch):
+    assert all(len(entry) == 2 and callable(entry[1]) for entry in verify.CHECKS)
+    calls = []
+
+    def counted(name, check):
+        def run(*args):
+            calls.append(name)
+            return check(*args)
+
+        return run
+
+    names = [name for name, _ in verify.CHECKS]
+    counting = tuple((name, counted(name, check)) for name, check in verify.CHECKS)
+    monkeypatch.setattr(verify, "CHECKS", counting)
+    outcomes = verify._check_n(12, 1, 12)
+    assert all(ok for ok, _, _ in outcomes), outcomes
+    assert calls == names
 
 
 def test_check_n_lets_each_zone_order_go_before_the_next_but_one(monkeypatch):
@@ -324,9 +394,9 @@ def test_check_n_lets_each_zone_order_go_before_the_next_but_one(monkeypatch):
     held = []
     sweeps = []
 
-    def watched(graph, framework, profile):
-        sweeps.append(graph.n)
-        for dec in zone_sweep(graph, framework, profile):
+    def watched(framework, profile):
+        sweeps.append(profile.n)
+        for dec in zone_sweep(framework, profile):
             held.append([ref().r for ref in refs[:-1] if ref() is not None])
             refs.append(weakref.ref(dec))
             yield dec
@@ -375,6 +445,82 @@ def test_zone_connectivity_check_names_the_smallest_cut_zone(monkeypatch):
         assert result.detail == f"raised AssertionError: zone not connected at {failure}"
 
 
+def _framework_changed_at(n_bad, change):
+    """boundary_framework with all_indices of ``n_bad`` replaced by ``change(all_indices)``."""
+
+    def patched(n):
+        fw = boundary_framework(n)
+        return fw._replace(all_indices=change(fw.all_indices)) if n == n_bad else fw
+
+    return patched
+
+
+def _tau_changed(changes):
+    """A profile change that sets ``tau[v] = t`` for each ``v: t`` of ``changes``."""
+
+    def change(prof):
+        return prof._replace(tau=tuple(changes.get(v, t) for v, t in enumerate(prof.tau)))
+
+    return change
+
+
+# vertices of G_8, tau, and conjugate: 0 (8) 1 21; 5 (5,2,1) 3 15;
+# 20 (2,1^6) 2 1; every vertex but 5, 8, 9, 10 and 12..15 is in the framework
+
+
+def test_nesting_check_fails_on_a_framework_vertex_of_order_3(monkeypatch):
+    # (5,2,1) and its conjugate (3,2,1,1,1), both of tau 3, made framework
+    # vertices: the order-3 shell is no longer empty
+    with_5_15 = _framework_changed_at(8, lambda fw: fw | {5, 15})
+    monkeypatch.setattr(verify, "boundary_framework", with_5_15)
+    assert _verdict("boundary framework shape", 9).ok
+    result = _verdict("zone and shell nesting", 9)
+    assert not result.ok
+    assert result.detail == "raised AssertionError: nonempty shell at n=8, r=3"
+
+
+def test_first_shell_check_fails_on_a_vertex_of_thickness_0(monkeypatch):
+    monkeypatch.setattr(verify, "thickness_profile", _profile_changed_at(8, _tau_changed({5: 0})))
+    result = _verdict("first shell order is trivial", 9)
+    assert not result.ok
+    assert result.detail == "raised AssertionError: order-1 shell at n=8"
+
+
+@pytest.mark.parametrize(
+    "changes, detail",
+    [
+        # (8) raised to 2 against (1^8) at 1: E_1 holds only (1^8)
+        ({0: 2}, "exact not conjugation-invariant at n=8, r=1"),
+        # (5,2,1) lowered to 2 against (3,2,1,1,1) at 3: E_2 holds only (5,2,1)
+        ({5: 2}, "exact not conjugation-invariant at n=8, r=2"),
+        # (8) lowered to 0: T_{>=1} holds only (1^8)
+        ({0: 0}, "threshold not conjugation-invariant at n=8, r=1"),
+    ],
+    ids=["raised", "lowered", "zero"],
+)
+def test_zone_conjugation_check_names_the_smallest_order(monkeypatch, changes, detail):
+    monkeypatch.setattr(verify, "thickness_profile", _profile_changed_at(8, _tau_changed(changes)))
+    result = _verdict("zone conjugation invariance", 9)
+    assert not result.ok
+    assert result.detail == f"raised AssertionError: {detail}"
+
+
+def test_zone_conjugation_check_fails_on_a_framework_missing_a_conjugate(monkeypatch):
+    # (2,1^6) left out, its conjugate (7,1) kept
+    without_20 = _framework_changed_at(8, lambda fw: fw - {20})
+    monkeypatch.setattr(verify, "boundary_framework", without_20)
+    result = _verdict("zone conjugation invariance", 9)
+    assert not result.ok
+    assert result.detail == "raised AssertionError: framework not conjugation-invariant at n=8"
+
+
+def test_antenna_exclusion_check_fails_on_an_antenna_of_thickness_2(monkeypatch):
+    monkeypatch.setattr(verify, "thickness_profile", _profile_changed_at(8, _tau_changed({0: 2})))
+    result = _verdict("antenna exclusion from thick zones", 9)
+    assert not result.ok
+    assert result.detail == "raised AssertionError: antenna in the triangular regime at n=8"
+
+
 def _component(dec, vertices):
     return dec.components[0]._replace(vertices=frozenset(vertices))
 
@@ -421,7 +567,7 @@ def traced(make):
 
 def whole(n):
     b = verify._bundle(n)
-    return b, list(zone_sweep(b.graph, b.framework, b.profile))
+    return b, list(zone_sweep(b.framework, b.profile))
 
 
 n = 24

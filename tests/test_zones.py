@@ -223,7 +223,7 @@ def test_sweep_matches_a_walk_per_order():
     # the closed form against the components of each zone, walked on G_n
     for n in range(1, 21):
         g, fw, prof = build_graph(n), boundary_framework(n), thickness_profile(n)
-        swept = {dec.r: dec for dec in zone_sweep(g, fw, prof)}
+        swept = {dec.r: dec for dec in zone_sweep(fw, prof)}
         assert list(swept) == list(range(prof.tau_max, 0, -1))
         # order 0 is one more step down from the sweep's last order
         swept[0] = decompose(fw, prof, 0, swept.get(1))
@@ -276,8 +276,8 @@ def test_every_member_but_rho_has_a_first_row_transfer():
 def test_zone_fields_share_one_set_per_distinct_vertex_set():
     seen = {"one component": 0, "all attached": 0, "none attached": 0}
     for n in range(1, 21):
-        g, prof, fw = build_graph(n), thickness_profile(n), boundary_framework(n)
-        for dec in zone_sweep(g, fw, prof):
+        prof, fw = thickness_profile(n), boundary_framework(n)
+        for dec in zone_sweep(fw, prof):
             if dec.r == prof.tau_max:
                 assert dec.threshold is dec.exact, (n, dec.r)
             for c in dec.components:
@@ -353,14 +353,14 @@ def test_antennas_outside_triangular(small_profiles):
 
 
 def test_decompose_rejects_mismatched_inputs(small_profiles):
-    g4, prof4, fw4 = small_profiles[4]
+    _, prof4, fw4 = small_profiles[4]
     _, prof5, fw5 = small_profiles[5]
     with pytest.raises(ValueError):
         decompose(fw4, prof5, 1)
     with pytest.raises(ValueError):
         decompose(fw5, prof4, 1)
     with pytest.raises(ValueError):
-        next(zone_sweep(g4, fw4, prof5))
+        next(zone_sweep(fw4, prof5))
 
 
 def test_first_occurrences_small_ranges(small_profiles):
