@@ -67,6 +67,17 @@ def canonical_index(n: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=1)
+def conjugation(n: int) -> tuple[int, ...]:
+    """Index of the conjugate of each partition of ``n``, in canonical order.
+
+    The vertex permutation sigma of the transfer graph, an involution.
+    Only the latest n is kept, as for :func:`canonical_index`.
+    """
+    index = canonical_index(n)
+    return tuple(index[_conjugate(t)] for t in enumerate_partitions(n))
+
+
+@lru_cache(maxsize=1)
 def partition_names(n: int) -> tuple[str, ...]:
     """:func:`format_partition` of every partition of ``n``, in canonical order.
 

@@ -45,17 +45,19 @@ def map_n(task: Callable[..., T], ns: Sequence[int], workers: int, *args: object
     process, in the order of ``ns``. Otherwise this process forks the
     other workers and is one of them. A task pipe holds the index of each
     n, largest n first, so the costliest is not left to one worker at the
-    end; each process reads the next index whenever it is free. A child
-    sends every result it made as one pickle down a result pipe, which
-    this process reads to its end once its own tasks are done. The results
-    come back in the order of ``ns`` either way. A task's exception is
-    raised here as it was raised (an ``OSError`` keeps its file name): at
-    once from a task of this process, else once every child has ended,
-    that of the earliest n in ``ns``. A child that dies (killed, or
-    exiting without its results) raises :class:`WorkerDied` instead of
-    leaving the pool waiting for it; a child whose parent dies starts no
-    further task; and on any exception here, Ctrl-C included, every child
-    is killed and reaped.
+    end; each process reads the next index whenever it is free. Each child
+    sends every result it made as one pickle down a result pipe of its
+    own, once it takes no further task, and this process reads the pipes
+    to their ends, one after another, once its own tasks are done: a
+    child waiting for room in its pipe holds up no task. The results come
+    back in the order of ``ns`` either way. A task's exception is raised
+    here as it was raised (an ``OSError`` keeps its file name): at once
+    from a task of this process, else once every child has ended, that of
+    the earliest n in ``ns``. A child that dies (killed, or exiting
+    without its results) raises :class:`WorkerDied` instead of leaving the
+    pool waiting for it; a child whose parent dies starts no further task;
+    and on any exception here, Ctrl-C included, every child is killed and
+    reaped.
     """
     workers = min(workers, len(ns))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -68,12 +70,11 @@ def map_n(task: Callable[..., T], ns: Sequence[int], workers: int, *args: object
     order = sorted(range(len(ns)), key=ns.__getitem__, reverse=True)
     tasks = b"".join(i.to_bytes(4, "little") for i in order)
     task_r, task_w = os.pipe()
-    result_r, result_w = os.pipe()
-    pipe_buf = os.fpathconf(task_w, "PC_PIPE_BUF")
-    piece = pipe_buf // 4 * 4
-    open_fds = {task_r, task_w, result_r, result_w}
+    piece = os.fpathconf(task_w, "PC_PIPE_BUF") // 4 * 4
+    open_fds = {task_r, task_w}
     parent = os.getpid()
-    children: list[int] = []
+    # (pid, read end of its result pipe) of each child
+    children: list[tuple[int, int]] = []
 
     def close(fd: int) -> None:
         open_fds.discard(fd)
@@ -85,14 +86,17 @@ def map_n(task: Callable[..., T], ns: Sequence[int], workers: int, *args: object
         os.set_blocking(task_w, False)
         end = len(tasks)
         sent = _send(task_w, tasks, 0, end, piece)
-        for slot in range(workers - 1):
+        for _ in range(workers - 1):
+            result_r, result_w = os.pipe()
+            open_fds.update((result_r, result_w))
             pid = os.fork()
             if pid == 0:
-                os.close(task_w)
-                os.close(result_r)
-                _child(slot, task, ns, args, task_r, result_w, parent, pipe_buf)
-            children.append(pid)
-        close(result_w)
+                for fd in open_fds - {task_r, result_w}:
+                    os.close(fd)
+                _child(task, ns, args, task_r, result_w, parent)
+            # closed before the next fork, so only this child holds its write end
+            close(result_w)
+            children.append((pid, result_r))
         here = {}
         while True:
             sent = _send(task_w, tasks, sent, end, piece)
@@ -109,20 +113,21 @@ def map_n(task: Callable[..., T], ns: Sequence[int], workers: int, *args: object
                     break
             i = int.from_bytes(record, "little")
             here[i] = task(ns[i], *args)
-        sent_back = bytearray()
-        while chunk := os.read(result_r, 1 << 16):
-            sent_back += chunk
+        errors = {}
         while children:
-            # every child has closed its end of the result pipe, so each
-            # has ended or is ending; off the list first, so none is reaped twice
-            pid = children.pop()
+            pid, result_r = children[-1]
+            sent_back = bytearray()
+            while chunk := os.read(result_r, 1 << 16):
+                sent_back += chunk
+            close(result_r)
+            # the child has closed its end of its result pipe, so it has
+            # ended or is ending; off the list first, so it is not reaped twice
+            children.pop()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code:
                 how = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
                 raise WorkerDied(f"a worker process died: pid {pid} {how}")
-        errors = {}
-        for payload in _frames(sent_back).values():
-            results, failed = pickle.loads(payload)
+            results, failed = pickle.loads(sent_back)
             here.update(results)
             errors.update(failed)
         if errors:
@@ -131,9 +136,9 @@ def map_n(task: Callable[..., T], ns: Sequence[int], workers: int, *args: object
     except BaseException:
         import signal
 
-        for pid in children:
+        for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
-        for pid in children:
+        for pid, _ in children:
             os.waitpid(pid, 0)
         raise
     finally:
@@ -156,23 +161,21 @@ def _send(fd: int, tasks: bytes, sent: int, end: int, piece: int) -> int:
 
 
 def _child(
-    slot: int,
     task: Callable[..., object],
     ns: Sequence[int],
     args: tuple,
     task_r: int,
     result_w: int,
     parent: int,
-    pipe_buf: int,
 ) -> None:
     """A forked worker: run tasks until the task pipe ends, send the results, exit.
 
-    The results go as ``(results by index, exception by index)``,
-    in frames of at most ``pipe_buf`` bytes, each headed by ``slot`` and
-    its length, so frames of several children never interleave. A task
-    exception ends the loop. The process ends with ``os._exit``, so no
-    handler or buffer of the parent's runs twice; anything unexpected,
-    Ctrl-C included, ends it with code 1.
+    The results go down ``result_w``, the child's own pipe, as one pickle
+    of ``(results by index, exception by index)``; no other process
+    writes to it, so they need no framing. A task exception ends the loop.
+    The process ends with ``os._exit``, so no handler or buffer of the
+    parent's runs twice; anything unexpected, Ctrl-C included, ends it
+    with code 1.
     """
     import pickle
 
@@ -193,27 +196,11 @@ def _child(
             except Exception as exc:
                 failed[i] = exc
                 break
-        payload = pickle.dumps((results, failed))
-        head = slot.to_bytes(4, "little")
-        step = pipe_buf - 8
-        for at in range(0, len(payload), step):
-            chunk = payload[at : at + step]
-            os.write(result_w, head + len(chunk).to_bytes(4, "little") + chunk)
+        with open(result_w, "wb") as out:
+            pickle.dump((results, failed), out)
         code = 0
     finally:
         os._exit(code)
-
-
-def _frames(data: bytearray) -> dict[int, bytearray]:
-    """The payload of each slot, joined from the frames :func:`_child` wrote."""
-    payloads: dict[int, bytearray] = {}
-    at = 0
-    while at < len(data):
-        slot = int.from_bytes(data[at : at + 4], "little")
-        size = int.from_bytes(data[at + 4 : at + 8], "little")
-        payloads.setdefault(slot, bytearray()).extend(data[at + 8 : at + 8 + size])
-        at += 8 + size
-    return payloads
 
 
 def n_dir(out_root: Path, n: int) -> Path:

@@ -4,56 +4,32 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import (
-    _conjugate,
     canonical_index,
+    conjugation,
     enumerate_partitions,
     format_partition,
     partition_names,
 )
 
 
-class TransferGraph:
-    """Adjacency structure over all partitions of one total; not to be changed once built.
+class TransferGraph(NamedTuple):
+    """Adjacency structure over all partitions of one total.
 
     ``vertices`` holds the parts tuple of each vertex in the canonical
     enumeration order, and ``adj`` the sorted neighbor indices of each
-    vertex. ``parts_index`` maps each parts tuple to its vertex index; it
-    is left out of equality and of the repr, as it follows from
-    ``vertices``. Two graphs are equal when their ``n``, ``vertices`` and
-    ``adj`` are.
+    vertex. The index and sigma follow from ``n`` and are read from the
+    per-n tables :func:`canonical_index` and :func:`conjugation`.
     """
 
-    __slots__ = ("n", "vertices", "adj", "parts_index", "_conjugation")
-
-    def __init__(
-        self,
-        n: int,
-        vertices: tuple[tuple[int, ...], ...],
-        adj: tuple[tuple[int, ...], ...],
-        parts_index: dict[tuple[int, ...], int],
-    ) -> None:
-        self.n = n
-        self.vertices = vertices
-        self.adj = adj
-        self.parts_index = parts_index
-        self._conjugation: tuple[int, ...] | None = None
-
-    def __repr__(self) -> str:
-        return f"TransferGraph(n={self.n!r}, vertices={self.vertices!r}, adj={self.adj!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.vertices, self.adj) == (other.n, other.vertices, other.adj)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.vertices, self.adj))
+    n: int
+    vertices: tuple[tuple[int, ...], ...]
+    adj: tuple[tuple[int, ...], ...]
 
     def index_of(self, parts: tuple[int, ...]) -> int:
-        idx = self.parts_index.get(parts)
+        idx = canonical_index(self.n).get(parts)
         if idx is None:
             raise ValueError(f"{format_partition(parts)} is not a partition of {self.n}")
         return idx
@@ -67,14 +43,8 @@ class TransferGraph:
         return -1 not in bfs_distances(self, [0])
 
     def conjugation_permutation(self) -> tuple[int, ...]:
-        """Vertex permutation induced by conjugating every partition.
-
-        Built on the first call and kept for the life of the graph.
-        """
-        if self._conjugation is None:
-            index = self.parts_index
-            self._conjugation = tuple(index[_conjugate(t)] for t in self.vertices)
-        return self._conjugation
+        """Vertex permutation induced by conjugating every partition: ``conjugation(n)``."""
+        return conjugation(self.n)
 
     def edge_chunks(self) -> Iterator[str]:
         """The text of :meth:`dump_edges`, one chunk per row with an edge ``j > i``.
@@ -136,7 +106,7 @@ def build_graph(n: int) -> TransferGraph:
         at = bisect_left(row, a)
         del row[at : at + row.count(a)]
         rows[a] = tuple(row)
-    return TransferGraph(n=n, vertices=vertices, adj=tuple(rows), parts_index=index)
+    return TransferGraph(n, vertices, tuple(rows))
 
 
 def automorphism_fault(graph: TransferGraph, perm: Sequence[int]) -> int | None:

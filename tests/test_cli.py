@@ -189,6 +189,32 @@ def test_map_n_outlasts_a_full_task_pipe():
     assert map_n(_twice, ns, 2) == [2 * n for n in ns]
 
 
+# runs one pool over n = 1..30 with three workers; each task returns
+# 100 KB, more than one 64 KiB pipe buffer holds, so one child waits for
+# room in its result pipe while the command drains another's; prints how
+# many children ran a task
+SEVERAL_BULKY_CHILDREN = """
+import os, time
+from partition_atlas.pipeline import map_n
+
+def task(n):
+    time.sleep(0.02)
+    return os.getpid(), bytes([n]) * 100_000
+
+ns = range(1, 31)
+out = map_n(task, ns, 3)
+assert [blob for _, blob in out] == [bytes([n]) * 100_000 for n in ns]
+print(len({pid for pid, _ in out} - {os.getpid()}))
+"""
+
+
+@needs_fork
+def test_map_n_drains_several_children_with_big_results(tmp_path):
+    code, out, err = _run_in_session(SEVERAL_BULKY_CHILDREN, [], tmp_path)
+    assert code == 0, err
+    assert out == "2\n"
+
+
 def test_map_n_raises_a_worker_exception_unchanged():
     from partition_atlas.pipeline import map_n
 

@@ -8,9 +8,10 @@ from partition_atlas import (
     format_partition,
     partition_count,
     partition_names,
+    self_conjugate_axis,
     thickness_profile,
 )
-from partition_atlas.partitions import _conjugate, parse_partition
+from partition_atlas.partitions import _conjugate, conjugation, parse_partition
 
 partitions_st = st.lists(st.integers(1, 12), min_size=1, max_size=10).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -112,6 +113,17 @@ def test_conjugate_swaps_largest_and_length(p):
 def test_conjugate_involution_exhaustive(n):
     for p in enumerate_partitions(n):
         assert _conjugate(_conjugate(p)) == p
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_conjugation_table(n):
+    sigma = conjugation(n)
+    parts = enumerate_partitions(n)
+    # each index goes to its conjugate's index, and back
+    assert [parts[s] for s in sigma] == [_conjugate(p) for p in parts]
+    assert [sigma[s] for s in sigma] == list(range(len(parts)))
+    assert tuple(i for i, s in enumerate(sigma) if i == s) == self_conjugate_axis(n)
+    assert conjugation(n) is sigma
 
 
 def test_self_conjugate_n6_by_filter():

@@ -153,7 +153,7 @@ def _with_adjacency(graph, edges):
             rows[a].add(b)
             rows[b].add(a)
     adj = tuple(tuple(sorted(row)) for row in rows)
-    return TransferGraph(graph.n, graph.vertices, adj, graph.parts_index)
+    return TransferGraph(graph.n, graph.vertices, adj)
 
 
 @st.composite
@@ -265,7 +265,7 @@ def test_clique_search_terminates_on_a_self_loop():
     g = build_graph(9)
     tau = thickness_profile(9).tau
     rows = tuple(tuple(sorted({*row, v})) for v, row in enumerate(g.adj))
-    looped = TransferGraph(g.n, g.vertices, rows, g.parts_index)
+    looped = TransferGraph(g.n, g.vertices, rows)
     assert clique_search_profile(looped) == tau
     for v, p in enumerate(g.vertices):
         # p lies in its own neighborhood now, next to all of it, so it
@@ -312,7 +312,7 @@ def test_witness_clique_is_valid():
             families = [_upper_covers(mu) for mu in _lower_covers(p)]
             for family in families:
                 assert p in family
-                idxs = [g.parts_index[t] for t in family]
+                idxs = [g.index_of(t) for t in family]
                 for a in idxs:
                     for b in idxs:
                         if a != b:

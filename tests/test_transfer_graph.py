@@ -153,7 +153,7 @@ def test_automorphism_fault_names_the_smallest_failing_row():
         adj[a].discard(b)
         adj[b].discard(a)
         rows = tuple(tuple(sorted(row)) for row in adj)
-        broken = TransferGraph(g.n, g.vertices, rows, g.parts_index)
+        broken = TransferGraph(g.n, g.vertices, rows)
         failing = [
             i for i, row in enumerate(rows) if sorted(sigma[j] for j in row) != [*rows[sigma[i]]]
         ]
@@ -208,6 +208,14 @@ def test_conjugation_permutation_built_once():
     assert g.conjugation_permutation() is sigma
     assert sorted(sigma) == list(range(len(g.vertices)))
     assert all(g.vertices[sigma[i]] == _conjugate(p) for i, p in enumerate(g.vertices))
+
+
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_graph_is_a_record_of_its_three_fields(n):
+    g = build_graph(n)
+    assert g == TransferGraph(*build_graph(n))
+    assert hash(g) == hash(TransferGraph(*g))
+    assert repr(g) == f"TransferGraph(n={n!r}, vertices={g.vertices!r}, adj={g.adj!r})"
 
 
 def test_dump_edges_n4():

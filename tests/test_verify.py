@@ -172,7 +172,7 @@ def test_automorphism_check_names_the_smallest_failing_vertex(monkeypatch):
         adj = list(graph.adj)
         adj[13] = tuple(j for j in adj[13] if j != 14)
         adj[14] = tuple(j for j in adj[14] if j != 13)
-        return TransferGraph(graph.n, graph.vertices, tuple(adj), graph.parts_index)
+        return TransferGraph(graph.n, graph.vertices, tuple(adj))
 
     monkeypatch.setattr(verify, "build_graph", dropped)
     results = {r.name: r for r in verify.run_checks(7, 9)}
@@ -248,7 +248,7 @@ def _with_row(row_of):
             return graph
         adj = list(graph.adj)
         adj[3] = tuple(row_of(adj[3]))
-        return TransferGraph(graph.n, graph.vertices, tuple(adj), graph.parts_index)
+        return TransferGraph(graph.n, graph.vertices, tuple(adj))
 
     return patched
 
@@ -425,7 +425,7 @@ def _cut_off(cuts):
             adj[v] = tuple(w for w in adj[v] if w not in higher)
             for w in higher:
                 adj[w] = tuple(u for u in adj[w] if u != v)
-        return TransferGraph(graph.n, graph.vertices, tuple(adj), graph.parts_index)
+        return TransferGraph(graph.n, graph.vertices, tuple(adj))
 
     return patched
 
