@@ -137,14 +137,16 @@ def clique_search_profile(
     ``ValueError`` naming the vertex, as does one of the wrong length or
     with an entry that is not a vertex.
     """
-    adj = graph.adj
-    if automorphism is None:
-        sigma: Sequence[int] = range(len(adj))
-    else:
+    if automorphism is not None:
         fault = automorphism_fault(graph, automorphism)
         if fault is not None:
             raise ValueError(f"not an involutive automorphism of G_{graph.n} at vertex {fault}")
-        sigma = automorphism
+    sigma = range(len(graph.adj)) if automorphism is None else automorphism
+    return _searched_profile(graph.adj, sigma)
+
+
+def _searched_profile(adj: Sequence[Sequence[int]], sigma: Sequence[int]) -> tuple[int, ...]:
+    """:func:`clique_search_profile` with ``sigma`` an involutive automorphism already proved."""
     best = [1] * len(adj)
     bit = [0] * len(adj)
     cliques: list[int] = []

@@ -34,8 +34,8 @@ from .partitions import enumerate_partitions, format_partition, partition_count
 from .pipeline import map_n
 from .thickness import (
     ThicknessProfile,
+    _searched_profile,
     brute_force_local_dimension,
-    clique_search_profile,
     thickness_profile,
 )
 from .transfer_graph import (
@@ -45,7 +45,7 @@ from .transfer_graph import (
     build_graph,
     induced_components,
 )
-from .zones import ZoneComponent, zone_sweep
+from .zones import zone_sweep
 
 ORACLE_RANGE_MAX = 12
 
@@ -69,18 +69,23 @@ class _Range(NamedTuple):
 class _Bundle(NamedTuple):
     """What every check reads of one n, built once and dropped after it.
 
-    The zone orders are not part of it: "zone decomposition partitions"
-    makes them one at a time, in one sweep.
+    ``fault`` is :func:`automorphism_fault` of the conjugation, so sigma
+    is proved once per n, for the automorphism check and the clique
+    search. The zone orders are not part of it: "zone decomposition
+    partitions" makes them one at a time, in one sweep.
     """
 
     n: int
     graph: TransferGraph
     profile: ThicknessProfile
     framework: FrameworkSet
+    fault: int | None
 
 
 def _bundle(n: int) -> _Bundle:
-    return _Bundle(n, build_graph(n), thickness_profile(n), boundary_framework(n))
+    graph = build_graph(n)
+    fault = automorphism_fault(graph, graph.conjugation_permutation())
+    return _Bundle(n, graph, thickness_profile(n), boundary_framework(n), fault)
 
 
 def profile_conjugation_ok(graph: TransferGraph, profile: ThicknessProfile) -> bool:
@@ -227,8 +232,7 @@ def _check_connectivity(run: _Range, b: _Bundle) -> str:
 
 
 def _check_conjugation_automorphism(run: _Range, b: _Bundle) -> str:
-    fault = automorphism_fault(b.graph, b.graph.conjugation_permutation())
-    _fail_if(fault is not None, "automorphism fails at n={}, vertex {}", b.n, fault)
+    _fail_if(b.fault is not None, "automorphism fails at n={}, vertex {}", b.n, b.fault)
     return f"every vertex for n={run.n_min}..{run.n_max}"
 
 
@@ -282,8 +286,11 @@ def _check_tau_conjugation(run: _Range, b: _Bundle) -> str:
 
 
 def _check_clique_search(run: _Range, b: _Bundle) -> str:
+    # the search from one vertex of each conjugate pair, with sigma proved in the bundle
+    if b.fault is not None:
+        raise ValueError(f"not an involutive automorphism of G_{b.n} at vertex {b.fault}")
     tau = b.profile.tau
-    searched = clique_search_profile(b.graph, b.graph.conjugation_permutation())
+    searched = _searched_profile(b.graph.adj, b.graph.conjugation_permutation())
     if searched != tau:
         i = next(i for i, t in enumerate(searched) if t != tau[i])
         name = format_partition(b.graph.vertices[i])
@@ -335,10 +342,9 @@ def _levels(profile: ThicknessProfile) -> list[list[int]]:
 
 def _check_zone_partition(run: _Range, b: _Bundle) -> str:
     # the one check that reads zone_sweep, so a broken decompose fails it:
-    # each order must be the level sets of tau, with one component, the
-    # zone itself, in the shell when it meets the framework and in the
-    # core otherwise; the sweep runs from tau_max down, so the failure
-    # kept is that of the smallest r
+    # each order must be the level sets of tau, attached (all shell) when
+    # it meets the framework and otherwise all core; the sweep runs from
+    # tau_max down, so the failure kept is that of the smallest r
     levels = _levels(b.profile)
     fw = b.framework.all_indices
     size, attached, failed = 0, False, ""
@@ -352,10 +358,8 @@ def _check_zone_partition(run: _Range, b: _Bundle) -> str:
             or not all(map(zone.__contains__, chain.from_iterable(levels[r:])))
         ):
             failed = f"zone at n={b.n}, r={r}"
-        elif (dec.shell, dec.core) != ((zone, frozenset()) if attached else (frozenset(), zone)):
+        elif dec.attached != attached:
             failed = f"shell/core at n={b.n}, r={r}"
-        elif dec.components != ((ZoneComponent(zone, attached),) if zone else ()):
-            failed = f"components at n={b.n}, r={r}"
     if failed:
         raise AssertionError(failed)
     return "shell and core split every zone exactly"

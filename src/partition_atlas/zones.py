@@ -44,11 +44,15 @@ The shells and cores follow. Every framework vertex has tau <= 2 (see
 framework: Sh_r(n) is empty and Core_r(n) = T_{>=r}(n). The framework
 vertex (n-2, 2), n >= 4, has the lower cover (n-2, 1) with two distinct
 parts, so tau = 2, and Sh_2(n) = T_{>=2}(n) with Core_2(n) empty from
-n = 4 on (below, T_{>=2} is empty). The closed form holds for the
-thickness ``thickness_profile(n)`` computes, not for made-up tau values,
-whose zones may split. The ``verify`` check "threshold zones are
-connected" witnesses it at every n it checks, with no decomposition: it
-walks the rows of G_n inside each level set of tau.
+n = 4 on (below, T_{>=2} is empty). So a :class:`ZoneDecomposition`
+holds the zone, its exact regime and one bit, whether the zone meets
+the framework, and reads its shell, core and component off them.
+
+The closed form holds for the thickness ``thickness_profile(n)``
+computes, not for made-up tau values, whose zones may split. The
+``verify`` check "threshold zones are connected" witnesses it at every n
+it checks, with no decomposition: it walks the rows of G_n inside each
+level set of tau.
 """
 
 from __future__ import annotations
@@ -67,61 +71,39 @@ class ZoneComponent(NamedTuple):
     boundary_attached: bool
 
 
-class ZoneDecomposition:
-    """One threshold zone split into boundary shell and interior core.
-
-    ``components`` are the connected components of the subgraph induced on
-    the zone: none for an empty zone and otherwise one, the zone itself
-    (see the module docstring). A component is boundary-attached when it
-    intersects the framework vertex set. The shell collects the attached
-    components, the core everything else.
-
-    Fields that hold the same vertex set are one object: the component
-    holds ``threshold`` itself, as does ``shell`` when it is attached
-    (``core`` when it is not), and the other side is one shared empty set.
-
-    Two decompositions are equal when every field is. Not a tuple, so that
-    a caller may hold a weak reference to one.
-    """
-
-    __slots__ = ("n", "r", "threshold", "exact", "components", "shell", "core", "__weakref__")
-
-    def __init__(
-        self,
-        n: int,
-        r: int,
-        threshold: frozenset[int],
-        exact: frozenset[int],
-        components: tuple[ZoneComponent, ...],
-        shell: frozenset[int],
-        core: frozenset[int],
-    ) -> None:
-        self.n = n
-        self.r = r
-        self.threshold = threshold
-        self.exact = exact
-        self.components = components
-        self.shell = shell
-        self.core = core
-
-    def _values(self) -> tuple:
-        return (self.n, self.r, self.threshold, self.exact, self.components, self.shell, self.core)
-
-    def __repr__(self) -> str:
-        fields = zip(self.__slots__, self._values())
-        return f"ZoneDecomposition({', '.join(f'{name}={value!r}' for name, value in fields)})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
 # the one empty side of every zone
 _EMPTY: frozenset[int] = frozenset()
+
+
+class ZoneDecomposition(NamedTuple):
+    """One threshold zone split into boundary shell and interior core.
+
+    The zone is empty or one connected component (see the module
+    docstring), ``attached`` when it meets the framework vertex set. So
+    the split is one bit, and ``shell``, ``core`` and ``components`` are
+    read off ``threshold`` and ``attached``: the shell is the whole zone
+    and the core the shared empty set when it is attached, and the other
+    way round when it is not.
+    """
+
+    n: int
+    r: int
+    threshold: frozenset[int]
+    exact: frozenset[int]
+    attached: bool
+
+    @property
+    def shell(self) -> frozenset[int]:
+        return self.threshold if self.attached else _EMPTY
+
+    @property
+    def core(self) -> frozenset[int]:
+        return _EMPTY if self.attached else self.threshold
+
+    @property
+    def components(self) -> tuple[ZoneComponent, ...]:
+        """The components of the subgraph induced on the zone: none, or the zone itself."""
+        return (ZoneComponent(self.threshold, self.attached),) if self.threshold else ()
 
 
 def threshold_zone(profile: ThicknessProfile, r: int) -> frozenset[int]:
@@ -160,13 +142,12 @@ def decompose(
 ) -> ZoneDecomposition:
     """Split the threshold zone at ``r`` relative to the framework, in closed form.
 
-    The zone is empty or one component (see the module docstring), so its
-    one component is the zone itself, boundary-attached exactly when it
-    meets ``framework.all_indices``; the shell is then the whole zone and
-    the core empty, and the other way round when it misses the framework.
-    ``above``, the decomposition of order r + 1 of the same n, makes the
-    zone T_{>=r+1} | E_r instead of a pass over the profile; without it,
-    from ``tau_max`` up the zone is the exact regime itself.
+    The zone is empty or one component (see the module docstring), so the
+    split is whether it meets ``framework.all_indices``: then the zone is
+    all shell, and otherwise all core. ``above``, the decomposition of
+    order r + 1 of the same n, makes the zone T_{>=r+1} | E_r instead of a
+    pass over the profile; without it, from ``tau_max`` up the zone is the
+    exact regime itself.
     """
     n = profile.n
     if framework.n != n:
@@ -187,9 +168,7 @@ def decompose(
     else:
         threshold = threshold_zone(profile, r)
     attached = not framework.all_indices.isdisjoint(threshold)
-    components = (ZoneComponent(threshold, attached),) if threshold else ()
-    shell, core = (threshold, _EMPTY) if attached else (_EMPTY, threshold)
-    return ZoneDecomposition(n, r, threshold, exact, components, shell, core)
+    return ZoneDecomposition(n, r, threshold, exact, attached)
 
 
 def zone_sweep(framework: FrameworkSet, profile: ThicknessProfile) -> Iterator[ZoneDecomposition]:
@@ -238,35 +217,18 @@ def zone_json(decomposition: ZoneDecomposition) -> str:
     indent=2)`` gives plus a newline; names are digits and commas, so
     nothing needs escaping.
     """
-    name = partition_names(decomposition.n).__getitem__
-    # fields that share one set share its sorted names, and at one depth
-    # its text; each list is one join, with the quotes in the separator
-    listed: dict[int, list[str]] = {}
-    texts: dict[tuple[int, int], str] = {}
-
-    def name_list(idxs: frozenset[int], depth: int) -> str:
-        if not idxs:
-            return "[]"
-        text = texts.get((id(idxs), depth))
-        if text is None:
-            names = listed.get(id(idxs))
-            if names is None:
-                names = listed[id(idxs)] = list(map(name, sorted(idxs)))
-            pad = "  " * depth
-            inner = f'",\n{pad}  "'.join(names)
-            text = texts[id(idxs), depth] = f'[\n{pad}  "{inner}"\n{pad}]'
-        return text
-
-    components = [
-        f'{{\n      "vertices": {name_list(c.vertices, 3)},\n'
-        f'      "boundary_attached": {"true" if c.boundary_attached else "false"}\n    }}'
-        for c in decomposition.components
-    ]
+    dec = decomposition
+    names = partition_names(dec.n)
+    # the zone's names are quoted once, and joined once per depth
+    zone = [f'"{names[v]}"' for v in sorted(dec.threshold)]
+    outer = _json_list(zone, 1)
+    shell, core = (outer, "[]") if dec.attached else ("[]", outer)
+    flag = "true" if dec.attached else "false"
+    component = f'{{\n      "vertices": {_json_list(zone, 3)},\n'
+    component += f'      "boundary_attached": {flag}\n    }}'
+    exact = _json_list([f'"{names[v]}"' for v in sorted(dec.exact)], 1)
     return (
-        f'{{\n  "n": {decomposition.n},\n  "r": {decomposition.r},\n'
-        f'  "threshold": {name_list(decomposition.threshold, 1)},\n'
-        f'  "exact": {name_list(decomposition.exact, 1)},\n'
-        f'  "shell": {name_list(decomposition.shell, 1)},\n'
-        f'  "core": {name_list(decomposition.core, 1)},\n'
-        f'  "components": {_json_list(components, 1)}\n}}\n'
+        f'{{\n  "n": {dec.n},\n  "r": {dec.r},\n  "threshold": {outer},\n'
+        f'  "exact": {exact},\n  "shell": {shell},\n  "core": {core},\n'
+        f'  "components": {_json_list([component] if zone else [], 1)}\n}}\n'
     )

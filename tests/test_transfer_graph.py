@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_atlas import bfs_distances, boundary_framework, build_graph, enumerate_partitions
-from partition_atlas.partitions import _conjugate, format_partition
+from partition_atlas.partitions import _conjugate, canonical_index, format_partition
 from partition_atlas.transfer_graph import TransferGraph, automorphism_fault
 
 small_partitions_st = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(
@@ -21,13 +21,15 @@ def _edge_set(graph):
 
 @lru_cache(maxsize=4)
 def _graph(n):
-    return build_graph(n)
+    """G_n and its index, kept together: ``canonical_index`` keeps only the
+    latest n, and the drawn partitions mix totals."""
+    return build_graph(n), canonical_index(n)
 
 
 def _neighbors(p):
     """The parts tuples of ``p``'s neighbours, read off the rows of ``build_graph``."""
-    g = _graph(sum(p))
-    return {g.vertices[j] for j in g.adj[g.index_of(p)]}
+    g, index = _graph(sum(p))
+    return {g.vertices[j] for j in g.adj[index[p]]}
 
 
 def test_neighbors_of_single_row():

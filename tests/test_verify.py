@@ -6,11 +6,19 @@ import weakref
 import pytest
 from conftest import PAPER_FIRST_OCCURRENCES, PAPER_MAX_LOCUS, invoke
 
-from partition_atlas import boundary_framework, build_graph, pipeline, thickness_profile, verify
+from partition_atlas import (
+    boundary_framework,
+    build_graph,
+    pipeline,
+    thickness,
+    thickness_profile,
+    transfer_graph,
+    verify,
+)
 from partition_atlas.cli import main
 from partition_atlas.partitions import canonical_index, enumerate_partitions, parse_partition
 from partition_atlas.transfer_graph import TransferGraph
-from partition_atlas.zones import ZoneDecomposition, zone_sweep
+from partition_atlas.zones import zone_sweep
 
 FIRST_OCCURRENCE = "first-occurrence table matches expected values"
 MAX_LOCUS_TABLE = "maximal-thickness table matches expected values"
@@ -161,6 +169,23 @@ def test_clique_search_check_fails_on_a_false_automorphism(monkeypatch):
     assert search.detail == "raised ValueError: not an involutive automorphism of G_8 at vertex 5"
 
 
+def test_check_n_proves_the_conjugation_once(monkeypatch):
+    # the automorphism check and the clique search both read one proof of
+    # sigma, made with the bundle
+    real = transfer_graph.automorphism_fault
+    proved = []
+
+    def counted(graph, perm):
+        proved.append(graph.n)
+        return real(graph, perm)
+
+    for module in (verify, thickness, transfer_graph):
+        monkeypatch.setattr(module, "automorphism_fault", counted)
+    outcomes = verify._check_n(12, 1, 12)
+    assert all(ok for ok, _, _ in outcomes), outcomes
+    assert proved == [12]
+
+
 def test_automorphism_check_names_the_smallest_failing_vertex(monkeypatch):
     # the edge (3,3,1,1)-(3,2,2,1) of G_8 dropped from both its rows leaves
     # the rows symmetric; its conjugate edge (4,2,2)-(4,3,1) stays, so the
@@ -280,16 +305,8 @@ def test_adjacency_check_catches_a_malformed_row(monkeypatch, row_of, detail):
 @pytest.mark.parametrize(
     "broken, detail",
     [
-        (lambda dec, zone: dict(core=dec.threshold, shell=dec.threshold), "shell/core"),
-        # as many members as the zone, one of them outside it
-        (lambda dec, zone: dict(shell=frozenset([*zone[1:], 999]), core=frozenset()), "shell/core"),
-        # sizes that add up to the zone's, from halves that overlap
-        (
-            lambda dec, zone: dict(shell=frozenset(zone[:2]), core=frozenset(zone[1:-1])),
-            "shell/core",
-        ),
-        (lambda dec, zone: dict(components=(_component(dec, zone[1:]),)), "components"),
-        (lambda dec, zone: dict(components=(_component(dec, [*zone[1:], 999]),)), "components"),
+        # the order-2 zone meets the framework, so it is all shell
+        (lambda dec, zone: dict(attached=not dec.attached), "shell/core"),
         # the zone or its exact regime itself is not the level set of tau
         (lambda dec, zone: dict(threshold=frozenset(zone[1:])), "zone"),
         (lambda dec, zone: dict(threshold=frozenset([*zone[1:], 999])), "zone"),
@@ -297,11 +314,7 @@ def test_adjacency_check_catches_a_malformed_row(monkeypatch, row_of, detail):
         (lambda dec, zone: dict(exact=frozenset([*sorted(dec.exact)[1:], 999])), "zone"),
     ],
     ids=[
-        "both-the-zone",
-        "shell-leaves-the-zone",
-        "halves-overlap",
-        "short",
-        "component-leaves",
+        "attached-flipped",
         "zone-short",
         "zone-leaves",
         "exact-short",
@@ -312,7 +325,7 @@ def test_zone_partition_check_catches_a_broken_split(monkeypatch, broken, detail
     def broken_at_2(framework, profile):
         for dec in zone_sweep(framework, profile):
             if dec.r == 2:
-                dec = _changed(dec, **broken(dec, sorted(dec.threshold)))
+                dec = dec._replace(**broken(dec, sorted(dec.threshold)))
             yield dec
 
     monkeypatch.setattr(verify, "zone_sweep", broken_at_2)
@@ -322,10 +335,11 @@ def test_zone_partition_check_catches_a_broken_split(monkeypatch, broken, detail
 
 
 def test_zone_check_names_the_smallest_failing_order(monkeypatch):
-    # the sweep reaches order 3 first at n=8; orders 3 and 2 are broken
+    # the sweep reaches order 3 first at n=8; orders 3 and 2 are made
+    # all core, which breaks order 2 only, as order 3 misses the framework
     def broken_from_2(framework, profile):
         for dec in zone_sweep(framework, profile):
-            yield _changed(dec, core=dec.threshold) if dec.r >= 2 else dec
+            yield dec._replace(attached=False) if dec.r >= 2 else dec
 
     monkeypatch.setattr(verify, "zone_sweep", broken_from_2)
     result = _verdict("zone decomposition partitions", 8, 8)
@@ -338,7 +352,7 @@ def test_zone_check_names_the_smallest_failing_order(monkeypatch):
     [
         # the shell and core of the order-3 zone, which misses the
         # framework, and of the order-2 zone, which meets it, swapped
-        (lambda dec: dict(shell=dec.core, core=dec.shell), "shell/core"),
+        (lambda dec: dict(attached=not dec.attached), "shell/core"),
         (lambda dec: dict(threshold=frozenset(sorted(dec.threshold)[1:])), "zone"),
     ],
     ids=["swapped", "zone-short"],
@@ -349,7 +363,7 @@ def test_zone_partition_check_names_the_smallest_of_two_failing_orders(
     # every order above 1 is broken at n=8 (orders 3 and 2) and at n=9
     def broken_from_2(framework, profile):
         for dec in zone_sweep(framework, profile):
-            yield _changed(dec, **broken(dec)) if dec.r >= 2 else dec
+            yield dec._replace(**broken(dec)) if dec.r >= 2 else dec
 
     monkeypatch.setattr(verify, "zone_sweep", broken_from_2)
     result = _verdict("zone decomposition partitions", 9, 8)
@@ -388,8 +402,9 @@ def test_check_n_calls_each_check_once_in_report_order(monkeypatch):
 
 
 def test_check_n_lets_each_zone_order_go_before_the_next_but_one(monkeypatch):
-    # a weak reference to every order of n=16, tau_max 5; when the sweep
-    # has made an order, every order above the one above it must be gone
+    # a weak reference to the exact regime of every order of n=16, tau_max
+    # 5, a set that only its order holds; when the sweep has made an order,
+    # every order above the one above it must be gone
     refs = []
     held = []
     sweeps = []
@@ -397,15 +412,15 @@ def test_check_n_lets_each_zone_order_go_before_the_next_but_one(monkeypatch):
     def watched(framework, profile):
         sweeps.append(profile.n)
         for dec in zone_sweep(framework, profile):
-            held.append([ref().r for ref in refs[:-1] if ref() is not None])
-            refs.append(weakref.ref(dec))
+            held.append([r for r, ref in refs[:-1] if ref() is not None])
+            refs.append((dec.r, weakref.ref(dec.exact)))
             yield dec
 
     monkeypatch.setattr(verify, "zone_sweep", watched)
     outcomes = verify._check_n(16, 16, 16)
     assert all(ok for ok, _, _ in outcomes), outcomes
     assert sweeps == [16]
-    assert [ref() for ref in refs] == [None] * 5
+    assert [ref() for _, ref in refs] == [None] * 5
     assert held == [[], [], [], [], []]
 
 
@@ -519,24 +534,6 @@ def test_antenna_exclusion_check_fails_on_an_antenna_of_thickness_2(monkeypatch)
     result = _verdict("antenna exclusion from thick zones", 9)
     assert not result.ok
     assert result.detail == "raised AssertionError: antenna in the triangular regime at n=8"
-
-
-def _component(dec, vertices):
-    return dec.components[0]._replace(vertices=frozenset(vertices))
-
-
-def _changed(dec, **fields):
-    """A copy of the decomposition ``dec`` with the given fields changed."""
-    kept = dict(
-        n=dec.n,
-        r=dec.r,
-        threshold=dec.threshold,
-        exact=dec.exact,
-        components=dec.components,
-        shell=dec.shell,
-        core=dec.core,
-    )
-    return ZoneDecomposition(**{**kept, **fields})
 
 
 def test_results_carry_check_seconds():

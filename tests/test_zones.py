@@ -116,6 +116,24 @@ def test_threshold_zone_shares_the_index_ints():
     assert shared <= 0.6 * fresh, (shared, fresh)
 
 
+def test_decomposition_is_a_record_of_its_five_fields(small_profiles):
+    _, prof, fw = small_profiles[8]
+    dec = decompose(fw, prof, 2)
+    assert dec.attached
+    flipped = dec._replace(attached=False)
+    same = zones.ZoneDecomposition(8, 2, dec.threshold, dec.exact, False)
+    assert flipped == same and hash(flipped) == hash(same)
+    assert flipped != dec
+    assert zones.ZoneDecomposition._fields == ("n", "r", "threshold", "exact", "attached")
+    assert repr(flipped) == (
+        f"ZoneDecomposition(n=8, r=2, threshold={dec.threshold!r}, "
+        f"exact={dec.exact!r}, attached=False)"
+    )
+    # the split follows the one bit
+    assert (flipped.shell, flipped.core) == (zones._EMPTY, dec.threshold)
+    assert flipped.components == (zones.ZoneComponent(dec.threshold, False),)
+
+
 def test_decompose_n4_r2(small_profiles):
     g, prof, fw = small_profiles[4]
     dec = decompose(fw, prof, 2)
