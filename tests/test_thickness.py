@@ -1,6 +1,7 @@
 import gc
 import json
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,11 @@ from partition_atlas.partitions import (
     parse_partition,
     partition_names,
 )
-from partition_atlas.thickness import _corner_thickness, clique_search_profile
+from partition_atlas.thickness import (
+    _corner_thickness,
+    _searched_profile,
+    clique_search_profile,
+)
 from partition_atlas.verify import profile_conjugation_ok
 
 
@@ -218,6 +223,67 @@ def test_clique_search_starts_once_per_conjugate_pair(monkeypatch, conjugation):
         starts = [m for m in starts if m <= sigma[m]]
     assert len(calls) == len(starts)
     assert len(starts) == (317 if conjugation else 626)
+
+
+def test_clique_search_solves_each_distinct_local_problem_once(monkeypatch):
+    # the 317 starts of G_20 with conjugation pose 32 distinct local
+    # problems: N+(m) relabelled 0, 1, ... in order, edges and all
+    g = build_graph(20)
+    sigma = g.conjugation_permutation()
+    problems = set()
+    for m, row in enumerate(g.adj):
+        above = row[bisect_right(row, m) :]
+        if above and m <= sigma[m]:
+            local = {u: i for i, u in enumerate(above)}
+            edges = {(local[u], local[w]) for u in above for w in g.adj[u] if w in local}
+            problems.add((len(above), frozenset(edges)))
+    roots = []
+    real = thickness._maximal_cliques
+
+    def counted(rows, clique, p, x, out):
+        if clique == 0:
+            roots.append(len(rows))
+        return real(rows, clique, p, x, out)
+
+    monkeypatch.setattr(thickness, "_maximal_cliques", counted)
+    assert clique_search_profile(g, sigma) == thickness_profile(20).tau
+    assert len(roots) == len(problems) == 32
+
+
+@st.composite
+def _two_relabelled_copies(draw):
+    # a random symmetric adjacency on k vertices, laid twice onto the
+    # vertices of some G_n, each copy in increasing order at positions
+    # drawn at random: a start of the second copy poses the same local
+    # problem as its twin in the first, on other global vertices. When
+    # p(n) is odd, the vertex left over is isolated
+    g = build_graph(draw(st.integers(2, 8)))
+    k = len(g.adj) // 2
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    edges = draw(st.sets(pair, max_size=3 * k))
+    order = draw(st.permutations(range(len(g.adj))))
+    first, second = sorted(order[:k]), sorted(order[k : 2 * k])
+    copies = {(first[a], first[b]) for a, b in edges} | {(second[a], second[b]) for a, b in edges}
+    return _with_adjacency(g, copies)
+
+
+@settings(deadline=None)
+@given(_two_relabelled_copies())
+def test_clique_search_credits_a_solved_problem_to_each_start_of_it(g):
+    oracle = tuple(brute_force_local_dimension(g, p) for p in g.vertices)
+    assert clique_search_profile(g) == oracle
+
+
+@pytest.mark.parametrize("n", [9, 20])
+def test_clique_search_reads_each_edge_from_its_lower_end(n):
+    # with every entry below the diagonal deleted, each edge is still in
+    # the row of its lower end, and the search reads nothing else; the
+    # verify check "adjacency structure" is what rejects such rows
+    g = build_graph(n)
+    upper = tuple(row[bisect_right(row, v) :] for v, row in enumerate(g.adj))
+    tau = thickness_profile(n).tau
+    assert clique_search_profile(TransferGraph(n, g.vertices, upper)) == tau
+    assert _searched_profile(upper, g.conjugation_permutation()) == tau
 
 
 def _swapped(k, a, b):

@@ -19,11 +19,19 @@ def _edge_set(graph):
     }
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=None)
 def _graph(n):
     """G_n and its index, kept together: ``canonical_index`` keeps only the
-    latest n, and the drawn partitions mix totals."""
+    latest n, and the drawn partitions mix totals. Each total is built
+    once, however the draws interleave them; :func:`_drop_graphs` lets
+    the graphs go when the module's tests end."""
     return build_graph(n), canonical_index(n)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_graphs():
+    yield
+    _graph.cache_clear()
 
 
 def _neighbors(p):

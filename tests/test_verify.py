@@ -287,12 +287,15 @@ def _with_row(row_of):
         # 0, which does not list 3 back, so the rows hold one entry more
         # below the diagonal than above it
         (lambda row: sorted({*row, 0}), "asymmetric edge 3/0 at n=5"),
+        # row 3 keeps only its entries above the diagonal, all the clique
+        # search reads; (3,2) still lists (3,1,1), and is met first
+        (lambda row: [v for v in row if v > 3], "asymmetric edge 2/3 at n=5"),
         (lambda row: sorted({*row, 3}), "self-loop at n=5"),
         (lambda row: (*row, row[-1]), "duplicate neighbor at n=5"),
         # every edge still symmetric, the last two neighbors swapped
         (lambda row: (*row[:-2], row[-1], row[-2]), "unsorted row 3 at n=5"),
     ],
-    ids=["asymmetric", "asymmetric-below", "self-loop", "duplicate", "unsorted"],
+    ids=["asymmetric", "asymmetric-below", "upper-half", "self-loop", "duplicate", "unsorted"],
 )
 def test_adjacency_check_catches_a_malformed_row(monkeypatch, row_of, detail):
     monkeypatch.setattr(verify, "build_graph", _with_row(row_of))
