@@ -31,7 +31,7 @@ _HOME = {
         "profile_from_json profile_json thickness_profile",
         "transfer_graph": "TransferGraph bfs_distances build_graph induced_components",
         "zones": "ZoneComponent ZoneDecomposition decompose exact_regime "
-        "first_occurrences first_occurrences_csv threshold_zone zone_json zone_sweep",
+        "first_occurrences first_occurrences_csv threshold_zone zone_json",
     }.items()
     for name in names.split()
 }
@@ -70,7 +70,6 @@ __all__ = [
     "thickness_profile",
     "threshold_zone",
     "zone_json",
-    "zone_sweep",
 ]
 
 

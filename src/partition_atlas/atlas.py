@@ -109,6 +109,8 @@ def atlas_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> 
         raise ValueError(f"unknown atlas mode {mode!r}")
     if graph.n != profile.n:
         raise ValueError("graph and profile must describe the same n")
+    if len(profile.tau) != len(graph.vertices):
+        raise ValueError(f"profile for n={profile.n} lists {len(profile.tau)} vertices, not p(n)")
     return _svg_chunks(graph, profile, mode)
 
 
@@ -116,8 +118,11 @@ def _svg_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> I
     n = graph.n
     outlined = frozenset(profile.max_locus)
     if mode == "zones":
+        framework = boundary_framework(n)
         exact1 = exact_regime(profile, 1)
-        skin2, core3 = _skin_and_core(profile)
+        # only the two sets outlive these lines, not the orders they come from
+        core3 = decompose(framework, profile, 3).core
+        skin2 = decompose(framework, profile, 2).shell
 
     # each coordinate is formatted once, and the lines and circles share
     # the strings; the cells are dropped once placed (at n=45 they hold 7 MB)
@@ -178,18 +183,6 @@ def _svg_chunks(graph: TransferGraph, profile: ThicknessProfile, mode: str) -> I
         )
     yield "</g>\n"
     yield "</svg>\n"
-
-
-def _skin_and_core(profile: ThicknessProfile) -> tuple[frozenset[int], frozenset[int]]:
-    """The order-2 shell and the order-3 core, from two closed-form orders.
-
-    Order 2 is order 3 joined with the exact regime of order 2. Each set
-    is empty where its order is not realized. Only the two sets outlive
-    the call, not the decompositions they come from.
-    """
-    framework = boundary_framework(profile.n)
-    order3 = decompose(framework, profile, 3)
-    return decompose(framework, profile, 2, order3).shell, order3.core
 
 
 def export_tables(

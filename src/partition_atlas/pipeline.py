@@ -21,7 +21,7 @@ from .thickness import (
     thickness_profile,
 )
 from .transfer_graph import build_graph
-from .zones import zone_json, zone_sweep
+from .zones import decompose, zone_json
 
 
 T = TypeVar("T")
@@ -224,10 +224,9 @@ def compute_artifacts_for_n(n: int, out_root: Path) -> None:
     (target / "framework.json").write_text(framework_json(framework, axis))
     (target / "profile.csv").write_text(profile_csv(profile))
     (target / "profile.json").write_text(profile_json(profile))
-    # each order is written as the sweep makes it, from tau_max down, and
-    # dropped once the next is made from it
-    for decomposition in zone_sweep(framework, profile):
-        (target / f"zones_r{decomposition.r}.json").write_text(zone_json(decomposition))
+    # each order is made, written and dropped before the next, from tau_max down
+    for r in range(profile.tau_max, 0, -1):
+        (target / f"zones_r{r}.json").write_text(zone_json(decompose(framework, profile, r)))
 
 
 def table_entry(

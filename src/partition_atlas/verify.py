@@ -7,9 +7,8 @@ check once on them, in report order, and drops them before the next n,
 so memory follows the largest n of the range rather than the whole
 range. The zone checks read the profile and the framework, as every zone
 order is a closed form of the two (see :mod:`zones`); only "zone
-decomposition partitions" makes the orders, in one sweep from tau_max
-down that drops each order once the next is made, so no more than two
-are held at a time.
+decomposition partitions" makes the orders, one order at a time from
+tau_max down.
 The n are independent, so they may be spread over worker processes; only
 each check's outcome comes back, and the outcomes are merged in n order.
 It reports one result per check.
@@ -45,7 +44,7 @@ from .transfer_graph import (
     build_graph,
     induced_components,
 )
-from .zones import zone_sweep
+from .zones import decompose
 
 ORACLE_RANGE_MAX = 12
 
@@ -72,7 +71,7 @@ class _Bundle(NamedTuple):
     ``fault`` is :func:`automorphism_fault` of the conjugation, so sigma
     is proved once per n, for the automorphism check and the clique
     search. The zone orders are not part of it: "zone decomposition
-    partitions" makes them one at a time, in one sweep.
+    partitions" makes them one at a time.
     """
 
     n: int
@@ -341,14 +340,15 @@ def _levels(profile: ThicknessProfile) -> list[list[int]]:
 
 
 def _check_zone_partition(run: _Range, b: _Bundle) -> str:
-    # the one check that reads zone_sweep, so a broken decompose fails it:
+    # the one check that reads decompose, so a broken decompose fails it:
     # each order must be the level sets of tau, attached (all shell) when
-    # it meets the framework and otherwise all core; the sweep runs from
-    # tau_max down, so the failure kept is that of the smallest r
+    # it meets the framework and otherwise all core; the orders are made
+    # from tau_max down, so the failure kept is that of the smallest r
     levels = _levels(b.profile)
     fw = b.framework.all_indices
     size, attached, failed = 0, False, ""
-    for r, dec in zip(range(b.profile.tau_max, 0, -1), zone_sweep(b.framework, b.profile)):
+    for r in range(b.profile.tau_max, 0, -1):
+        dec = decompose(b.framework, b.profile, r)
         exact, zone = levels[r], dec.threshold
         size += len(exact)
         attached = attached or not fw.isdisjoint(exact)

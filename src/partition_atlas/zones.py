@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import eq, le
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .framework import FrameworkSet
 from .partitions import _json_list, canonical_index, partition_names
@@ -134,54 +134,19 @@ def _members(profile: ThicknessProfile, op: Callable[[int, int], bool], r: int) 
     return frozenset(compress(ints, map(op, repeat(r), profile.tau)))
 
 
-def decompose(
-    framework: FrameworkSet,
-    profile: ThicknessProfile,
-    r: int,
-    above: ZoneDecomposition | None = None,
-) -> ZoneDecomposition:
+def decompose(framework: FrameworkSet, profile: ThicknessProfile, r: int) -> ZoneDecomposition:
     """Split the threshold zone at ``r`` relative to the framework, in closed form.
 
     The zone is empty or one component (see the module docstring), so the
     split is whether it meets ``framework.all_indices``: then the zone is
-    all shell, and otherwise all core. ``above``, the decomposition of
-    order r + 1 of the same n, makes the zone T_{>=r+1} | E_r instead of a
-    pass over the profile; without it, from ``tau_max`` up the zone is the
-    exact regime itself.
+    all shell, and otherwise all core. Every order is made from the
+    profile alone, one pass for the zone and one for its exact regime.
     """
-    n = profile.n
-    if framework.n != n:
+    if framework.n != profile.n:
         raise ValueError("framework and profile must describe the same n")
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-    if above is not None and (above.n, above.r) != (n, r + 1):
-        raise ValueError(f"above must decompose order {r + 1} for n={n}")
-    exact = exact_regime(profile, r)
-    if above is not None:
-        if above.threshold and exact:
-            threshold = above.threshold | exact
-        else:
-            # one side is empty: the zone is the other set itself, not a copy
-            threshold = above.threshold or exact
-    elif r >= profile.tau_max:
-        threshold = exact
-    else:
-        threshold = threshold_zone(profile, r)
+    threshold = threshold_zone(profile, r)
     attached = not framework.all_indices.isdisjoint(threshold)
-    return ZoneDecomposition(n, r, threshold, exact, attached)
-
-
-def zone_sweep(framework: FrameworkSet, profile: ThicknessProfile) -> Iterator[ZoneDecomposition]:
-    """:func:`decompose` of every order from ``tau_max`` down to 1.
-
-    Each order is made from the one before, and is handed out before the
-    next is made, so a caller that writes and drops each holds no more
-    than two at a time.
-    """
-    above = None
-    for r in range(profile.tau_max, 0, -1):
-        above = decompose(framework, profile, r, above)
-        yield above
+    return ZoneDecomposition(profile.n, r, threshold, exact_regime(profile, r), attached)
 
 
 def first_occurrences(tau_maxes: Sequence[int]) -> dict[int, int]:

@@ -191,6 +191,17 @@ def test_atlas_chunks_rejects_bad_inputs_before_iterating():
         atlas_chunks(g, thickness_profile(5), "zones")
 
 
+@pytest.mark.parametrize("mode", ["thickness", "zones"])
+def test_atlas_chunks_rejects_a_short_profile_before_iterating(mode):
+    # a profile one vertex short of p(6) would otherwise fail only once
+    # the drawing is drawn: a ValueError in zones mode, an IndexError in
+    # thickness mode
+    prof = thickness_profile(6)
+    short = prof._replace(tau=prof.tau[:-1])
+    with pytest.raises(ValueError, match="n=6"):
+        atlas_chunks(build_graph(6), short, mode)
+
+
 def test_render_titles_name_partitions():
     g = build_graph(4)
     svg = render_atlas(g, thickness_profile(4), "thickness")

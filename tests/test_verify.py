@@ -18,7 +18,7 @@ from partition_atlas import (
 from partition_atlas.cli import main
 from partition_atlas.partitions import canonical_index, enumerate_partitions, parse_partition
 from partition_atlas.transfer_graph import TransferGraph
-from partition_atlas.zones import zone_sweep
+from partition_atlas.zones import decompose
 
 FIRST_OCCURRENCE = "first-occurrence table matches expected values"
 MAX_LOCUS_TABLE = "maximal-thickness table matches expected values"
@@ -325,26 +325,26 @@ def test_adjacency_check_catches_a_malformed_row(monkeypatch, row_of, detail):
     ],
 )
 def test_zone_partition_check_catches_a_broken_split(monkeypatch, broken, detail):
-    def broken_at_2(framework, profile):
-        for dec in zone_sweep(framework, profile):
-            if dec.r == 2:
-                dec = dec._replace(**broken(dec, sorted(dec.threshold)))
-            yield dec
+    def broken_at_2(framework, profile, r):
+        dec = decompose(framework, profile, r)
+        if r == 2:
+            dec = dec._replace(**broken(dec, sorted(dec.threshold)))
+        return dec
 
-    monkeypatch.setattr(verify, "zone_sweep", broken_at_2)
+    monkeypatch.setattr(verify, "decompose", broken_at_2)
     result = _verdict("zone decomposition partitions", 8, 8)
     assert not result.ok
     assert result.detail == f"raised AssertionError: {detail} at n=8, r=2"
 
 
 def test_zone_check_names_the_smallest_failing_order(monkeypatch):
-    # the sweep reaches order 3 first at n=8; orders 3 and 2 are made
-    # all core, which breaks order 2 only, as order 3 misses the framework
-    def broken_from_2(framework, profile):
-        for dec in zone_sweep(framework, profile):
-            yield dec._replace(attached=False) if dec.r >= 2 else dec
+    # the check makes order 3 first at n=8; orders 3 and 2 are made all
+    # core, which breaks order 2 only, as order 3 misses the framework
+    def broken_from_2(framework, profile, r):
+        dec = decompose(framework, profile, r)
+        return dec._replace(attached=False) if r >= 2 else dec
 
-    monkeypatch.setattr(verify, "zone_sweep", broken_from_2)
+    monkeypatch.setattr(verify, "decompose", broken_from_2)
     result = _verdict("zone decomposition partitions", 8, 8)
     assert not result.ok
     assert result.detail == "raised AssertionError: shell/core at n=8, r=2"
@@ -364,25 +364,30 @@ def test_zone_partition_check_names_the_smallest_of_two_failing_orders(
     monkeypatch, broken, detail
 ):
     # every order above 1 is broken at n=8 (orders 3 and 2) and at n=9
-    def broken_from_2(framework, profile):
-        for dec in zone_sweep(framework, profile):
-            yield dec._replace(**broken(dec)) if dec.r >= 2 else dec
+    def broken_from_2(framework, profile, r):
+        dec = decompose(framework, profile, r)
+        return dec._replace(**broken(dec)) if r >= 2 else dec
 
-    monkeypatch.setattr(verify, "zone_sweep", broken_from_2)
+    monkeypatch.setattr(verify, "decompose", broken_from_2)
     result = _verdict("zone decomposition partitions", 9, 8)
     assert not result.ok
     assert result.detail == f"raised AssertionError: {detail} at n=8, r=2"
 
 
 def test_zone_sweep_time_is_in_the_partition_check_seconds(monkeypatch):
-    def slow(framework, profile):
-        time.sleep(0.05)
-        yield from zone_sweep(framework, profile)
+    calls = []
 
-    monkeypatch.setattr(verify, "zone_sweep", slow)
+    def slow(framework, profile, r):
+        calls.append(r)
+        time.sleep(0.05)
+        return decompose(framework, profile, r)
+
+    monkeypatch.setattr(verify, "decompose", slow)
     result = _verdict("zone decomposition partitions", 8, 8)
     assert result.ok, result.detail
-    assert result.seconds >= 0.05
+    # every order's call is timed, not only the first
+    assert calls == [3, 2, 1]
+    assert result.seconds >= 0.05 * len(calls)
 
 
 def test_check_n_calls_each_check_once_in_report_order(monkeypatch):
@@ -406,23 +411,23 @@ def test_check_n_calls_each_check_once_in_report_order(monkeypatch):
 
 def test_check_n_lets_each_zone_order_go_before_the_next_but_one(monkeypatch):
     # a weak reference to the exact regime of every order of n=16, tau_max
-    # 5, a set that only its order holds; when the sweep has made an order,
-    # every order above the one above it must be gone
+    # 5, a set that only its order holds; when the check has made an
+    # order, every order above the one above it must be gone
     refs = []
     held = []
-    sweeps = []
+    calls = []
 
-    def watched(framework, profile):
-        sweeps.append(profile.n)
-        for dec in zone_sweep(framework, profile):
-            held.append([r for r, ref in refs[:-1] if ref() is not None])
-            refs.append((dec.r, weakref.ref(dec.exact)))
-            yield dec
+    def watched(framework, profile, r):
+        calls.append((profile.n, r))
+        dec = decompose(framework, profile, r)
+        held.append([r for r, ref in refs[:-1] if ref() is not None])
+        refs.append((r, weakref.ref(dec.exact)))
+        return dec
 
-    monkeypatch.setattr(verify, "zone_sweep", watched)
+    monkeypatch.setattr(verify, "decompose", watched)
     outcomes = verify._check_n(16, 16, 16)
     assert all(ok for ok, _, _ in outcomes), outcomes
-    assert sweeps == [16]
+    assert calls == [(16, r) for r in range(5, 0, -1)]
     assert [ref() for _, ref in refs] == [None] * 5
     assert held == [[], [], [], [], []]
 
@@ -552,7 +557,7 @@ HOLD_PROBE = """
 import json, tracemalloc
 from partition_atlas import verify
 from partition_atlas.partitions import canonical_index, enumerate_partitions
-from partition_atlas.zones import ZoneDecomposition, zone_sweep
+from partition_atlas.zones import decompose
 
 
 def traced(make):
@@ -567,7 +572,7 @@ def traced(make):
 
 def whole(n):
     b = verify._bundle(n)
-    return b, list(zone_sweep(b.framework, b.profile))
+    return b, [decompose(b.framework, b.profile, r) for r in range(b.profile.tau_max, 0, -1)]
 
 
 n = 24

@@ -16,7 +16,6 @@ from partition_atlas import (
     thickness_profile,
     threshold_zone,
     zone_json,
-    zone_sweep,
 )
 from partition_atlas import zones
 from partition_atlas.partitions import canonical_index, parse_partition
@@ -241,19 +240,11 @@ def test_sweep_matches_a_walk_per_order():
     # the closed form against the components of each zone, walked on G_n
     for n in range(1, 21):
         g, fw, prof = build_graph(n), boundary_framework(n), thickness_profile(n)
-        swept = {dec.r: dec for dec in zone_sweep(fw, prof)}
-        assert list(swept) == list(range(prof.tau_max, 0, -1))
-        # order 0 is one more step down from the sweep's last order
-        swept[0] = decompose(fw, prof, 0, swept.get(1))
-        top = prof.tau_max + 1
-        decs = {r: decompose(fw, prof, r) for r in range(top + 1)}
-        for r, dec in decs.items():
+        # from order 0, all of G_n, to one past tau_max, where the zone is empty
+        for r in range(prof.tau_max + 2):
+            dec = decompose(fw, prof, r)
             assert (dec.n, dec.r) == (n, r)
             assert _as_reference(dec) == _reference(g, fw, prof.tau, r), (n, r)
-            if r in swept:
-                assert swept[r] == dec, (n, r)
-            if r < top:
-                assert decompose(fw, prof, r, decs[r + 1]) == dec, (n, r)
 
 
 def _distinct(parts):
@@ -295,9 +286,7 @@ def test_zone_fields_share_one_set_per_distinct_vertex_set():
     seen = {"one component": 0, "all attached": 0, "none attached": 0}
     for n in range(1, 21):
         prof, fw = thickness_profile(n), boundary_framework(n)
-        for dec in zone_sweep(fw, prof):
-            if dec.r == prof.tau_max:
-                assert dec.threshold is dec.exact, (n, dec.r)
+        for dec in (decompose(fw, prof, r) for r in range(prof.tau_max, 0, -1)):
             for c in dec.components:
                 if len(c.vertices) == len(dec.threshold):
                     assert c.vertices is dec.threshold, (n, dec.r)
@@ -311,24 +300,6 @@ def test_zone_fields_share_one_set_per_distinct_vertex_set():
                 seen["none attached"] += 1
     # every case occurs, so none of the checks above is vacuous
     assert all(seen.values()), seen
-
-
-def test_decompose_steps_from_the_order_above(small_profiles):
-    g, prof, fw = small_profiles[11]
-    above = None
-    for r in range(prof.tau_max, 0, -1):
-        above = decompose(fw, prof, r, above)
-        assert above == decompose(fw, prof, r)
-    # the order above is the one source of the union T_{>=r+1} | E_r, so
-    # any other order is refused
-    for other in (4, 2, 1):
-        with pytest.raises(ValueError, match="must decompose order 3"):
-            decompose(fw, prof, 2, decompose(fw, prof, other))
-    g10, prof10, fw10 = small_profiles[10]
-    with pytest.raises(ValueError):
-        decompose(fw10, prof10, 2, decompose(fw, prof, 3))
-    with pytest.raises(ValueError):
-        decompose(fw, prof, -1)
 
 
 def test_decompose_partitions_zone(small_profiles):
@@ -377,8 +348,13 @@ def test_decompose_rejects_mismatched_inputs(small_profiles):
         decompose(fw4, prof5, 1)
     with pytest.raises(ValueError):
         decompose(fw5, prof4, 1)
-    with pytest.raises(ValueError):
-        next(zone_sweep(fw4, prof5))
+    # an order of n=11 against the framework of n=10, and a negative order
+    _, prof11, fw11 = small_profiles[11]
+    fw10 = small_profiles[10][2]
+    with pytest.raises(ValueError, match="same n"):
+        decompose(fw10, prof11, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        decompose(fw11, prof11, -1)
 
 
 def test_first_occurrences_small_ranges(small_profiles):
